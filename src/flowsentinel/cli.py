@@ -62,7 +62,7 @@ from .features import (
     select_top_k,
 )
 from .models import ModelSpec, build, load, save
-from .training import TrainConfig, evaluate, export_history, train
+from .training import INFERENCE_BATCH_ROWS, TrainConfig, evaluate, export_history, train
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -149,8 +149,12 @@ class RunConfig:
 
 
 def thread_cap() -> int:
-    """Parallelism cap from the environment; this build runs single-threaded,
-    which trivially satisfies any positive cap."""
+    """Parallelism cap from ``FLOWSENTINEL_THREADS`` (default 1).
+
+    The value is validated and recorded in the run manifest, but it does not
+    yet limit anything: numpy's matrix products run on the BLAS library's own
+    thread pool, which sizes itself from the machine (or from
+    ``OPENBLAS_NUM_THREADS`` / ``OMP_NUM_THREADS``)."""
     raw = os.environ.get(THREADS_ENV)
     if raw is None:
         return 1
@@ -282,8 +286,20 @@ def cmd_select(config: RunConfig) -> int:
 
 
 def _prepare_split(config: RunConfig, cache_path: Path, feature_names: list):
-    """Cache -> (train FlowDataset, test FlowDataset, meta), train-fitted scaling."""
+    """Cache -> (train FlowDataset, test FlowDataset, meta), train-fitted scaling.
+
+    The cache is read once, here, so the full matrix is freed before
+    training. A cache ingested in another mode is refused when ``--mode`` was
+    given explicitly; otherwise its mode is inherited.
+    """
     X, y, cache_columns, meta = read_cache(cache_path)
+    cache_mode = (meta or {}).get("mode")
+    if cache_mode and cache_mode != config.mode:
+        if "mode" in config.explicit_fields:
+            raise ModeMismatchError(
+                f"cache was ingested in {cache_mode!r} mode but --mode is {config.mode!r}"
+            )
+        config.mode = cache_mode  # inherit the cache's regime when unspecified
     missing = [name for name in feature_names if name not in cache_columns]
     if missing:
         raise MissingColumnError(missing[0], str(cache_path))
@@ -311,14 +327,6 @@ def cmd_train(config: RunConfig) -> int:
         print(f"error: missing cache {cache_path}", file=sys.stderr)
         return EXIT_MISSING_INPUT
     feature_names = _feature_list(config, out)
-    meta_probe = read_cache(cache_path)[3]
-    cache_mode = (meta_probe or {}).get("mode")
-    if cache_mode and cache_mode != config.mode:
-        if "mode" in config.explicit_fields:
-            raise ModeMismatchError(
-                f"cache was ingested in {cache_mode!r} mode but --mode is {config.mode!r}"
-            )
-        config.mode = cache_mode  # inherit the cache's regime when unspecified
     train_ds, test_ds, meta = _prepare_split(config, cache_path, feature_names)
     mode = train_ds.vocab.mode
     spec = ModelSpec(architecture=config.arch, mode=mode, input_features=len(feature_names))
@@ -429,17 +437,19 @@ def cmd_predict(config: RunConfig, model_path: str, input_path: str) -> int:
     if model.normalizer is not None:
         X = apply_normalizer(X, model.normalizer, scheme=model.normalizer_scheme)
     X = X.astype(np.float32)
-    predictions = model.predict(X)
-    confidences = model.confidences(X)
     class_names = model.class_names or [str(i) for i in range(model.spec.mode.class_count)]
     out = _out_dir(config)
     target = out / "predictions.csv"
     with open(target, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["row_id", "predicted_class", "confidence"])
-        for i, (klass, conf) in enumerate(zip(predictions, confidences)):
-            writer.writerow([i, class_names[int(klass)], f"{conf:.6f}"])
-    print(f"wrote {target} ({len(predictions)} predictions)")
+        for start in range(0, len(X), INFERENCE_BATCH_ROWS):
+            classes, confidences = model.classify(X[start:start + INFERENCE_BATCH_ROWS])
+            writer.writerows(
+                [start + i, class_names[int(klass)], f"{conf:.6f}"]
+                for i, (klass, conf) in enumerate(zip(classes, confidences))
+            )
+    print(f"wrote {target} ({len(X)} predictions)")
     return EXIT_OK
 
 

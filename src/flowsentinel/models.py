@@ -142,20 +142,22 @@ class Model:
         for layer in reversed(self.layers):
             grad = layer.backward(grad)
 
-    def predict(self, batch) -> np.ndarray:
-        """Class indices: binary thresholds at p >= 0.5, otherwise argmax
-        (ties resolve to the lowest index)."""
-        probs = self.forward(batch, training=False)
-        if self.spec.mode is ClassificationMode.BINARY:
-            return (probs[:, 0] >= 0.5).astype(np.int64)
-        return np.argmax(probs, axis=1)
+    def classify(self, batch) -> tuple:
+        """(class indices, confidences) from one inference forward pass.
 
-    def confidences(self, batch) -> np.ndarray:
+        Binary thresholds at p >= 0.5, otherwise argmax (ties resolve to the
+        lowest index); the confidence is the probability of the chosen class.
+        """
         probs = self.forward(batch, training=False)
         if self.spec.mode is ClassificationMode.BINARY:
             p = probs[:, 0]
-            return np.where(p >= 0.5, p, 1.0 - p)
-        return probs.max(axis=1)
+            attack = p >= 0.5
+            return attack.astype(np.int64), np.where(attack, p, 1.0 - p)
+        return np.argmax(probs, axis=1), probs.max(axis=1)
+
+    def predict(self, batch) -> np.ndarray:
+        """Class indices (see :meth:`classify`)."""
+        return self.classify(batch)[0]
 
 
 def build(spec: ModelSpec, seed: int = 0) -> Model:

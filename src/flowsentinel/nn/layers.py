@@ -16,6 +16,8 @@ Conventions shared by every layer:
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -132,7 +134,22 @@ class Dense(Layer):
 
 
 class Conv1D(Layer):
-    """Valid cross-correlation, stride 1: out[b,o,t] = b[o] + sum_{c,k} W[o,c,k] x[b,c,t+k]."""
+    """Valid cross-correlation, stride 1: out[b,o,t] = b[o] + sum_{c,k} W[o,c,k] x[b,c,t+k].
+
+    Both passes are 2-D GEMMs over the im2col patch matrix (Chellapilla et
+    al., 2006), held transposed with the batch index fastest,
+    ``cols[(c, k), (t, b)] = x[b, c, t + k]`` of shape [C*K, T*B]:
+
+        forward   out   = W . cols         [O, C*K] x [C*K, T*B]
+        backward  dW    = g . cols^T       g: the output gradient as [O, T*B]
+                  dcols = W^T . g, then a K-step col2im add
+
+    The output and the input gradient are [B, C, L] views of [C, L, B]
+    buffers. The elementwise layers between convolutions keep that layout,
+    so they run over rows of length B, and ``g`` reaches the GEMMs without a
+    copy. Only ``x`` is cached: backward rebuilds the patches rather than
+    keeping a [C*K, T*B] matrix alive through inference.
+    """
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int, rng: Rng,
                  name: str = "conv", dtype=None):
@@ -157,16 +174,24 @@ class Conv1D(Layer):
     def output_length(self, in_length: int) -> int:
         return in_length - self.kernel_size + 1
 
+    def _patches(self, x: np.ndarray) -> np.ndarray:
+        """im2col: [B, C, L] -> [C*K, T*B], batch index fastest."""
+        b, c, length = x.shape
+        t_out = self.output_length(length)
+        windows = sliding_window_view(x, self.kernel_size, axis=2)  # [B, C, T, K]
+        return windows.transpose(1, 3, 2, 0).reshape(c * self.kernel_size, t_out * b)
+
     def forward(self, x, training=False):
         x, squeeze = _ensure_batched(x, 2)
-        _, c_in, length = x.shape
+        b, c_in, length = x.shape
         if c_in != self.in_channels:
             raise ShapeMismatchError(f"conv expects {self.in_channels} channels, got {c_in}")
         if length < self.kernel_size:
             raise ShapeMismatchError(f"input length {length} < kernel size {self.kernel_size}")
-        windows = sliding_window_view(x, self.kernel_size, axis=2)  # [B, C, T, K]
-        out = np.einsum("bctk,ock->bot", windows, self.weight.value, optimize=True)
-        out += self.bias.value[None, :, None]
+        t_out = self.output_length(length)
+        out = self.weight.value.reshape(self.out_channels, -1) @ self._patches(x)
+        out += self.bias.value[:, None]
+        out = out.reshape(self.out_channels, t_out, b).transpose(2, 0, 1)
         self._cache = (x, squeeze)
         return out[0] if squeeze else out
 
@@ -175,27 +200,31 @@ class Conv1D(Layer):
         grad_out = np.asarray(grad_out)
         if squeeze:
             grad_out = grad_out[None, ...]
-        t_out = self.output_length(x.shape[2])
-        if grad_out.shape != (x.shape[0], self.out_channels, t_out):
+        b, c_in, length = x.shape
+        t_out = self.output_length(length)
+        if grad_out.shape != (b, self.out_channels, t_out):
             raise ShapeMismatchError(
-                f"conv grad shape {grad_out.shape} != {(x.shape[0], self.out_channels, t_out)}"
+                f"conv grad shape {grad_out.shape} != {(b, self.out_channels, t_out)}"
             )
-        windows = sliding_window_view(x, self.kernel_size, axis=2)
-        self.weight.grad += np.einsum("bctk,bot->ock", windows, grad_out, optimize=True)
-        self.bias.grad += grad_out.sum(axis=(0, 2))
-        grad_in = np.zeros_like(x)
+        g = grad_out.transpose(1, 2, 0).reshape(self.out_channels, t_out * b)
+        self.weight.grad += (g @ self._patches(x).T).reshape(self.weight.shape)
+        self.bias.grad += g.sum(axis=1)
+        dcols = self.weight.value.reshape(self.out_channels, -1).T @ g
+        dcols = dcols.reshape(c_in, self.kernel_size, t_out, b)
+        grad_in = np.zeros((c_in, length, b), dtype=dcols.dtype)
         for k in range(self.kernel_size):
-            grad_in[:, :, k:k + t_out] += np.einsum(
-                "bot,oc->bct", grad_out, self.weight.value[:, :, k], optimize=True
-            )
+            grad_in[:, k:k + t_out] += dcols[:, k]
+        grad_in = grad_in.transpose(2, 0, 1)
         return grad_in[0] if squeeze else grad_in
 
 
 class MaxPool1D(Layer):
     """Non-overlapping max pooling; a trailing remainder window is dropped.
 
-    Ties resolve to the lower index (numpy argmax takes the first maximum),
-    and the argmax positions are cached so backward can route gradients.
+    Forward is an elementwise ``np.maximum`` over the ``pool_size`` strided
+    slices ``x[..., j::pool_size]``. Backward routes each output gradient to
+    the first window position equal to the max, so ties resolve to the lower
+    index (as ``argmax`` would), and the remainder gets zero gradient.
     """
 
     def __init__(self, pool_size: int = 2):
@@ -207,31 +236,41 @@ class MaxPool1D(Layer):
     def output_length(self, in_length: int) -> int:
         return in_length // self.pool_size
 
+    def _slices(self, x: np.ndarray):
+        end = self.output_length(x.shape[2]) * self.pool_size
+        return [x[:, :, j:end:self.pool_size] for j in range(self.pool_size)]
+
     def forward(self, x, training=False):
         x, squeeze = _ensure_batched(x, 2)
-        b, c, length = x.shape
-        t_out = length // self.pool_size
-        if t_out < 1:
+        length = x.shape[2]
+        if self.output_length(length) < 1:
             raise ShapeMismatchError(f"input length {length} < pool size {self.pool_size}")
-        xr = x[:, :, : t_out * self.pool_size].reshape(b, c, t_out, self.pool_size)
-        argmax = xr.argmax(axis=3)
-        out = np.take_along_axis(xr, argmax[..., None], axis=3)[..., 0]
-        self._cache = (x.shape, argmax, squeeze)
+        out = functools.reduce(np.maximum, self._slices(x))
+        self._cache = (x, out, squeeze)
         return out[0] if squeeze else out
 
     def backward(self, grad_out):
-        in_shape, argmax, squeeze = self._take_cache()
+        x, out, squeeze = self._take_cache()
         grad_out = np.asarray(grad_out)
         if squeeze:
             grad_out = grad_out[None, ...]
-        b, c, length = in_shape
-        t_out = length // self.pool_size
-        if grad_out.shape != (b, c, t_out):
-            raise ShapeMismatchError(f"pool grad shape {grad_out.shape} != {(b, c, t_out)}")
-        grad_windows = np.zeros((b, c, t_out, self.pool_size), dtype=grad_out.dtype)
-        np.put_along_axis(grad_windows, argmax[..., None], grad_out[..., None], axis=3)
-        grad_in = np.zeros(in_shape, dtype=grad_out.dtype)
-        grad_in[:, :, : t_out * self.pool_size] = grad_windows.reshape(b, c, t_out * self.pool_size)
+        if grad_out.shape != out.shape:
+            raise ShapeMismatchError(f"pool grad shape {grad_out.shape} != {out.shape}")
+        # Elementwise ops over mixed memory layouts are slow at these short
+        # rows, so bring the gradient to the layout of ``out`` (and of ``x``).
+        g = np.empty_like(out, dtype=grad_out.dtype)
+        g[...] = grad_out
+        grad_in = np.empty_like(x, dtype=g.dtype)
+        grad_in[:, :, out.shape[2] * self.pool_size:] = 0
+        routed = None
+        for window, grad_window in zip(self._slices(x), self._slices(grad_in)):
+            hit = window == out
+            if routed is None:
+                routed = hit
+            else:
+                hit &= ~routed
+                routed |= hit
+            np.multiply(g, hit, out=grad_window)
         return grad_in[0] if squeeze else grad_in
 
 

@@ -36,6 +36,10 @@ from .nn.losses import (
 # LSTM trains at 1e-4, the CNN at the common Adam default.
 DEFAULT_LEARNING_RATES = {"cnn": 0.001, "lstm": 0.0001}
 
+# Rows per inference forward pass when scoring or classifying a whole file;
+# bounds the activations held at once.
+INFERENCE_BATCH_ROWS = 4096
+
 
 @dataclass
 class TrainConfig:
@@ -101,7 +105,8 @@ def _batch_loss_and_grad(model: Model, probs: np.ndarray, y: np.ndarray):
     return loss, grad.astype(probs.dtype, copy=False)
 
 
-def _batched_eval(model: Model, X: np.ndarray, y: np.ndarray, batch_size: int = 4096):
+def _batched_eval(model: Model, X: np.ndarray, y: np.ndarray,
+                  batch_size: int = INFERENCE_BATCH_ROWS):
     """(mean loss, accuracy) without touching training state."""
     total_loss = 0.0
     correct = 0
@@ -314,9 +319,9 @@ def evaluate(model: Model, X_test: np.ndarray, y_test: np.ndarray,
     if class_names is None:
         class_names = [str(i) for i in range(n_classes)]
     confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
-    for start in range(0, X_test.shape[0], 4096):
-        xb = X_test[start:start + 4096]
-        yb = y_test[start:start + 4096]
+    for start in range(0, X_test.shape[0], INFERENCE_BATCH_ROWS):
+        xb = X_test[start:start + INFERENCE_BATCH_ROWS]
+        yb = y_test[start:start + INFERENCE_BATCH_ROWS]
         pred = model.predict(xb)
         np.add.at(confusion, (yb, pred), 1)
     return metrics_from_confusion(confusion, class_names)

@@ -44,6 +44,29 @@ def brute_force_conv1d(x, w, b):
     return out
 
 
+def brute_force_conv1d_backward(x, w, grad_out):
+    """(dW, db, dx) of a batched cross-correlation, by explicit loops over
+    (batch, out-channel, in-channel, tap, position), accumulated in float64."""
+    x = np.asarray(x, dtype=np.float64)
+    w = np.asarray(w, dtype=np.float64)
+    grad_out = np.asarray(grad_out, dtype=np.float64)
+    c_out, c_in, k = w.shape
+    batch, _, t_out = grad_out.shape
+    dw = np.zeros_like(w)
+    db = np.zeros(c_out)
+    dx = np.zeros_like(x)
+    for b in range(batch):
+        for o in range(c_out):
+            for t in range(t_out):
+                db[o] += grad_out[b, o, t]
+            for c in range(c_in):
+                for j in range(k):
+                    for t in range(t_out):
+                        dw[o, c, j] += grad_out[b, o, t] * x[b, c, t + j]
+                        dx[b, c, t + j] += grad_out[b, o, t] * w[o, c, j]
+    return dw, db, dx
+
+
 def reference_lstm_step(x_t, h_prev, c_prev, W, b):
     """Hand-rolled single LSTM step (gate order i, f, g, o), scalar math only."""
 

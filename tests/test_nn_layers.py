@@ -12,7 +12,12 @@ from flowsentinel.errors import (
 from flowsentinel.nn import Conv1D, Dense, Dropout, Flatten, MaxPool1D, ReLU, precision
 from flowsentinel.rng import Rng
 
-from conftest import brute_force_conv1d, central_difference, max_rel_err
+from conftest import (
+    brute_force_conv1d,
+    brute_force_conv1d_backward,
+    central_difference,
+    max_rel_err,
+)
 
 
 def make_conv(c_in, c_out, k, seed=0):
@@ -123,6 +128,30 @@ class TestConv1DBackward:
         assert max_rel_err(conv.weight.grad, central_difference(loss, conv.weight.value)) < 1e-4
         assert max_rel_err(conv.bias.grad, central_difference(loss, conv.bias.value)) < 1e-4
 
+    @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+    def test_model_conv1_shape_matches_loops(self, dtype, tol):
+        # The CNN's second convolution: 32 -> 64 channels, kernel 3, length 9.
+        rng = np.random.default_rng(7)
+        with precision(dtype):
+            conv = Conv1D(32, 64, 3, Rng(3))
+        conv.bias.value[...] = rng.normal(size=64)
+        # Non-contiguous views of both the input and the upstream gradient.
+        x = rng.normal(size=(3, 9, 32)).astype(dtype).transpose(0, 2, 1)
+        grad_out = rng.normal(size=(3, 7, 64)).astype(dtype).transpose(0, 2, 1)
+        out = conv.forward(x)
+        assert out.dtype == dtype
+        for b in range(3):
+            want = brute_force_conv1d(x[b], conv.weight.value, conv.bias.value)
+            np.testing.assert_allclose(out[b], want, rtol=tol, atol=tol)
+        conv.weight.zero_grad()
+        conv.bias.zero_grad()
+        grad_in = conv.backward(grad_out)
+        dw, db, dx = brute_force_conv1d_backward(x, conv.weight.value, grad_out)
+        assert grad_in.dtype == dtype and grad_in.shape == x.shape
+        np.testing.assert_allclose(conv.weight.grad, dw, rtol=tol, atol=tol)
+        np.testing.assert_allclose(conv.bias.grad, db, rtol=tol, atol=tol)
+        np.testing.assert_allclose(grad_in, dx, rtol=tol, atol=tol)
+
 
 class TestMaxPool1D:
     def test_pairwise_max(self):
@@ -143,6 +172,24 @@ class TestMaxPool1D:
     def test_too_short_rejected(self):
         with pytest.raises(ShapeMismatchError):
             MaxPool1D(2).forward(np.array([[1.0]]))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_pool3_ties_and_remainder(self, dtype):
+        pool = MaxPool1D(3)
+        # Length 11 = 3 windows + a remainder of 2 holding the largest values.
+        x = np.array([
+            [[4, 4, 4, 1, 6, 6, 2, 0, 5, 9, 9]],
+            [[0, 0, 0, 3, 2, 3, 7, 7, 1, 8, 8]],
+        ], dtype=dtype)
+        out = pool.forward(x)
+        assert out.dtype == dtype
+        assert np.array_equal(out, [[[4, 6, 5]], [[0, 3, 7]]])
+        grad_in = pool.backward(np.array([[[1, 2, 3]], [[4, 5, 6]]], dtype=dtype))
+        assert grad_in.dtype == dtype
+        assert np.array_equal(grad_in, [
+            [[1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0]],
+            [[4, 0, 0, 5, 0, 0, 6, 0, 0, 0, 0]],
+        ])
 
     def test_backward_routes_to_argmax(self):
         pool = MaxPool1D(2)
