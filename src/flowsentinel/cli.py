@@ -9,7 +9,8 @@ Exit codes are a stable contract:
     0  success
     1  configuration error
     2  missing input (file, cache, or model not found / empty)
-    3  schema error (missing column, corrupt cache or model file)
+    3  schema error (missing column, corrupt cache or model file, or a
+       predict input row with a non-numeric, NaN or infinite feature)
     4  numeric failure (non-finite loss or gradient)
     5  classification-mode mismatch between artifacts
 """
@@ -20,6 +21,7 @@ import argparse
 import csv
 import hashlib
 import json
+import operator
 import os
 import sys
 from dataclasses import asdict, dataclass
@@ -30,7 +32,6 @@ import numpy as np
 from . import __version__
 from .data import (
     ClassificationMode,
-    FlowDataset,
     apply_normalizer,
     build_vocabulary,
     fit_normalizer,
@@ -42,11 +43,13 @@ from .data import (
     subsample_indices,
     write_cache,
 )
+from .data.ingest import parse_value
 from .errors import (
     ConfigError,
     CorruptCacheError,
     CorruptModelError,
     EmptyInputError,
+    InvalidRowError,
     InvalidSpecError,
     MissingColumnError,
     ModeMismatchError,
@@ -167,6 +170,19 @@ def thread_cap() -> int:
     return cap
 
 
+def _emit(text: str) -> None:
+    """Print a result line to stdout.
+
+    A reader that closes the pipe early (``flowsentinel evaluate | head -1``)
+    is not an error: the command's files are written either way, so the rest
+    of stdout goes to the null device and the command keeps its exit code.
+    """
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _collect_csvs(entries) -> list:
     paths = []
     for entry in entries or []:
@@ -248,7 +264,7 @@ def cmd_ingest(config: RunConfig) -> int:
     (out / "ingest_report.json").write_text(
         json.dumps(report.to_dict(), indent=2, sort_keys=True), encoding="utf-8"
     )
-    print(f"wrote {cache_path} ({y.size} rows, mode={mode.value}) and ingest_report.json")
+    _emit(f"wrote {cache_path} ({y.size} rows, mode={mode.value}) and ingest_report.json")
     return EXIT_OK
 
 
@@ -273,7 +289,7 @@ def cmd_select(config: RunConfig) -> int:
         report = compute_importances(trees, names)
         top = select_top_k(report, config.top_k)
         export_importance_csv(report, out / "importance.csv")
-        print(f"wrote importance.csv ({len(report.ranking)} features ranked)")
+        _emit(f"wrote importance.csv ({len(report.ranking)} features ranked)")
     else:
         top = canonical_top20()[: config.top_k] if config.top_k <= 20 else None
         if top is None:
@@ -281,43 +297,25 @@ def cmd_select(config: RunConfig) -> int:
                   "for larger top_k", file=sys.stderr)
             return EXIT_CONFIG
     features_path.write_text("".join(name + "\n" for name in top), encoding="utf-8")
-    print(f"wrote {features_path} ({len(top)} features)")
+    _emit(f"wrote {features_path} ({len(top)} features)")
     return EXIT_OK
 
 
-def _prepare_split(config: RunConfig, cache_path: Path, feature_names: list):
-    """Cache -> (train FlowDataset, test FlowDataset, meta), train-fitted scaling.
+def _load_split(cache_path: Path, feature_names: list, seed: int, fraction: float):
+    """Read the cache once and draw a run's stratified train/test split.
 
-    The cache is read once, here, so the full matrix is freed before
-    training. A cache ingested in another mode is refused when ``--mode`` was
-    given explicitly; otherwise its mode is inherited.
+    Returns ``((X_train, y_train), (X_test, y_test), meta)`` with the
+    ``feature_names`` columns in that order, unscaled. ``train`` and
+    ``evaluate`` both split here, from the same seed, so ``evaluate`` scores
+    exactly the rows that training held out.
     """
     X, y, cache_columns, meta = read_cache(cache_path)
-    cache_mode = (meta or {}).get("mode")
-    if cache_mode and cache_mode != config.mode:
-        if "mode" in config.explicit_fields:
-            raise ModeMismatchError(
-                f"cache was ingested in {cache_mode!r} mode but --mode is {config.mode!r}"
-            )
-        config.mode = cache_mode  # inherit the cache's regime when unspecified
     missing = [name for name in feature_names if name not in cache_columns]
     if missing:
         raise MissingColumnError(missing[0], str(cache_path))
-    cols = [cache_columns.index(name) for name in feature_names]
-    X = X[:, cols]
-    mode = ClassificationMode((meta or {}).get("mode", config.mode))
-    vocab = build_vocabulary(["known"], mode)
-    split = stratified_split(y, config.split_fraction, seed=config.seed)
-    stats = fit_normalizer(X[split.train])
-    train_ds = FlowDataset(
-        X=apply_normalizer(X[split.train], stats, scheme=config.scheme).astype(np.float32),
-        y=y[split.train], feature_names=feature_names, vocab=vocab, stats=stats,
-    )
-    test_ds = FlowDataset(
-        X=apply_normalizer(X[split.test], stats, scheme=config.scheme).astype(np.float32),
-        y=y[split.test], feature_names=feature_names, vocab=vocab, stats=stats,
-    )
-    return train_ds, test_ds, meta
+    X = X[:, [cache_columns.index(name) for name in feature_names]]
+    split = stratified_split(y, fraction, seed=seed)
+    return (X[split.train], y[split.train]), (X[split.test], y[split.test]), meta or {}
 
 
 def cmd_train(config: RunConfig) -> int:
@@ -327,29 +325,41 @@ def cmd_train(config: RunConfig) -> int:
         print(f"error: missing cache {cache_path}", file=sys.stderr)
         return EXIT_MISSING_INPUT
     feature_names = _feature_list(config, out)
-    train_ds, test_ds, meta = _prepare_split(config, cache_path, feature_names)
-    mode = train_ds.vocab.mode
+    (X_train, y_train), (X_test, y_test), meta = _load_split(
+        cache_path, feature_names, config.seed, config.split_fraction
+    )
+    cache_mode = meta.get("mode")
+    if cache_mode and cache_mode != config.mode:
+        if "mode" in config.explicit_fields:
+            raise ModeMismatchError(
+                f"cache was ingested in {cache_mode!r} mode but --mode is {config.mode!r}"
+            )
+        config.mode = cache_mode  # inherit the cache's regime when unspecified
+    mode = ClassificationMode(config.mode)
+    stats = fit_normalizer(X_train)
+    X_train = apply_normalizer(X_train, stats, scheme=config.scheme).astype(np.float32)
+    X_test = apply_normalizer(X_test, stats, scheme=config.scheme).astype(np.float32)
     spec = ModelSpec(architecture=config.arch, mode=mode, input_features=len(feature_names))
-    model = build(spec, seed=config.seed)
+    model = build(spec, seed=config.seed)  # the split seed, which evaluate reads back
     model.feature_names = list(feature_names)
-    model.class_names = list((meta or {}).get("classes") or [str(i) for i in range(mode.class_count)])
-    model.normalizer = train_ds.stats
+    model.class_names = list(meta.get("classes") or [str(i) for i in range(mode.class_count)])
+    model.normalizer = stats
     model.normalizer_scheme = config.scheme
 
     train_config = config.train_config()
-    history = train(model, train_ds.X, train_ds.y, train_config)
+    history = train(model, X_train, y_train, train_config)
     model_path = out / "model.fsnn"
     save(model, model_path)
     export_history(history, out / "history.csv")
-    report = evaluate(model, test_ds.X, test_ds.y, class_names=model.class_names)
+    report = evaluate(model, X_test, y_test, class_names=model.class_names)
     manifest = {
         "config": asdict(config),
         "tool_version": __version__,
         "thread_cap": thread_cap(),
         "cache_sha256": _sha256(cache_path),
-        "cache_rows": train_ds.n_rows + test_ds.n_rows,
-        "train_rows": train_ds.n_rows,
-        "test_rows": test_ds.n_rows,
+        "cache_rows": len(y_train) + len(y_test),
+        "train_rows": len(y_train),
+        "test_rows": len(y_test),
         "features": list(feature_names),
         "classes": list(model.class_names),
         "learning_rate": train_config.resolve_learning_rate(config.arch),
@@ -366,7 +376,7 @@ def cmd_train(config: RunConfig) -> int:
         },
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8")
-    print(
+    _emit(
         f"wrote {model_path}, history.csv, manifest.json "
         f"(test accuracy {report.accuracy:.4f})"
     )
@@ -384,30 +394,63 @@ def cmd_evaluate(config: RunConfig, model_path: str) -> int:
         print(f"error: missing cache {cache_path}", file=sys.stderr)
         return EXIT_MISSING_INPUT
     model = load(path)
-    X, y, cache_columns, meta = read_cache(cache_path)
-    cache_mode = (meta or {}).get("mode")
+    if "seed" in config.explicit_fields and config.seed != model.rng_seed:
+        raise ConfigError(
+            f"seed {config.seed} contradicts the split seed {model.rng_seed} recorded in "
+            f"{path}; evaluate scores the rows that training held out"
+        )
+    if model.normalizer is None:
+        raise CorruptModelError(f"{path}: model carries no normalizer")
+    _, (X_test, y_test), meta = _load_split(
+        cache_path, model.feature_names or canonical_top20(), model.rng_seed, config.split_fraction
+    )
+    cache_mode = meta.get("mode")
     if cache_mode and cache_mode != model.spec.mode.value:
         print(
             f"error: model mode {model.spec.mode.value!r} != cache mode {cache_mode!r}",
             file=sys.stderr,
         )
         return EXIT_MODE_MISMATCH
-    feature_names = model.feature_names or canonical_top20()
-    missing = [name for name in feature_names if name not in cache_columns]
-    if missing:
-        raise MissingColumnError(missing[0], str(cache_path))
-    cols = [cache_columns.index(name) for name in feature_names]
-    split = stratified_split(y, config.split_fraction, seed=config.seed)
-    if model.normalizer is None:
-        raise CorruptModelError(f"{path}: model carries no normalizer")
-    X_test = apply_normalizer(
-        X[split.test][:, cols], model.normalizer, scheme=model.normalizer_scheme
-    ).astype(np.float32)
-    report = evaluate(model, X_test, y[split.test], class_names=model.class_names or None)
+    X_test = apply_normalizer(X_test, model.normalizer, scheme=model.normalizer_scheme)
+    report = evaluate(model, X_test.astype(np.float32), y_test,
+                      class_names=model.class_names or None)
     (out / "metrics.json").write_text(report.to_json(), encoding="utf-8")
     (out / "metrics.txt").write_text(report.to_text() + "\n", encoding="utf-8")
-    print(report.to_text())
+    _emit(report.to_text())
     return EXIT_OK
+
+
+def _read_rows(source: Path, feature_names: list) -> np.ndarray:
+    """The ``feature_names`` columns of a CSV as a finite float64 matrix.
+
+    Blank lines are skipped. A missing column raises MissingColumnError; a
+    non-numeric, NaN or infinite cell (or a row too short to hold it) raises
+    InvalidRowError naming the first such row_id and column, so no row is
+    ever classified from a value that is not a finite number.
+    """
+    with open(source, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        for name in feature_names:
+            if name not in header:
+                raise MissingColumnError(name, str(source))
+        indices = [header.index(name) for name in feature_names]
+        pick = operator.itemgetter(*indices)
+        try:
+            X = np.array([pick(row) for row in reader if row], dtype=np.float64)
+            if np.isfinite(X).all():
+                return X.reshape(-1, len(feature_names))
+        except (IndexError, ValueError):
+            pass
+        fh.seek(0)
+        reader = csv.reader(fh)
+        next(reader)
+        for row_id, row in enumerate(row for row in reader if row):
+            for name, index in zip(feature_names, indices):
+                _, reason = parse_value(row[index] if index < len(row) else None)
+                if reason is not None:
+                    raise InvalidRowError(f"{source}: row_id {row_id}, column {name!r}: {reason}")
+    raise InvalidRowError(f"{source}: a feature cell is not a finite number")
 
 
 def cmd_predict(config: RunConfig, model_path: str, input_path: str) -> int:
@@ -420,20 +463,10 @@ def cmd_predict(config: RunConfig, model_path: str, input_path: str) -> int:
         print(f"error: missing input {source}", file=sys.stderr)
         return EXIT_MISSING_INPUT
     model = load(path)
-    feature_names = model.feature_names or canonical_top20()
-    rows = []
-    with open(source, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        for name in feature_names:
-            if name not in header:
-                raise MissingColumnError(name, str(source))
-        for row in reader:
-            rows.append([float(row[name]) for name in feature_names])
-    if not rows:
+    X = _read_rows(source, model.feature_names or canonical_top20())
+    if not len(X):
         print(f"error: no rows in {source}", file=sys.stderr)
         return EXIT_MISSING_INPUT
-    X = np.asarray(rows, dtype=np.float64)
     if model.normalizer is not None:
         X = apply_normalizer(X, model.normalizer, scheme=model.normalizer_scheme)
     X = X.astype(np.float32)
@@ -449,7 +482,7 @@ def cmd_predict(config: RunConfig, model_path: str, input_path: str) -> int:
                 [start + i, class_names[int(klass)], f"{conf:.6f}"]
                 for i, (klass, conf) in enumerate(zip(classes, confidences))
             )
-    print(f"wrote {target} ({len(X)} predictions)")
+    _emit(f"wrote {target} ({len(X)} predictions)")
     return EXIT_OK
 
 
@@ -467,7 +500,7 @@ def cmd_inspect(model_path: str) -> int:
         "classes": model.class_names,
         "has_normalizer": model.normalizer is not None,
     }
-    print(json.dumps(info, indent=2, sort_keys=True))
+    _emit(json.dumps(info, indent=2, sort_keys=True))
     return EXIT_OK
 
 
@@ -542,7 +575,7 @@ def main(argv=None) -> int:
     except (FileNotFoundError, EmptyInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING_INPUT
-    except (MissingColumnError, CorruptCacheError, CorruptModelError) as exc:
+    except (MissingColumnError, InvalidRowError, CorruptCacheError, CorruptModelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     except (NonFiniteLossError, NonFiniteGradientError) as exc:

@@ -2,7 +2,6 @@
 
 from . import schema
 from .cache import meta_path, read_cache, write_cache
-from .dataset import FlowDataset
 from .ingest import FlowRecord, IngestReport, load_csv
 from .labels import ClassificationMode, LabelVocabulary, build_vocabulary, map_labels
 from .normalize import FeatureStats, apply_normalizer, fit_normalizer
@@ -12,7 +11,6 @@ from .synthetic import generate_fixture, write_fixture_csv
 __all__ = [
     "ClassificationMode",
     "FeatureStats",
-    "FlowDataset",
     "FlowRecord",
     "IngestReport",
     "LabelVocabulary",

@@ -44,7 +44,7 @@ class IngestReport:
         }
 
 
-def _parse_value(text: str):
+def parse_value(text: str):
     """Float value, or a drop reason string."""
     try:
         value = float(text)
@@ -87,7 +87,7 @@ def load_csv(paths, feature_columns=schema.FEATURE_COLUMNS, label_column=schema.
                 features = {}
                 reason = None
                 for column in feature_columns:
-                    value, reason = _parse_value(row[column])
+                    value, reason = parse_value(row[column])
                     if reason is not None:
                         break
                     features[column] = value

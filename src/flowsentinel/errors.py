@@ -51,6 +51,10 @@ class MissingColumnError(FlowSentinelError):
         super().__init__(f"missing column {column!r}{where}")
 
 
+class InvalidRowError(FlowSentinelError):
+    """An input row to classify has a non-numeric, NaN or infinite feature."""
+
+
 class UnknownLabelError(FlowSentinelError):
     """A raw label string has no class assignment in strict mode."""
 

@@ -10,8 +10,8 @@ LSTM: lstm(64, sequences) -> dropout -> lstm(64, last) -> dropout
       consuming the feature vector as a 20-step univariate sequence.
 
 Binary mode uses a single sigmoid unit; grouped/multi use a softmax head.
-``forward`` returns probabilities and caches the pre-activation logits so
-the training loop can feed the fused loss gradient straight to the head.
+``forward`` returns probabilities; the training loop turns them into the
+fused loss gradient w.r.t. the logits and feeds it straight to the head.
 
 Model files (FSNN) are self-contained for deployment: besides the layer
 parameters they carry the feature list, class names, and the train-fitted
@@ -132,7 +132,6 @@ class Model:
         h = self._frame(batch).astype(active_dtype(), copy=False)
         for layer in self.layers:
             h = layer.forward(h, training=training)
-        self.logits = h
         if self.spec.output_activation == "sigmoid":
             return sigmoid(h)
         return softmax(h, axis=-1)
@@ -142,18 +141,22 @@ class Model:
         for layer in reversed(self.layers):
             grad = layer.backward(grad)
 
-    def classify(self, batch) -> tuple:
-        """(class indices, confidences) from one inference forward pass.
+    def decide(self, probs: np.ndarray) -> tuple:
+        """(class indices, confidences) from :meth:`forward` probabilities.
 
-        Binary thresholds at p >= 0.5, otherwise argmax (ties resolve to the
-        lowest index); the confidence is the probability of the chosen class.
+        The decision rule: binary thresholds at p >= 0.5, otherwise argmax
+        (ties resolve to the lowest index); the confidence is the probability
+        of the chosen class.
         """
-        probs = self.forward(batch, training=False)
         if self.spec.mode is ClassificationMode.BINARY:
             p = probs[:, 0]
             attack = p >= 0.5
             return attack.astype(np.int64), np.where(attack, p, 1.0 - p)
         return np.argmax(probs, axis=1), probs.max(axis=1)
+
+    def classify(self, batch) -> tuple:
+        """(class indices, confidences) from one inference forward pass."""
+        return self.decide(self.forward(batch, training=False))
 
     def predict(self, batch) -> np.ndarray:
         """Class indices (see :meth:`classify`)."""

@@ -2,11 +2,9 @@
 
 from .activations import (
     relu,
-    relu_backward,
     sigmoid,
     sigmoid_backward,
     softmax,
-    softmax_backward,
     tanh,
     tanh_backward,
 )
@@ -22,7 +20,6 @@ from .layers import (
     MaxPool1D,
     Parameter,
     ReLU,
-    dropout,
 )
 from .losses import (
     EPSILON,
@@ -32,7 +29,7 @@ from .losses import (
     sparse_categorical_cross_entropy,
     sparse_categorical_logit_grad,
 )
-from .tensor import active_dtype, as_tensor, precision
+from .tensor import active_dtype, precision
 
 __all__ = [
     "Adam",
@@ -48,21 +45,17 @@ __all__ = [
     "Parameter",
     "ReLU",
     "active_dtype",
-    "as_tensor",
     "binary_cross_entropy",
     "binary_cross_entropy_grad",
     "binary_logit_grad",
     "check_layer",
-    "dropout",
     "gradient_check",
     "numeric_gradient",
     "precision",
     "relu",
-    "relu_backward",
     "sigmoid",
     "sigmoid_backward",
     "softmax",
-    "softmax_backward",
     "sparse_categorical_cross_entropy",
     "sparse_categorical_logit_grad",
     "tanh",

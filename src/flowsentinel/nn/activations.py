@@ -14,10 +14,6 @@ def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0)
 
 
-def relu_backward(grad_out: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return grad_out * (x > 0)
-
-
 def sigmoid(x: np.ndarray) -> np.ndarray:
     # Split by sign so exp never overflows.
     out = np.empty_like(x, dtype=x.dtype)
@@ -46,8 +42,3 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     ex = np.exp(shifted)
     return ex / np.sum(ex, axis=axis, keepdims=True)
 
-
-def softmax_backward(grad_out: np.ndarray, out: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Jacobian-vector product: out * (g - sum(g * out))."""
-    inner = np.sum(grad_out * out, axis=axis, keepdims=True)
-    return out * (grad_out - inner)

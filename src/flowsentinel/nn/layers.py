@@ -2,9 +2,10 @@
 
 Conventions shared by every layer:
 
-* Batched layouts: dense input is ``[B, N]``, convolutional input is
-  ``[B, C, L]``, recurrent input is ``[B, T, D]``. A single sample may be
-  passed without the batch axis and the output is unbatched to match.
+* Input is always batched: dense input is ``[B, N]``, convolutional input
+  is ``[B, C, L]``, recurrent input is ``[B, T, D]``. Layers do not adapt
+  shapes; ``Model._frame`` is the one place that turns feature rows into
+  these layouts.
 * ``forward`` caches whatever ``backward`` needs; ``backward`` consumes the
   cache, accumulates parameter gradients in place (``param.grad += ...``),
   returns the gradient w.r.t. the layer input, and clears the cache.
@@ -84,16 +85,6 @@ class Layer:
         return cache
 
 
-def _ensure_batched(x: np.ndarray, sample_rank: int):
-    """Add a batch axis if ``x`` is a single sample; report whether we did."""
-    x = np.asarray(x)
-    if x.ndim == sample_rank:
-        return x[None, ...], True
-    if x.ndim == sample_rank + 1:
-        return x, False
-    raise ShapeMismatchError(f"expected rank {sample_rank} or {sample_rank + 1} input, got rank {x.ndim}")
-
-
 class Dense(Layer):
     """Affine map: out = x . W^T + b with W of shape [out, in]."""
 
@@ -111,26 +102,20 @@ class Dense(Layer):
         return [self.weight, self.bias]
 
     def forward(self, x, training=False):
-        x, squeeze = _ensure_batched(x, 1)
         if x.shape[1] != self.in_features:
             raise ShapeMismatchError(f"dense expects {self.in_features} inputs, got {x.shape[1]}")
-        out = x @ self.weight.value.T + self.bias.value
-        self._cache = (x, squeeze)
-        return out[0] if squeeze else out
+        self._cache = x
+        return x @ self.weight.value.T + self.bias.value
 
     def backward(self, grad_out):
-        x, squeeze = self._take_cache()
-        grad_out = np.asarray(grad_out)
-        if squeeze:
-            grad_out = grad_out[None, ...]
+        x = self._take_cache()
         if grad_out.shape != (x.shape[0], self.out_features):
             raise ShapeMismatchError(
                 f"dense grad shape {grad_out.shape} != {(x.shape[0], self.out_features)}"
             )
         self.weight.grad += grad_out.T @ x
         self.bias.grad += grad_out.sum(axis=0)
-        grad_in = grad_out @ self.weight.value
-        return grad_in[0] if squeeze else grad_in
+        return grad_out @ self.weight.value
 
 
 class Conv1D(Layer):
@@ -182,7 +167,6 @@ class Conv1D(Layer):
         return windows.transpose(1, 3, 2, 0).reshape(c * self.kernel_size, t_out * b)
 
     def forward(self, x, training=False):
-        x, squeeze = _ensure_batched(x, 2)
         b, c_in, length = x.shape
         if c_in != self.in_channels:
             raise ShapeMismatchError(f"conv expects {self.in_channels} channels, got {c_in}")
@@ -191,15 +175,11 @@ class Conv1D(Layer):
         t_out = self.output_length(length)
         out = self.weight.value.reshape(self.out_channels, -1) @ self._patches(x)
         out += self.bias.value[:, None]
-        out = out.reshape(self.out_channels, t_out, b).transpose(2, 0, 1)
-        self._cache = (x, squeeze)
-        return out[0] if squeeze else out
+        self._cache = x
+        return out.reshape(self.out_channels, t_out, b).transpose(2, 0, 1)
 
     def backward(self, grad_out):
-        x, squeeze = self._take_cache()
-        grad_out = np.asarray(grad_out)
-        if squeeze:
-            grad_out = grad_out[None, ...]
+        x = self._take_cache()
         b, c_in, length = x.shape
         t_out = self.output_length(length)
         if grad_out.shape != (b, self.out_channels, t_out):
@@ -214,8 +194,7 @@ class Conv1D(Layer):
         grad_in = np.zeros((c_in, length, b), dtype=dcols.dtype)
         for k in range(self.kernel_size):
             grad_in[:, k:k + t_out] += dcols[:, k]
-        grad_in = grad_in.transpose(2, 0, 1)
-        return grad_in[0] if squeeze else grad_in
+        return grad_in.transpose(2, 0, 1)
 
 
 class MaxPool1D(Layer):
@@ -241,19 +220,15 @@ class MaxPool1D(Layer):
         return [x[:, :, j:end:self.pool_size] for j in range(self.pool_size)]
 
     def forward(self, x, training=False):
-        x, squeeze = _ensure_batched(x, 2)
         length = x.shape[2]
         if self.output_length(length) < 1:
             raise ShapeMismatchError(f"input length {length} < pool size {self.pool_size}")
         out = functools.reduce(np.maximum, self._slices(x))
-        self._cache = (x, out, squeeze)
-        return out[0] if squeeze else out
+        self._cache = (x, out)
+        return out
 
     def backward(self, grad_out):
-        x, out, squeeze = self._take_cache()
-        grad_out = np.asarray(grad_out)
-        if squeeze:
-            grad_out = grad_out[None, ...]
+        x, out = self._take_cache()
         if grad_out.shape != out.shape:
             raise ShapeMismatchError(f"pool grad shape {grad_out.shape} != {out.shape}")
         # Elementwise ops over mixed memory layouts are slow at these short
@@ -271,35 +246,32 @@ class MaxPool1D(Layer):
                 hit &= ~routed
                 routed |= hit
             np.multiply(g, hit, out=grad_window)
-        return grad_in[0] if squeeze else grad_in
+        return grad_in
 
 
 class ReLU(Layer):
     def forward(self, x, training=False):
-        x = np.asarray(x)
         self._cache = x > 0
-        return np.maximum(x, 0)
+        return act.relu(x)
 
     def backward(self, grad_out):
-        mask = self._take_cache()
-        return np.asarray(grad_out) * mask
+        return grad_out * self._take_cache()
 
 
 class Flatten(Layer):
     """[B, C, L] -> [B, C*L] (row-major)."""
 
     def forward(self, x, training=False):
-        x, squeeze = _ensure_batched(x, 2)
-        self._cache = (x.shape, squeeze)
-        out = x.reshape(x.shape[0], -1)
-        return out[0] if squeeze else out
+        self._cache = x.shape
+        return x.reshape(x.shape[0], -1)
 
     def backward(self, grad_out):
-        shape, squeeze = self._take_cache()
-        grad_out = np.asarray(grad_out)
-        if squeeze:
-            grad_out = grad_out[None, ...]
-        return grad_out.reshape(shape)[0] if squeeze else grad_out.reshape(shape)
+        return grad_out.reshape(self._take_cache())
+
+
+# Dropout's cache on the identity path: backward passes the gradient through,
+# and a backward without a forward still finds no cache.
+_PASS_THROUGH = object()
 
 
 class Dropout(Layer):
@@ -317,10 +289,8 @@ class Dropout(Layer):
         self.rng = rng
 
     def forward(self, x, training=False):
-        x = np.asarray(x)
         if not training or self.rate == 0.0:
-            self._cache = None  # identity pass needs no backward routing
-            self._identity = True
+            self._cache = _PASS_THROUGH
             return x
         if self.rng is None:
             raise InvalidRateError("dropout in training mode requires an Rng")
@@ -328,21 +298,11 @@ class Dropout(Layer):
         scale = 1.0 / (1.0 - self.rate)
         mask = keep.astype(x.dtype) * x.dtype.type(scale)
         self._cache = mask
-        self._identity = False
         return x * mask
 
     def backward(self, grad_out):
-        if getattr(self, "_identity", False):
-            self._identity = False
-            return np.asarray(grad_out)
         mask = self._take_cache()
-        return np.asarray(grad_out) * mask
-
-
-def dropout(x: np.ndarray, rate: float, rng: Rng, training: bool) -> np.ndarray:
-    """Functional inverted dropout (see :class:`Dropout` for the contract)."""
-    layer = Dropout(rate, rng)
-    return layer.forward(np.asarray(x), training=training)
+        return grad_out if mask is _PASS_THROUGH else grad_out * mask
 
 
 class LSTM(Layer):
@@ -397,7 +357,6 @@ class LSTM(Layer):
         return h_t, c_t, (z_in, i, f, g, o, c_prev, tc)
 
     def forward(self, x, training=False):
-        x, squeeze = _ensure_batched(x, 2)
         b, t_steps, d = x.shape
         if t_steps < 1:
             raise EmptySequenceError("lstm requires at least one time step")
@@ -412,15 +371,11 @@ class LSTM(Layer):
             h_t, c_t, gates = self.step(x[:, t, :], h_t, c_t)
             steps.append(gates)
             hs[:, t, :] = h_t
-        self._cache = (steps, (b, t_steps, d), squeeze)
-        out = hs if self.return_sequences else hs[:, -1, :]
-        return out[0] if squeeze else out
+        self._cache = (steps, (b, t_steps, d))
+        return hs if self.return_sequences else hs[:, -1, :]
 
     def backward(self, grad_out):
-        steps, (b, t_steps, d), squeeze = self._take_cache()
-        grad_out = np.asarray(grad_out)
-        if squeeze:
-            grad_out = grad_out[None, ...]
+        steps, (b, t_steps, d) = self._take_cache()
         h = self.hidden
         if self.return_sequences:
             if grad_out.shape != (b, t_steps, h):
@@ -440,12 +395,12 @@ class LSTM(Layer):
                 dh = grad_out[:, t, :] + dh_next
             else:
                 dh = (grad_out + dh_next) if t == t_steps - 1 else dh_next
-            dc = dc_next + dh * o * (1.0 - tc * tc)
+            dc = dc_next + act.tanh_backward(dh * o, tc)
             dz = np.empty((b, 4 * h), dtype=grad_out.dtype)
-            dz[:, :h] = (dc * g) * i * (1.0 - i)
-            dz[:, h: 2 * h] = (dc * c_prev) * f * (1.0 - f)
-            dz[:, 2 * h: 3 * h] = (dc * i) * (1.0 - g * g)
-            dz[:, 3 * h:] = (dh * tc) * o * (1.0 - o)
+            dz[:, :h] = act.sigmoid_backward(dc * g, i)
+            dz[:, h: 2 * h] = act.sigmoid_backward(dc * c_prev, f)
+            dz[:, 2 * h: 3 * h] = act.tanh_backward(dc * i, g)
+            dz[:, 3 * h:] = act.sigmoid_backward(dh * tc, o)
             dW += z_in.T @ dz
             db += dz.sum(axis=0)
             d_in = dz @ self.weight.value.T
@@ -454,4 +409,4 @@ class LSTM(Layer):
             dc_next = dc * f
         self.weight.grad += dW
         self.bias.grad += db
-        return grad_x[0] if squeeze else grad_x
+        return grad_x

@@ -1,6 +1,6 @@
 """Numeric substrate: dense numpy arrays plus precision control.
 
-Tensors are plain ``np.ndarray`` values of rank 1-3. Production code runs in
+Tensors are plain ``np.ndarray`` values. Production code runs in
 float32; gradient checking needs float64 because central finite differences
 drown in float32 rounding noise. The active dtype is a module-level setting
 that layer constructors consult, switchable with the :func:`precision`
@@ -12,8 +12,6 @@ from __future__ import annotations
 from contextlib import contextmanager
 
 import numpy as np
-
-from ..errors import ShapeMismatchError
 
 _ACTIVE_DTYPE = np.float32
 
@@ -32,21 +30,3 @@ def precision(dtype):
         yield
     finally:
         _ACTIVE_DTYPE = previous
-
-
-def as_tensor(values, dtype=None, checked: bool = True) -> np.ndarray:
-    """Coerce ``values`` to a contiguous rank 1-3 float array.
-
-    In checked mode, non-finite entries are rejected at construction.
-    """
-    arr = np.ascontiguousarray(values, dtype=dtype or _ACTIVE_DTYPE)
-    if arr.ndim == 0 or arr.ndim > 3:
-        raise ShapeMismatchError(f"tensor rank must be 1..3, got {arr.ndim}")
-    if checked and not np.all(np.isfinite(arr)):
-        raise ShapeMismatchError("tensor contains NaN or Inf values")
-    return arr
-
-
-def require_shape(arr: np.ndarray, expected: tuple, what: str) -> None:
-    if tuple(arr.shape) != tuple(expected):
-        raise ShapeMismatchError(f"{what}: expected shape {tuple(expected)}, got {tuple(arr.shape)}")

@@ -48,7 +48,6 @@ class TrainConfig:
     learning_rate: float | None = None  # None -> architecture default
     seed: int = 0
     validation_fraction: float = 0.1
-    shuffle_each_epoch: bool = True
 
     def validate(self) -> None:
         if self.epochs < 1:
@@ -116,10 +115,7 @@ def _batched_eval(model: Model, X: np.ndarray, y: np.ndarray,
         probs = model.forward(xb, training=False)
         loss, _ = _batch_loss_and_grad(model, probs, yb)
         total_loss += loss * xb.shape[0]
-        if model.spec.mode is ClassificationMode.BINARY:
-            pred = (probs[:, 0] >= 0.5).astype(np.int64)
-        else:
-            pred = probs.argmax(axis=1)
+        pred, _ = model.decide(probs)
         correct += int((pred == yb).sum())
     return total_loss / X.shape[0], correct / X.shape[0]
 
@@ -155,10 +151,7 @@ def train(model: Model, X: np.ndarray, y: np.ndarray, config: TrainConfig):
     n = X_tr.shape[0]
     for epoch in range(config.epochs):
         started = time.perf_counter()
-        if config.shuffle_each_epoch:
-            order = root.spawn(f"epoch-{epoch}").permutation(n)
-        else:
-            order = np.arange(n)
+        order = root.spawn(f"epoch-{epoch}").permutation(n)
         epoch_loss = 0.0
         epoch_correct = 0
         for start in range(0, n, config.batch_size):
@@ -175,10 +168,7 @@ def train(model: Model, X: np.ndarray, y: np.ndarray, config: TrainConfig):
             model.backward_from_logits(grad_logits)
             optimizer.step()
             epoch_loss += loss * xb.shape[0]
-            if model.spec.mode is ClassificationMode.BINARY:
-                pred = (probs[:, 0] >= 0.5).astype(np.int64)
-            else:
-                pred = probs.argmax(axis=1)
+            pred, _ = model.decide(probs)
             epoch_correct += int((pred == yb).sum())
         val_loss, val_acc = _batched_eval(model, X_val, y_val)
         history.epochs.append(

@@ -2,10 +2,15 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import flowsentinel
 from flowsentinel.cli import main
 from flowsentinel.data import write_fixture_csv
 from flowsentinel.models import load
@@ -228,6 +233,69 @@ class TestEvaluateAndPredict:
         Xn = apply_normalizer(X, model.normalizer).astype(np.float32)
         direct = [model.class_names[i] for i in model.predict(Xn)]
         assert got == direct
+
+
+    def test_evaluate_scores_the_training_split(self, tmp_path):
+        # A 34-class, one-epoch model: accuracy differs between splits, so a
+        # re-drawn split cannot match the figures train recorded by chance.
+        data = tmp_path / "flows.csv"
+        write_fixture_csv(data, rows=5000, seed=3)
+        out = tmp_path / "out"
+        assert run("ingest", "--data", str(data), "--mode", "multi", "--out", str(out)) == 0
+        assert run("train", "--arch", "cnn", "--epochs", "1", "--seed", "7",
+                   "--out", str(out)) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert run("evaluate", "--model", str(out / "model.fsnn"), "--out", str(out)) == 0
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert metrics["accuracy"] == manifest["test_metrics"]["accuracy"]
+        assert metrics["macro"]["f1"] == manifest["test_metrics"]["macro_f1"]
+        assert metrics["weighted"]["f1"] == manifest["test_metrics"]["weighted_f1"]
+        assert sum(c["support"] for c in metrics["per_class"].values()) == manifest["test_rows"]
+        assert run("evaluate", "--model", str(out / "model.fsnn"), "--seed", "7",
+                   "--out", str(out)) == 0
+        assert run("evaluate", "--model", str(out / "model.fsnn"), "--seed", "8",
+                   "--out", str(out)) == 1
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "n/a", None])
+    def test_predict_bad_cell_exit_3_writes_nothing(self, trained, tmp_path, fixture_csv,
+                                                    capsys, cell):
+        model = load(trained / "model.fsnn")
+        lines = fixture_csv.read_text().strip().split("\n")[:6]
+        header = lines[0].split(",")
+        column = model.feature_names[3]
+        cells = lines[3].split(",")
+        if cell is None:  # a truncated row, short of the feature's column
+            cells = cells[:header.index(column)]
+        else:
+            cells[header.index(column)] = cell
+        lines[3] = ",".join(cells)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "pred"
+        code = run("predict", "--model", str(trained / "model.fsnn"),
+                   "--input", str(bad), "--out", str(out))
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "row_id 2" in err and repr(column) in err
+        assert not (out / "predictions.csv").exists()
+
+    def test_closed_stdout_no_traceback(self, trained):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the command prints
+        src = str(Path(flowsentinel.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "flowsentinel.cli", "evaluate",
+                 "--model", str(trained / "model.fsnn"), "--out", str(trained)],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 0
+        assert b"Traceback" not in proc.stderr and b"BrokenPipeError" not in proc.stderr
+        assert (trained / "metrics.json").exists()
 
 
 class TestInspectAndConfig:

@@ -155,8 +155,10 @@ class TestPredict:
         model = build(spec_of("cnn", "multi"), seed=5)
         x = np_rng.uniform(size=(6, 20)).astype(np.float32)
         base = model.predict(x)
-        model.forward(x)
-        rescaled = np.argmax(3.0 * model.logits + 2.0, axis=1)
+        logits = model._frame(x)
+        for layer in model.layers:
+            logits = layer.forward(logits)
+        rescaled = np.argmax(3.0 * logits + 2.0, axis=1)
         assert np.array_equal(base, rescaled)
 
 

@@ -30,17 +30,22 @@ def set_conv(layer, w, b):
     layer.bias.value[...] = b
 
 
+def one(sample):
+    """A single sample as a batch of one; layers take batched input only."""
+    return np.asarray(sample)[None]
+
+
 class TestConv1DForward:
     def test_identity_kernel_passes_center(self):
         conv = make_conv(1, 1, 3)
         set_conv(conv, np.array([[[0.0, 1.0, 0.0]]]), np.array([0.0]))
-        out = conv.forward(np.array([[1.0, 2.0, 3.0, 4.0]]))
+        out = conv.forward(one([[1.0, 2.0, 3.0, 4.0]]))[0]
         assert np.allclose(out, [[2.0, 3.0]])
 
     def test_zero_kernel_yields_bias(self):
         conv = make_conv(1, 1, 3)
         set_conv(conv, np.zeros((1, 1, 3)), np.array([5.0]))
-        out = conv.forward(np.array([[1.0, 2.0, 3.0, 4.0]]))
+        out = conv.forward(one([[1.0, 2.0, 3.0, 4.0]]))[0]
         assert np.allclose(out, [[5.0, 5.0]])
 
     def test_edge_detector_matches_brute_force(self):
@@ -48,7 +53,7 @@ class TestConv1DForward:
         w = np.array([[[1.0, 0.0, -1.0]]])
         set_conv(conv, w, np.array([0.0]))
         x = np.array([[1.0, 2.0, 3.0, 4.0]])
-        out = conv.forward(x)
+        out = conv.forward(one(x))[0]
         assert np.allclose(out, [[-2.0, -2.0]])
         assert np.allclose(out, brute_force_conv1d(x, w, np.array([0.0])))
 
@@ -63,33 +68,33 @@ class TestConv1DForward:
         b = np_rng.normal(size=c_out)
         conv = make_conv(c_in, c_out, k, seed=case)
         set_conv(conv, w, b)
-        assert np.allclose(conv.forward(x), brute_force_conv1d(x, w, b), atol=1e-12)
+        assert np.allclose(conv.forward(one(x))[0], brute_force_conv1d(x, w, b), atol=1e-12)
 
     def test_output_length_and_batching(self, np_rng):
         conv = make_conv(2, 3, 3)
         x = np_rng.normal(size=(4, 2, 10))
         out = conv.forward(x)
         assert out.shape == (4, 3, 8)
-        single = conv.forward(x[0])
+        single = conv.forward(one(x[0]))[0]
         assert single.shape == (3, 8)
         assert np.allclose(single, out[0])
 
     def test_too_short_input_rejected(self):
         conv = make_conv(1, 1, 3)
         with pytest.raises(ShapeMismatchError):
-            conv.forward(np.array([[1.0, 2.0]]))
+            conv.forward(one([[1.0, 2.0]]))
 
     def test_channel_mismatch_rejected(self):
         conv = make_conv(2, 1, 3)
         with pytest.raises(ShapeMismatchError):
-            conv.forward(np.ones((1, 5)))
+            conv.forward(one(np.ones((1, 5))))
 
 
 class TestConv1DBackward:
     def test_zero_upstream_gradient(self, np_rng):
         conv = make_conv(2, 3, 3)
         x = np_rng.normal(size=(2, 8))
-        out = conv.forward(x)
+        out = conv.forward(one(x))
         w_before = conv.weight.grad.copy()
         grad_in = conv.backward(np.zeros_like(out))
         assert np.allclose(grad_in, 0)
@@ -98,18 +103,18 @@ class TestConv1DBackward:
     def test_identity_kernel_chain_rule(self):
         conv = make_conv(1, 1, 3)
         set_conv(conv, np.array([[[0.0, 1.0, 0.0]]]), np.array([0.0]))
-        conv.forward(np.array([[1.0, 2.0, 3.0, 4.0]]))
-        grad_in = conv.backward(np.array([[1.0, 1.0]]))
+        conv.forward(one([[1.0, 2.0, 3.0, 4.0]]))
+        grad_in = conv.backward(one([[1.0, 1.0]]))[0]
         assert np.allclose(grad_in, [[0.0, 1.0, 1.0, 0.0]])
 
     def test_backward_requires_cache(self):
         conv = make_conv(1, 1, 3)
         with pytest.raises(MissingCacheError):
             conv.backward(np.ones((1, 2)))
-        conv.forward(np.ones((1, 5)))
-        conv.backward(np.ones((1, 3)))
+        conv.forward(one(np.ones((1, 5))))
+        conv.backward(one(np.ones((1, 3))))
         with pytest.raises(MissingCacheError):  # cache cleared after use
-            conv.backward(np.ones((1, 3)))
+            conv.backward(one(np.ones((1, 3))))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_finite_differences(self, seed):
@@ -155,23 +160,23 @@ class TestConv1DBackward:
 
 class TestMaxPool1D:
     def test_pairwise_max(self):
-        out = MaxPool1D(2).forward(np.array([[1.0, 3.0, 2.0, 5.0]]))
+        out = MaxPool1D(2).forward(one([[1.0, 3.0, 2.0, 5.0]]))[0]
         assert np.allclose(out, [[3.0, 5.0]])
 
     def test_tie_break_lower_index(self):
         pool = MaxPool1D(2)
-        out = pool.forward(np.array([[7.0, 7.0, 7.0, 7.0]]))
+        out = pool.forward(one([[7.0, 7.0, 7.0, 7.0]]))[0]
         assert np.allclose(out, [[7.0, 7.0]])
-        grad_in = pool.backward(np.array([[1.0, 1.0]]))
+        grad_in = pool.backward(one([[1.0, 1.0]]))[0]
         assert np.allclose(grad_in, [[1.0, 0.0, 1.0, 0.0]])
 
     def test_trailing_remainder_dropped(self):
-        out = MaxPool1D(2).forward(np.array([[1.0, 2.0, 9.0]]))
+        out = MaxPool1D(2).forward(one([[1.0, 2.0, 9.0]]))[0]
         assert np.allclose(out, [[2.0]])
 
     def test_too_short_rejected(self):
         with pytest.raises(ShapeMismatchError):
-            MaxPool1D(2).forward(np.array([[1.0]]))
+            MaxPool1D(2).forward(one([[1.0]]))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_pool3_ties_and_remainder(self, dtype):
@@ -193,8 +198,8 @@ class TestMaxPool1D:
 
     def test_backward_routes_to_argmax(self):
         pool = MaxPool1D(2)
-        pool.forward(np.array([[1.0, 3.0, 2.0, 5.0]]))
-        grad_in = pool.backward(np.array([[1.0, 1.0]]))
+        pool.forward(one([[1.0, 3.0, 2.0, 5.0]]))
+        grad_in = pool.backward(one([[1.0, 1.0]]))[0]
         assert np.allclose(grad_in, [[0.0, 1.0, 0.0, 1.0]])
 
     def test_backward_zero_is_zero(self):
@@ -228,41 +233,41 @@ class TestDense:
         layer.weight.value[...] = np.eye(3)
         layer.bias.value[...] = 0.0
         x = np.array([1.5, -2.0, 0.25])
-        assert np.allclose(layer.forward(x), x)
+        assert np.allclose(layer.forward(one(x))[0], x)
 
     def test_zero_weights_bias_only(self):
         with precision(np.float64):
             layer = Dense(3, 2, Rng(0))
         layer.weight.value[...] = 0.0
         layer.bias.value[...] = [1.0, 2.0]
-        assert np.allclose(layer.forward(np.array([9.0, 9.0, 9.0])), [1.0, 2.0])
+        assert np.allclose(layer.forward(one([9.0, 9.0, 9.0]))[0], [1.0, 2.0])
 
     def test_hand_matrix_vector(self):
         with precision(np.float64):
             layer = Dense(2, 2, Rng(0))
         layer.weight.value[...] = [[1.0, 2.0], [3.0, 4.0]]
         layer.bias.value[...] = 0.0
-        assert np.allclose(layer.forward(np.array([1.0, 1.0])), [3.0, 7.0])
+        assert np.allclose(layer.forward(one([1.0, 1.0]))[0], [3.0, 7.0])
 
     def test_backward_identity_weights(self):
         with precision(np.float64):
             layer = Dense(3, 3, Rng(0))
         layer.weight.value[...] = np.eye(3)
-        layer.forward(np.array([1.0, 2.0, 3.0]))
+        layer.forward(one([1.0, 2.0, 3.0]))
         g = np.array([0.1, 0.2, 0.3])
-        assert np.allclose(layer.backward(g), g)
+        assert np.allclose(layer.backward(one(g))[0], g)
 
     def test_backward_zero_grad(self):
         with precision(np.float64):
             layer = Dense(3, 2, Rng(1))
-        layer.forward(np.ones(3))
-        assert np.allclose(layer.backward(np.zeros(2)), 0)
+        layer.forward(one(np.ones(3)))
+        assert np.allclose(layer.backward(one(np.zeros(2))), 0)
 
     def test_shape_mismatch(self):
         with precision(np.float64):
             layer = Dense(3, 2, Rng(1))
         with pytest.raises(ShapeMismatchError):
-            layer.forward(np.ones(4))
+            layer.forward(one(np.ones(4)))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_finite_differences(self, seed):
@@ -328,8 +333,12 @@ class TestDropout:
 
     def test_backward_identity_when_inference(self):
         layer = Dropout(0.5, Rng(7))
+        with pytest.raises(MissingCacheError):
+            layer.backward(np.ones(10))
         layer.forward(np.ones(10), training=False)
         assert np.allclose(layer.backward(np.full(10, 3.0)), 3.0)
+        with pytest.raises(MissingCacheError):  # the identity pass is consumed too
+            layer.backward(np.ones(10))
 
 
 class TestReLULayer:
@@ -340,14 +349,3 @@ class TestReLULayer:
         assert np.allclose(out, [0, 0, 0, 1, 2])
         grad = layer.backward(np.ones(5))
         assert np.allclose(grad, [0, 0, 0, 1, 1])
-
-
-class TestFunctionalDropout:
-    def test_matches_layer_semantics(self):
-        from flowsentinel.nn import dropout
-
-        x = np.ones(5000, dtype=np.float64)
-        out = dropout(x, 0.25, Rng(31), training=True)
-        survivors = out[out != 0.0]
-        assert np.allclose(survivors, 1.0 / 0.75)
-        assert np.array_equal(dropout(x, 0.25, Rng(31), training=False), x)

@@ -77,8 +77,8 @@ class TestForward:
 
     def test_three_steps_match_unrolled_reference(self, np_rng):
         lstm = make_lstm(2, 3, return_sequences=True)
-        x = np_rng.normal(size=(5, 2))  # single sample, T=5 needs squeeze path too
-        out = lstm.forward(x[:3])
+        x = np_rng.normal(size=(5, 2))  # one sample, T=5; the layer sees the first 3 steps
+        out = lstm.forward(x[None, :3])[0]
         h = np.zeros(3)
         c = np.zeros(3)
         for t in range(3):
