@@ -7,8 +7,10 @@ and seeds, and ``train`` writes a manifest sufficient to replay the run.
 Exit codes are a stable contract:
 
     0  success
-    1  configuration error
-    2  missing input (file, cache, or model not found / empty)
+    1  configuration error (including a ``select --top-k`` above the cache's
+       column count)
+    2  missing input (file, cache, or model not found / empty, or a class
+       with fewer than two rows to split)
     3  schema error (missing column, corrupt cache or model file, or a
        predict input row with a non-numeric, NaN or infinite feature)
     4  numeric failure (non-finite loss or gradient)
@@ -19,9 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import json
-import operator
 import os
 import sys
 from dataclasses import asdict, dataclass
@@ -38,19 +38,21 @@ from .data import (
     load_csv,
     map_labels,
     read_cache,
+    read_flows,
     schema,
     stratified_split,
     subsample_indices,
     write_cache,
 )
-from .data.ingest import parse_value
 from .errors import (
+    ClassTooSmallError,
     ConfigError,
     CorruptCacheError,
     CorruptModelError,
     EmptyInputError,
     InvalidRowError,
     InvalidSpecError,
+    KTooLargeError,
     MissingColumnError,
     ModeMismatchError,
     NonFiniteGradientError,
@@ -194,14 +196,6 @@ def _collect_csvs(entries) -> list:
     return paths
 
 
-def _sha256(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 def _out_dir(config: RunConfig) -> Path:
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -230,17 +224,13 @@ def cmd_ingest(config: RunConfig) -> int:
         return EXIT_MISSING_INPUT
     out = _out_dir(config)
     mode = ClassificationMode(config.mode)
-    records, report = load_csv(paths)
-    vocab = build_vocabulary(records if records else ["placeholder"], mode)
-    kept, classes, dropped_unknown = map_labels(records, vocab, strict=False)
+    (X, labels), report = load_csv(paths)
+    vocab = build_vocabulary(mode)
+    kept, y, dropped_unknown = map_labels(labels, vocab)
     if dropped_unknown:
         report.drop("unknown_label", dropped_unknown)
         report.rows_retained -= dropped_unknown
-    y = np.asarray(classes, dtype=np.int64)
-    X = np.array(
-        [[records[i].features[name] for name in schema.FEATURE_COLUMNS] for i in kept],
-        dtype=np.float32,
-    ).reshape(len(kept), len(schema.FEATURE_COLUMNS))
+    X = X[kept].astype(np.float32)
     if config.subsample < 1.0 and y.size:
         from .rng import Rng
 
@@ -276,7 +266,9 @@ def cmd_select(config: RunConfig) -> int:
         if not cache_path.exists():
             print(f"error: missing cache {cache_path}", file=sys.stderr)
             return EXIT_MISSING_INPUT
-        X, y, names, meta = read_cache(cache_path)
+        X, y, names, meta, _ = read_cache(cache_path)
+        if config.top_k > len(names):
+            raise KTooLargeError(f"top_k={config.top_k} exceeds the cache's {len(names)} columns")
         if meta and meta.get("mode") != "multi":
             print(
                 f"note: importance regression target uses the cache's "
@@ -304,18 +296,18 @@ def cmd_select(config: RunConfig) -> int:
 def _load_split(cache_path: Path, feature_names: list, seed: int, fraction: float):
     """Read the cache once and draw a run's stratified train/test split.
 
-    Returns ``((X_train, y_train), (X_test, y_test), meta)`` with the
-    ``feature_names`` columns in that order, unscaled. ``train`` and
-    ``evaluate`` both split here, from the same seed, so ``evaluate`` scores
-    exactly the rows that training held out.
+    Returns ``((X_train, y_train), (X_test, y_test), meta, sha256)`` with the
+    ``feature_names`` columns in that order, unscaled, and the cache file's
+    digest. ``train`` and ``evaluate`` both split here, from the same seed,
+    so ``evaluate`` scores exactly the rows that training held out.
     """
-    X, y, cache_columns, meta = read_cache(cache_path)
+    X, y, cache_columns, meta, sha256 = read_cache(cache_path)
     missing = [name for name in feature_names if name not in cache_columns]
     if missing:
         raise MissingColumnError(missing[0], str(cache_path))
     X = X[:, [cache_columns.index(name) for name in feature_names]]
     split = stratified_split(y, fraction, seed=seed)
-    return (X[split.train], y[split.train]), (X[split.test], y[split.test]), meta or {}
+    return (X[split.train], y[split.train]), (X[split.test], y[split.test]), meta or {}, sha256
 
 
 def cmd_train(config: RunConfig) -> int:
@@ -325,7 +317,7 @@ def cmd_train(config: RunConfig) -> int:
         print(f"error: missing cache {cache_path}", file=sys.stderr)
         return EXIT_MISSING_INPUT
     feature_names = _feature_list(config, out)
-    (X_train, y_train), (X_test, y_test), meta = _load_split(
+    (X_train, y_train), (X_test, y_test), meta, cache_sha256 = _load_split(
         cache_path, feature_names, config.seed, config.split_fraction
     )
     cache_mode = meta.get("mode")
@@ -356,7 +348,7 @@ def cmd_train(config: RunConfig) -> int:
         "config": asdict(config),
         "tool_version": __version__,
         "thread_cap": thread_cap(),
-        "cache_sha256": _sha256(cache_path),
+        "cache_sha256": cache_sha256,
         "cache_rows": len(y_train) + len(y_test),
         "train_rows": len(y_train),
         "test_rows": len(y_test),
@@ -401,7 +393,7 @@ def cmd_evaluate(config: RunConfig, model_path: str) -> int:
         )
     if model.normalizer is None:
         raise CorruptModelError(f"{path}: model carries no normalizer")
-    _, (X_test, y_test), meta = _load_split(
+    _, (X_test, y_test), meta, _ = _load_split(
         cache_path, model.feature_names or canonical_top20(), model.rng_seed, config.split_fraction
     )
     cache_mode = meta.get("mode")
@@ -420,39 +412,6 @@ def cmd_evaluate(config: RunConfig, model_path: str) -> int:
     return EXIT_OK
 
 
-def _read_rows(source: Path, feature_names: list) -> np.ndarray:
-    """The ``feature_names`` columns of a CSV as a finite float64 matrix.
-
-    Blank lines are skipped. A missing column raises MissingColumnError; a
-    non-numeric, NaN or infinite cell (or a row too short to hold it) raises
-    InvalidRowError naming the first such row_id and column, so no row is
-    ever classified from a value that is not a finite number.
-    """
-    with open(source, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        for name in feature_names:
-            if name not in header:
-                raise MissingColumnError(name, str(source))
-        indices = [header.index(name) for name in feature_names]
-        pick = operator.itemgetter(*indices)
-        try:
-            X = np.array([pick(row) for row in reader if row], dtype=np.float64)
-            if np.isfinite(X).all():
-                return X.reshape(-1, len(feature_names))
-        except (IndexError, ValueError):
-            pass
-        fh.seek(0)
-        reader = csv.reader(fh)
-        next(reader)
-        for row_id, row in enumerate(row for row in reader if row):
-            for name, index in zip(feature_names, indices):
-                _, reason = parse_value(row[index] if index < len(row) else None)
-                if reason is not None:
-                    raise InvalidRowError(f"{source}: row_id {row_id}, column {name!r}: {reason}")
-    raise InvalidRowError(f"{source}: a feature cell is not a finite number")
-
-
 def cmd_predict(config: RunConfig, model_path: str, input_path: str) -> int:
     path = Path(model_path)
     if not path.exists():
@@ -463,7 +422,10 @@ def cmd_predict(config: RunConfig, model_path: str, input_path: str) -> int:
         print(f"error: missing input {source}", file=sys.stderr)
         return EXIT_MISSING_INPUT
     model = load(path)
-    X = _read_rows(source, model.feature_names or canonical_top20())
+    X, _, bad = read_flows(source, model.feature_names or canonical_top20())
+    if bad:
+        row_id, column, reason = bad[0]
+        raise InvalidRowError(f"{source}: row_id {row_id}, column {column!r}: {reason}")
     if not len(X):
         print(f"error: no rows in {source}", file=sys.stderr)
         return EXIT_MISSING_INPUT
@@ -569,10 +531,10 @@ def main(argv=None) -> int:
         if args.command == "predict":
             return cmd_predict(config, args.model, args.input)
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, InvalidSpecError) as exc:
+    except (ConfigError, InvalidSpecError, KTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (FileNotFoundError, EmptyInputError) as exc:
+    except (FileNotFoundError, EmptyInputError, ClassTooSmallError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING_INPUT
     except (MissingColumnError, InvalidRowError, CorruptCacheError, CorruptModelError) as exc:

@@ -1,8 +1,9 @@
-"""Flow-record ingestion, labeling, splitting, scaling, and caching."""
+"""Flow data: one CSV reader (``read_flows``) for ingest and predict, the
+cleaning report, labeling, subsampling, splitting, scaling and caching."""
 
 from . import schema
 from .cache import meta_path, read_cache, write_cache
-from .ingest import FlowRecord, IngestReport, load_csv
+from .ingest import IngestReport, load_csv, read_flows
 from .labels import ClassificationMode, LabelVocabulary, build_vocabulary, map_labels
 from .normalize import FeatureStats, apply_normalizer, fit_normalizer
 from .splits import SplitIndices, stratified_split, subsample_indices
@@ -11,7 +12,6 @@ from .synthetic import generate_fixture, write_fixture_csv
 __all__ = [
     "ClassificationMode",
     "FeatureStats",
-    "FlowRecord",
     "IngestReport",
     "LabelVocabulary",
     "SplitIndices",
@@ -23,6 +23,7 @@ __all__ = [
     "map_labels",
     "meta_path",
     "read_cache",
+    "read_flows",
     "schema",
     "stratified_split",
     "subsample_indices",

@@ -16,6 +16,7 @@ classification mode, class names, label histogram, and ingest provenance.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import struct
 from pathlib import Path
@@ -56,11 +57,9 @@ def write_cache(path, X, y, feature_names, meta: dict | None = None) -> None:
 
 
 def read_cache(path):
-    """Returns (X float32 [rows, cols], y int64 [rows], feature_names, meta|None)."""
-    try:
-        blob = Path(path).read_bytes()
-    except FileNotFoundError:
-        raise
+    """Returns (X float32 [rows, cols], y int64 [rows], feature_names, meta|None,
+    sha256): the file is read once, X is a read-only view of its bytes."""
+    blob = Path(path).read_bytes()
     view = memoryview(blob)
     if len(blob) < 21 or bytes(view[:4]) != MAGIC:
         raise CorruptCacheError(f"{path}: bad magic")
@@ -87,4 +86,4 @@ def read_cache(path):
     mp = meta_path(path)
     if mp.exists():
         meta = json.loads(mp.read_text(encoding="utf-8"))
-    return X.copy(), y, names, meta
+    return X, y, names, meta, hashlib.sha256(blob).hexdigest()

@@ -1,19 +1,22 @@
-"""CSV ingestion: parse flow-record files, clean bad rows, count the damage."""
+"""Flow-CSV reading: ``read_flows`` is the one reader for ``ingest`` (through
+``load_csv``, which drops and counts bad rows) and ``predict`` (which refuses
+its input at the first bad row); ``parse_value`` is the one rule for a cell."""
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
+import operator
+from collections import Counter
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from ..errors import EmptyInputError, MissingColumnError
 from . import schema
 
-
-@dataclass
-class FlowRecord:
-    features: dict  # feature name -> finite float
-    label: str
+CHUNK_ROWS = 512  # rows held as strings at once while parsing
 
 
 @dataclass
@@ -57,46 +60,81 @@ def parse_value(text: str):
     return value, None
 
 
-def load_csv(paths, feature_columns=schema.FEATURE_COLUMNS, label_column=schema.LABEL_COLUMN):
-    """Parse flow CSVs into FlowRecords plus an ingest report.
+def read_flows(path, feature_columns, label_column=None):
+    """One flow CSV as ``(X, labels, bad)``, columns matched by header name.
 
-    Columns are matched by header name, so column order never matters.
-    Rows with an unparseable numeric, NaN, +/-Inf, or an empty label are
-    dropped and counted by reason. Files are read in the given order and
-    rows keep file order, so downstream seeding is reproducible.
+    ``X`` is float64 with one row per non-blank data line (NaN where a cell
+    did not parse); ``labels`` holds the stripped label cells, or is None
+    without a label column. ``bad`` lists ``(row_id, column, reason)`` for
+    each row not to use: ``empty_label`` first, else the ``parse_value``
+    reason of the first feature, in the given order, that is not a finite
+    number (a cell missing from a short row is ``non_numeric``). ``row_id``
+    counts non-blank data lines from 0. A missing column raises
+    MissingColumnError.
+    """
+    features = list(feature_columns)
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        for column in features + ([label_column] if label_column is not None else []):
+            if column not in header:
+                raise MissingColumnError(column, str(path))
+        at = [header.index(column) for column in features]
+        pick = operator.itemgetter(*at)
+        label_at = None if label_column is None else header.index(label_column)
+
+        def cell(row, i):
+            return row[i] if i < len(row) else None
+
+        def fault(row):
+            if label_at is not None and not (cell(row, label_at) or "").strip():
+                return label_column, "empty_label"
+            return next((column, reason) for column, i in zip(features, at)
+                        if (reason := parse_value(cell(row, i))[1]))
+
+        blocks, labels, bad = [], [], []
+        rows = filter(None, reader)  # csv.reader yields [] for a blank line
+        while chunk := list(itertools.islice(rows, CHUNK_ROWS)):
+            block = np.empty((len(chunk), len(at)))
+            for i, row in enumerate(chunk):
+                try:
+                    block[i] = pick(row)  # numpy converts each string with float()
+                except (IndexError, ValueError):
+                    block[i] = np.nan
+            suspect = ~np.isfinite(block).all(axis=1)
+            if label_at is not None:
+                chunk_labels = [(cell(row, label_at) or "").strip() for row in chunk]
+                suspect |= np.array([not text for text in chunk_labels], dtype=bool)
+                labels += chunk_labels
+            first = len(blocks) * CHUNK_ROWS
+            bad += [(first + i, *fault(chunk[i])) for i in np.flatnonzero(suspect).tolist()]
+            blocks.append(block)
+    X = np.concatenate(blocks) if blocks else np.empty((0, len(at)))
+    return X, (labels if label_at is not None else None), bad
+
+
+def load_csv(paths, feature_columns=schema.FEATURE_COLUMNS, label_column=schema.LABEL_COLUMN):
+    """Flow CSVs, read in the given order, as ``((X, labels), report)``.
+
+    Every row ``read_flows`` flags is dropped and counted by its reason; the
+    label histogram counts the rows kept, whatever their label.
     """
     paths = list(paths)
     if not paths:
         raise EmptyInputError("no input files")
-    records = []
-    report = IngestReport()
+    report = IngestReport(files=[str(path) for path in paths])
+    blocks, labels = [], []
     for path in paths:
-        report.files.append(str(path))
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            header = reader.fieldnames or []
-            for column in list(feature_columns) + [label_column]:
-                if column not in header:
-                    raise MissingColumnError(column, str(path))
-            for row in reader:
-                report.rows_read += 1
-                label = (row.get(label_column) or "").strip()
-                if not label:
-                    report.drop("empty_label")
-                    continue
-                features = {}
-                reason = None
-                for column in feature_columns:
-                    value, reason = parse_value(row[column])
-                    if reason is not None:
-                        break
-                    features[column] = value
-                if reason is not None:
-                    report.drop(reason)
-                    continue
-                records.append(FlowRecord(features=features, label=label))
-                report.rows_retained += 1
-                report.label_histogram[label] = report.label_histogram.get(label, 0) + 1
+        X, file_labels, bad = read_flows(path, feature_columns, label_column)
+        keep = np.ones(len(X), dtype=bool)
+        for row_id, _, reason in bad:
+            keep[row_id] = False
+            report.drop(reason)
+        report.rows_read += len(X)
+        blocks.append(X[keep])
+        labels += itertools.compress(file_labels, keep)
+    report.rows_retained = len(labels)
+    report.label_histogram = dict(Counter(labels))
     report.empty_input = report.rows_read == 0
     assert report.rows_retained + report.rows_dropped == report.rows_read
-    return records, report
+    return (np.concatenate(blocks), labels), report

@@ -5,7 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from ..errors import EmptyInputError, UnknownLabelError
+import numpy as np
+
+from ..errors import UnknownLabelError
 from . import schema
 
 
@@ -29,25 +31,22 @@ class LabelVocabulary:
     def n_classes(self) -> int:
         return len(self.classes)
 
-    def index_of(self, raw_label: str, strict: bool = True):
-        """Class index for a raw label; None (lenient) or raise (strict) if unknown."""
+    def index_of(self, raw_label: str) -> int:
+        """Class index for a raw label; raises UnknownLabelError if it has none."""
         idx = self.raw_to_class.get(raw_label)
-        if idx is None and strict:
+        if idx is None:
             raise UnknownLabelError(f"raw label {raw_label!r} has no class in {self.mode.value} mode")
         return idx
 
 
-def build_vocabulary(records, mode: ClassificationMode) -> LabelVocabulary:
+def build_vocabulary(mode: ClassificationMode) -> LabelVocabulary:
     """Vocabulary for one regime, from the shipped canonical label table.
 
     Binary is the fixed pair (Benign=0, Attack=1); grouped and multi classes
     are sorted lexicographically so indices are stable across runs and
-    platforms. ``records`` (FlowRecords, or raw label strings) must be
-    non-empty; labels outside the canonical table are the caller's problem
-    at mapping time, not at vocabulary construction.
+    platforms. Labels outside the canonical table are dropped at mapping
+    time, not at vocabulary construction.
     """
-    if records is not None and len(records) == 0:
-        raise EmptyInputError("cannot build a vocabulary from zero records")
     fam = schema.family_map()
     if mode is ClassificationMode.BINARY:
         classes = schema.BINARY_CLASSES
@@ -65,21 +64,13 @@ def build_vocabulary(records, mode: ClassificationMode) -> LabelVocabulary:
     return vocab
 
 
-def map_labels(records, vocab: LabelVocabulary, strict: bool = False):
-    """Map records to class indices.
+def map_labels(labels, vocab: LabelVocabulary):
+    """Map raw label strings to class indices, dropping labels with no class.
 
-    Returns (kept_record_indices, class_indices, dropped_unknown_count).
-    In strict mode an unknown raw label raises instead of dropping.
+    Returns (kept row indices, their int64 class indices, dropped count).
     """
-    kept = []
-    classes = []
-    dropped = 0
-    for i, record in enumerate(records):
-        label = record.label if hasattr(record, "label") else record
-        idx = vocab.index_of(label, strict=strict)
-        if idx is None:
-            dropped += 1
-            continue
-        kept.append(i)
-        classes.append(idx)
-    return kept, classes, dropped
+    raw_to_class = vocab.raw_to_class
+    index = np.fromiter((raw_to_class.get(label, -1) for label in labels),
+                        dtype=np.int64, count=len(labels))
+    kept = np.flatnonzero(index >= 0)
+    return kept, index[kept], len(labels) - kept.size

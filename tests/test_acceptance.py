@@ -274,7 +274,7 @@ def _fixture_matrix():
 
 def _end_to_end(arch: str, mode: ClassificationMode, batch_size: int) -> float:
     Xc, labels = _fixture_matrix()
-    vocab = build_vocabulary(labels, mode)
+    vocab = build_vocabulary(mode)
     y = np.array([vocab.raw_to_class[lab] for lab in labels])
     split = stratified_split(y, 0.8, seed=0)
     stats = fit_normalizer(Xc[split.train])
@@ -332,11 +332,10 @@ def test_real_corpus_reproduction(arch, mode):
     from pathlib import Path
 
     data_dir = Path(os.environ["FLOWSENTINEL_CICIOT_DIR"])
-    records, _ = load_csv(sorted(data_dir.glob("*.csv")))
-    vocab = build_vocabulary(records, ClassificationMode(mode))
-    kept, classes, _ = map_labels(records, vocab, strict=False)
-    X = np.array([[records[i].features[f] for f in canonical_top20()] for i in kept], dtype=np.float32)
-    y = np.asarray(classes, dtype=np.int64)
+    (X, labels), _ = load_csv(sorted(data_dir.glob("*.csv")))
+    kept, y, _ = map_labels(labels, build_vocabulary(ClassificationMode(mode)))
+    cols = [schema.FEATURE_COLUMNS.index(f) for f in canonical_top20()]
+    X = X[np.ix_(kept, cols)].astype(np.float32)
     keep = subsample_indices(y, 0.10, Rng(0).spawn("subsample"))
     X, y = X[keep], y[keep]
     split = stratified_split(y, 0.8, seed=0)
@@ -484,7 +483,7 @@ def test_serialization_round_trips_and_rejection(tmp_path):
     y = rng.integers(0, 34, size=31)
     cache_path = tmp_path / "d.fsds"
     write_cache(cache_path, X, y, [f"f{i}" for i in range(7)], meta={"mode": "multi"})
-    X2, y2, names, meta = read_cache(cache_path)
+    X2, y2, names, meta, _ = read_cache(cache_path)
     cache_ok = np.array_equal(X, X2) and np.array_equal(y, y2) and meta["mode"] == "multi"
 
     model_path.write_bytes(model_path.read_bytes()[:-3])

@@ -1,6 +1,7 @@
 """End-to-end CLI behaviour on a small generated fixture."""
 
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -11,8 +12,9 @@ import numpy as np
 import pytest
 
 import flowsentinel
+from flowsentinel import cli
 from flowsentinel.cli import main
-from flowsentinel.data import write_fixture_csv
+from flowsentinel.data import read_cache, schema, write_fixture_csv
 from flowsentinel.models import load
 
 ROWS = 600  # small but every class keeps >= 2 rows
@@ -63,9 +65,7 @@ class TestIngest:
         report = json.loads((out / "ingest_report.json").read_text())
         assert report["rows_dropped"] == 5
         assert report["dropped_by_reason"]["nan"] == 5
-        from flowsentinel.data import read_cache
-
-        X, y, _, meta = read_cache(out / "dataset.fsds")
+        X, y, _, meta, _ = read_cache(out / "dataset.fsds")
         assert X.shape[0] == ROWS - 5
         assert meta["mode"] == "multi"
 
@@ -99,6 +99,14 @@ class TestSelect:
     def test_recompute_missing_cache_exit_2(self, tmp_path):
         assert run("select", "--recompute-importance", "--out", str(tmp_path / "nope")) == 2
 
+    def test_recompute_top_k_above_columns_exit_1_before_fitting(self, workdir, monkeypatch,
+                                                                   capsys):
+        monkeypatch.setattr(cli, "fit_forest", lambda *a, **k: pytest.fail("forest was fitted"))
+        code = run("select", "--recompute-importance", "--top-k", "47", "--out", str(workdir))
+        assert code == 1
+        assert "47" in capsys.readouterr().err
+        assert not (workdir / "importance.csv").exists()
+
     def test_recompute_deterministic(self, workdir):
         assert run("select", "--recompute-importance", "--top-k", "10",
                    "--seed", "5", "--out", str(workdir)) == 0
@@ -127,6 +135,8 @@ class TestTrain:
         assert manifest["features"][0] == "Srate"
         assert 0.0 <= manifest["test_metrics"]["accuracy"] <= 1.0
         assert manifest["learning_rate"] == pytest.approx(0.001)
+        cache_bytes = (workdir / "dataset.fsds").read_bytes()
+        assert manifest["cache_sha256"] == hashlib.sha256(cache_bytes).hexdigest()
 
     def test_epochs_zero_exit_1(self, workdir, capsys):
         code = run("train", "--arch", "cnn", "--epochs", "0", "--out", str(workdir))
@@ -135,6 +145,18 @@ class TestTrain:
 
     def test_missing_cache_exit_2(self, tmp_path):
         assert run("train", "--arch", "cnn", "--out", str(tmp_path / "void")) == 2
+
+    def test_class_with_one_row_exit_2(self, tmp_path, fixture_csv, capsys):
+        header, *rows = fixture_csv.read_text().strip().split("\n")
+        label = rows[0].rsplit(",", 1)[1]
+        rows = [rows[0]] + [r for r in rows[1:] if r.rsplit(",", 1)[1] != label]
+        data = tmp_path / "one.csv"
+        data.write_text("\n".join([header] + rows) + "\n")
+        out = tmp_path / "out"
+        assert run("ingest", "--data", str(data), "--mode", "multi", "--out", str(out)) == 0
+        code = run("train", "--arch", "cnn", "--epochs", "1", "--out", str(out))
+        assert code == 2
+        assert "1 row(s)" in capsys.readouterr().err
 
     def test_mode_flag_mismatch_exit_5(self, workdir):
         code = run("train", "--arch", "cnn", "--mode", "multi", "--epochs", "1",
@@ -296,6 +318,61 @@ class TestEvaluateAndPredict:
         assert proc.returncode == 0
         assert b"Traceback" not in proc.stderr and b"BrokenPipeError" not in proc.stderr
         assert (trained / "metrics.json").exists()
+
+
+@pytest.fixture(scope="module")
+def binary_model(tmp_path_factory, fixture_csv):
+    out = tmp_path_factory.mktemp("model")
+    assert run("ingest", "--data", str(fixture_csv), "--mode", "binary", "--out", str(out)) == 0
+    assert run("train", "--arch", "cnn", "--mode", "binary", "--epochs", "2",
+               "--batch-size", "32", "--out", str(out)) == 0
+    return out / "model.fsnn"
+
+
+class TestIngestAndPredictAgree:
+    """``ingest`` and ``predict`` read flow CSVs through one reader, so a cell
+    ingest keeps is classified and a cell ingest drops stops predict with the
+    same column and reason."""
+
+    @pytest.mark.parametrize("cell,expected", [
+        ("nan", "nan"), ("-Infinity", "inf"), ("inf", "inf"), ("n/a", "non_numeric"),
+        ("", "non_numeric"), (" 1_0 ", None), (None, "non_numeric"),
+    ])
+    def test_cell(self, binary_model, tmp_path, fixture_csv, capsys, cell, expected):
+        column = load(binary_model).feature_names[3]
+        with open(fixture_csv, newline="") as fh:
+            header, *rows = list(csv.reader(fh))[:6]
+        # the label goes first, so a row truncated at the feature keeps its label
+        order = [header.index(schema.LABEL_COLUMN)] + list(range(len(header) - 1))
+        rows = [[r[i] for i in order] for r in [header] + rows]
+        at = rows[0].index(column)
+        if cell is None:
+            rows[3] = rows[3][:at]
+        else:
+            rows[3][at] = cell
+        data = tmp_path / "flows.csv"
+        with open(data, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+
+        out = tmp_path / "ingest"
+        assert run("ingest", "--data", str(data), "--mode", "binary", "--out", str(out)) == 0
+        report = json.loads((out / "ingest_report.json").read_text())
+        reasons = list(report["dropped_by_reason"])
+        assert reasons == ([expected] if expected else [])
+
+        pred = tmp_path / "pred"
+        code = run("predict", "--model", str(binary_model), "--input", str(data),
+                   "--out", str(pred))
+        err = capsys.readouterr().err
+        if expected:
+            assert code == 3
+            assert f"row_id 2, column {column!r}: {expected}" in err
+            assert not (pred / "predictions.csv").exists()
+        else:
+            assert code == 0
+            X, _, names, _, _ = read_cache(out / "dataset.fsds")
+            assert X[2, names.index(column)] == float(cell)
+            assert len((pred / "predictions.csv").read_text().strip().split("\n")) == 6
 
 
 class TestInspectAndConfig:

@@ -12,6 +12,7 @@ from flowsentinel.data import (
     load_csv,
     map_labels,
     read_cache,
+    read_flows,
     schema,
     stratified_split,
     subsample_indices,
@@ -25,6 +26,7 @@ from flowsentinel.errors import (
     MissingColumnError,
     UnknownLabelError,
 )
+from flowsentinel.data import ingest
 from flowsentinel.rng import Rng
 
 HEADER = ",".join(list(schema.FEATURE_COLUMNS) + [schema.LABEL_COLUMN])
@@ -42,19 +44,27 @@ def make_row(value=1.0, label="BenignTraffic", override=None):
     return ",".join([cells[name] for name in schema.FEATURE_COLUMNS] + [label])
 
 
+FEATURES = list(schema.FEATURE_COLUMNS)
+
+
+def cell(X, row, name):
+    return X[row, FEATURES.index(name)]
+
+
 class TestLoadCsv:
     def test_header_only_file(self, tmp_path):
         p = write_rows(tmp_path / "empty.csv", [])
-        records, report = load_csv([p])
-        assert records == []
+        (X, labels), report = load_csv([p])
+        assert X.shape == (0, len(FEATURES))
+        assert labels == []
         assert report.rows_read == 0
         assert report.empty_input
 
     def test_nan_rows_dropped_and_counted(self, tmp_path):
         rows = [make_row(1.0), make_row(override={"Rate": "NaN"}), make_row(2.0)]
         p = write_rows(tmp_path / "d.csv", rows)
-        records, report = load_csv([p])
-        assert len(records) == 2
+        (X, labels), report = load_csv([p])
+        assert len(X) == len(labels) == 2
         assert report.dropped == {"nan": 1}
         assert report.rows_read == 3
 
@@ -66,8 +76,8 @@ class TestLoadCsv:
             make_row(3.0),
         ]
         p = write_rows(tmp_path / "d.csv", rows)
-        records, report = load_csv([p])
-        assert len(records) == 1
+        (X, labels), report = load_csv([p])
+        assert len(X) == len(labels) == 1
         assert report.dropped == {"inf": 2, "non_numeric": 1}
 
     def test_three_row_fixture_round_trip(self, tmp_path):
@@ -77,12 +87,12 @@ class TestLoadCsv:
             make_row(override={"Srate": "7"}, label="DoS-UDP_Flood"),
         ]
         p = write_rows(tmp_path / "d.csv", rows)
-        records, report = load_csv([p])
-        assert len(records) == 3
-        assert records[0].features["Srate"] == 10.5
-        assert records[0].features["Rate"] == 20.25
-        assert records[1].features["Srate"] == 0.125
-        assert records[0].label == "DDoS-ICMP_Flood"
+        (X, labels), report = load_csv([p])
+        assert X.shape == (3, len(FEATURES)) and X.dtype == np.float64
+        assert cell(X, 0, "Srate") == 10.5
+        assert cell(X, 0, "Rate") == 20.25
+        assert cell(X, 1, "Srate") == 0.125
+        assert labels[0] == "DDoS-ICMP_Flood"
         assert report.label_histogram["BenignTraffic"] == 1
 
     def test_column_order_independence(self, tmp_path):
@@ -93,8 +103,8 @@ class TestLoadCsv:
         row = ",".join(["BenignTraffic"] + [cells[n] for n in reordered])
         p = tmp_path / "r.csv"
         p.write_text(header + "\n" + row + "\n", encoding="utf-8")
-        records, _ = load_csv([p])
-        assert records[0].features["Weight"] == 42.0
+        (X, _), _ = load_csv([p])
+        assert cell(X, 0, "Weight") == 42.0
 
     def test_missing_column_named(self, tmp_path):
         cols = [c for c in schema.FEATURE_COLUMNS if c != "Srate"]
@@ -116,21 +126,42 @@ class TestLoadCsv:
     def test_multiple_files_keep_order(self, tmp_path):
         a = write_rows(tmp_path / "a.csv", [make_row(override={"Weight": "1"})])
         b = write_rows(tmp_path / "b.csv", [make_row(override={"Weight": "2"})])
-        records, report = load_csv([a, b])
-        assert [r.features["Weight"] for r in records] == [1.0, 2.0]
+        (X, _), report = load_csv([a, b])
+        assert X[:, FEATURES.index("Weight")].tolist() == [1.0, 2.0]
         assert report.files == [str(a), str(b)]
+
+    @pytest.mark.parametrize("chunk_rows", [1, 3, ingest.CHUNK_ROWS])
+    def test_read_flows_names_the_first_bad_cell(self, tmp_path, monkeypatch, chunk_rows):
+        monkeypatch.setattr(ingest, "CHUNK_ROWS", chunk_rows)  # row ids run across chunks
+        rows = [
+            make_row(override={"Max": "x", "Rate": "nan"}, label=""),  # the label comes first
+            "",  # a blank line is no row
+            make_row(override={"Max": "x", "Rate": "nan"}),  # then schema order
+            make_row(override={"Srate": " 1_0 "}, label="  XSS "),
+            ",".join(make_row().split(",")[:3]),  # a short row
+        ]
+        p = write_rows(tmp_path / "d.csv", rows)
+        X, labels, bad = read_flows(p, ["Srate", "Rate", "Max"], schema.LABEL_COLUMN)
+        assert X.shape == (4, 3)
+        assert X[2].tolist() == [10.0, 1.0, 1.0]
+        assert labels == ["", "BenignTraffic", "XSS", ""]
+        assert bad == [(0, "label", "empty_label"), (1, "Rate", "nan"), (3, "label", "empty_label")]
+        X, labels, bad = read_flows(p, ["Max", "Rate"])
+        assert labels is None
+        assert bad == [(0, "Max", "non_numeric"), (1, "Max", "non_numeric"),
+                       (3, "Max", "non_numeric")]
 
 
 class TestVocabulary:
     def test_binary_mapping(self):
-        vocab = build_vocabulary(["x"], ClassificationMode.BINARY)
+        vocab = build_vocabulary(ClassificationMode.BINARY)
         assert vocab.classes == ("Benign", "Attack")
         assert vocab.index_of("BenignTraffic") == 0
         assert vocab.index_of("DDoS-ICMP_Flood") == 1
         assert vocab.index_of("Mirai-udpplain") == 1
 
     def test_grouped_has_eight_classes(self):
-        vocab = build_vocabulary(["x"], ClassificationMode.GROUPED)
+        vocab = build_vocabulary(ClassificationMode.GROUPED)
         assert vocab.n_classes == 8
         assert set(vocab.classes) == {
             "Benign", "BruteForce", "DDoS", "DoS", "Mirai", "Recon", "Spoofing", "Web-based",
@@ -141,32 +172,27 @@ class TestVocabulary:
         assert vocab.index_of("DictionaryBruteForce") == vocab.classes.index("BruteForce")
 
     def test_multi_has_thirty_four_sorted_classes(self):
-        vocab = build_vocabulary(["x"], ClassificationMode.MULTI)
+        vocab = build_vocabulary(ClassificationMode.MULTI)
         assert vocab.n_classes == 34
         assert vocab.classes == tuple(sorted(vocab.classes))
         for i, name in enumerate(vocab.classes):
             assert vocab.index_of(name) == i
 
     def test_vocabulary_stable_across_calls(self):
-        a = build_vocabulary(["x"], ClassificationMode.MULTI)
-        b = build_vocabulary(["y"], ClassificationMode.MULTI)
+        a = build_vocabulary(ClassificationMode.MULTI)
+        b = build_vocabulary(ClassificationMode.MULTI)
         assert a.classes == b.classes
         assert a.raw_to_class == b.raw_to_class
 
-    def test_empty_records_rejected(self):
-        with pytest.raises(EmptyInputError):
-            build_vocabulary([], ClassificationMode.BINARY)
-
     def test_unknown_label_strict_vs_lenient(self):
-        vocab = build_vocabulary(["x"], ClassificationMode.MULTI)
+        vocab = build_vocabulary(ClassificationMode.MULTI)
         with pytest.raises(UnknownLabelError):
-            vocab.index_of("NotARealAttack", strict=True)
-        kept, classes, dropped = map_labels(
-            ["BenignTraffic", "NotARealAttack", "XSS"], vocab, strict=False
-        )
-        assert kept == [0, 2]
+            vocab.index_of("NotARealAttack")
+        kept, classes, dropped = map_labels(["BenignTraffic", "NotARealAttack", "XSS"], vocab)
+        assert kept.tolist() == [0, 2]
         assert dropped == 1
         assert classes[0] == vocab.index_of("BenignTraffic")
+        assert classes.dtype == np.int64
 
 
 class TestSubsample:
@@ -296,7 +322,7 @@ class TestCache:
         names = [f"f{i}" for i in range(5)]
         path = tmp_path / "d.fsds"
         write_cache(path, X, y, names, meta={"mode": "multi"})
-        X2, y2, names2, meta = read_cache(path)
+        X2, y2, names2, meta, _ = read_cache(path)
         assert np.array_equal(X, X2)
         assert np.array_equal(y, y2)
         assert names2 == names
@@ -353,8 +379,8 @@ class TestSyntheticFixture:
     def test_csv_round_trips_through_ingest(self, tmp_path):
         path = tmp_path / "fixture.csv"
         write_fixture_csv(path, rows=200, seed=1)
-        records, report = load_csv([path])
-        assert len(records) == 200
+        (X, labels), report = load_csv([path])
+        assert len(X) == len(labels) == 200
         assert report.rows_dropped == 0
 
     def test_all_values_finite(self):
