@@ -39,6 +39,7 @@ from .data import (
     map_labels,
     read_cache,
     read_flows,
+    read_meta,
     schema,
     stratified_split,
     subsample_indices,
@@ -317,10 +318,7 @@ def cmd_train(config: RunConfig) -> int:
         print(f"error: missing cache {cache_path}", file=sys.stderr)
         return EXIT_MISSING_INPUT
     feature_names = _feature_list(config, out)
-    (X_train, y_train), (X_test, y_test), meta, cache_sha256 = _load_split(
-        cache_path, feature_names, config.seed, config.split_fraction
-    )
-    cache_mode = meta.get("mode")
+    cache_mode = (read_meta(cache_path) or {}).get("mode")
     if cache_mode and cache_mode != config.mode:
         if "mode" in config.explicit_fields:
             raise ModeMismatchError(
@@ -328,6 +326,9 @@ def cmd_train(config: RunConfig) -> int:
             )
         config.mode = cache_mode  # inherit the cache's regime when unspecified
     mode = ClassificationMode(config.mode)
+    (X_train, y_train), (X_test, y_test), meta, cache_sha256 = _load_split(
+        cache_path, feature_names, config.seed, config.split_fraction
+    )
     stats = fit_normalizer(X_train)
     X_train = apply_normalizer(X_train, stats, scheme=config.scheme).astype(np.float32)
     X_test = apply_normalizer(X_test, stats, scheme=config.scheme).astype(np.float32)
@@ -393,16 +394,16 @@ def cmd_evaluate(config: RunConfig, model_path: str) -> int:
         )
     if model.normalizer is None:
         raise CorruptModelError(f"{path}: model carries no normalizer")
-    _, (X_test, y_test), meta, _ = _load_split(
-        cache_path, model.feature_names or canonical_top20(), model.rng_seed, config.split_fraction
-    )
-    cache_mode = meta.get("mode")
+    cache_mode = (read_meta(cache_path) or {}).get("mode")
     if cache_mode and cache_mode != model.spec.mode.value:
         print(
             f"error: model mode {model.spec.mode.value!r} != cache mode {cache_mode!r}",
             file=sys.stderr,
         )
         return EXIT_MODE_MISMATCH
+    _, (X_test, y_test), _, _ = _load_split(
+        cache_path, model.feature_names or canonical_top20(), model.rng_seed, config.split_fraction
+    )
     X_test = apply_normalizer(X_test, model.normalizer, scheme=model.normalizer_scheme)
     report = evaluate(model, X_test.astype(np.float32), y_test,
                       class_names=model.class_names or None)

@@ -2,7 +2,7 @@
 cleaning report, labeling, subsampling, splitting, scaling and caching."""
 
 from . import schema
-from .cache import meta_path, read_cache, write_cache
+from .cache import meta_path, read_cache, read_meta, write_cache
 from .ingest import IngestReport, load_csv, read_flows
 from .labels import ClassificationMode, LabelVocabulary, build_vocabulary, map_labels
 from .normalize import FeatureStats, apply_normalizer, fit_normalizer
@@ -24,6 +24,7 @@ __all__ = [
     "meta_path",
     "read_cache",
     "read_flows",
+    "read_meta",
     "schema",
     "stratified_split",
     "subsample_indices",

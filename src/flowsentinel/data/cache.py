@@ -33,6 +33,12 @@ def meta_path(cache_path) -> Path:
     return Path(str(cache_path) + ".meta.json")
 
 
+def read_meta(cache_path) -> dict | None:
+    """The cache's sidecar metadata, or None when it has no sidecar."""
+    mp = meta_path(cache_path)
+    return json.loads(mp.read_text(encoding="utf-8")) if mp.exists() else None
+
+
 def write_cache(path, X, y, feature_names, meta: dict | None = None) -> None:
     X = np.ascontiguousarray(X, dtype=np.float32)
     y = np.ascontiguousarray(y)
@@ -82,8 +88,4 @@ def read_cache(path):
     X = np.frombuffer(view, dtype="<f4", count=rows * cols, offset=offset).reshape(rows, cols)
     offset += rows * cols * 4
     y = np.frombuffer(view, dtype="<u2", count=rows, offset=offset).astype(np.int64)
-    meta = None
-    mp = meta_path(path)
-    if mp.exists():
-        meta = json.loads(mp.read_text(encoding="utf-8"))
-    return X, y, names, meta, hashlib.sha256(blob).hexdigest()
+    return X, y, names, read_meta(path), hashlib.sha256(blob).hexdigest()

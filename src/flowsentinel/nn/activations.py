@@ -14,26 +14,40 @@ def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0)
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    # Split by sign so exp never overflows.
-    out = np.empty_like(x, dtype=x.dtype)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """0.5 * tanh(0.5 * x) + 0.5, written to ``out`` when given (may be ``x``).
+
+    The tanh form never overflows, so it needs no sign split, and it runs
+    in place: the LSTM activates its gate buffer with it.
+    """
+    out = np.multiply(x, 0.5, out=out)
+    np.tanh(out, out=out)
+    out *= 0.5
+    out += 0.5
     return out
 
 
-def sigmoid_backward(grad_out: np.ndarray, out: np.ndarray) -> np.ndarray:
-    return grad_out * out * (1.0 - out)
+def sigmoid_backward(grad_out: np.ndarray, out: np.ndarray,
+                     grad_in: np.ndarray | None = None) -> np.ndarray:
+    """grad_out * out * (1 - out), written to ``grad_in`` when given (it may
+    be ``grad_out`` or ``out``)."""
+    one_minus = 1.0 - out
+    grad_in = np.multiply(grad_out, out, out=grad_in)
+    grad_in *= one_minus
+    return grad_in
 
 
-def tanh(x: np.ndarray) -> np.ndarray:
-    return np.tanh(x)
+def tanh(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    return np.tanh(x, out=out)
 
 
-def tanh_backward(grad_out: np.ndarray, out: np.ndarray) -> np.ndarray:
-    return grad_out * (1.0 - out * out)
+def tanh_backward(grad_out: np.ndarray, out: np.ndarray,
+                  grad_in: np.ndarray | None = None) -> np.ndarray:
+    """grad_out * (1 - out * out), written to ``grad_in`` when given (it may
+    be ``grad_out`` or ``out``)."""
+    local = np.multiply(out, out)
+    np.subtract(1.0, local, out=local)
+    return np.multiply(grad_out, local, out=grad_in)
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -11,6 +11,9 @@ Conventions shared by every layer:
   returns the gradient w.r.t. the layer input, and clears the cache.
   Calling ``backward`` twice, or before ``forward``, raises
   :class:`MissingCacheError`.
+* The LSTM caches only in a training forward (``training=True``). An
+  inference forward keeps no cache and drops any earlier one, so a
+  ``backward`` after it raises :class:`MissingCacheError`.
 * Weight init is Glorot-uniform, limit sqrt(6 / (fan_in + fan_out)); biases
   start at zero except the LSTM forget gate, which starts at 1.
 """
@@ -18,6 +21,7 @@ Conventions shared by every layer:
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -276,7 +280,12 @@ _PASS_THROUGH = object()
 
 class Dropout(Layer):
     """Inverted dropout: training zeroes with probability ``rate`` and scales
-    survivors by 1/(1-rate); inference is the identity."""
+    survivors by 1/(1-rate); inference is the identity.
+
+    A unit survives when its uniform draw ``u = (raw >> 11) * 2**-53`` is
+    ``>= rate``. ``rate * 2**53`` is exact in float64, so the mask compares
+    the integers ``raw >> 11 >= ceil(rate * 2**53)`` and makes no floats.
+    """
 
     def __init__(self, rate: float, rng: Rng | None = None):
         super().__init__()
@@ -294,7 +303,8 @@ class Dropout(Layer):
             return x
         if self.rng is None:
             raise InvalidRateError("dropout in training mode requires an Rng")
-        keep = self.rng.uniform(size=x.shape) >= self.rate
+        threshold = np.uint64(math.ceil(self.rate * 2.0**53))
+        keep = (self.rng.raw(x.size) >> np.uint64(11)).reshape(x.shape) >= threshold
         scale = 1.0 / (1.0 - self.rate)
         mask = keep.astype(x.dtype) * x.dtype.type(scale)
         self._cache = mask
@@ -317,8 +327,24 @@ class LSTM(Layer):
         h_t = o * tanh(c_t)
 
     with h_0 = c_0 = 0. ``return_sequences`` selects the full [B, T, H]
-    output or just the final hidden state [B, H]. Backward runs full BPTT
-    across every step and gate.
+    output or just the final hidden state [B, H].
+
+    The passes follow Appleyard et al. (2016). The input part of ``z`` does
+    not depend on ``h``, so forward computes it for every step in one GEMM,
+    ``x[T*B, D] . W[:D] + b``, into a time-major [T, B, 4H] gate buffer; the
+    row blocks ``W[:D]`` and ``W[D:]`` are views of ``W``. Each step then adds
+    one ``h_{t-1} . W[D:]`` and activates its [B, 4H] slice in place
+    (:meth:`_cell`, which :meth:`step` runs too), writing ``c`` and ``h`` into
+    [T+1, B, H] buffers whose row 0 is the zero state. The sequence output is
+    a [B, T, H] view of the ``h`` buffer.
+
+    Only a training forward keeps the buffers for backward; an inference
+    forward keeps nothing, so a backward after it raises
+    :class:`MissingCacheError`. Backward is full BPTT. It computes the local
+    derivative factors of every step at once, leaves each step one small
+    GEMM, ``dz_t . W[D:]^T``, plus a few elementwise ops, and finishes with
+    one GEMM each for ``dW[:D]``, ``dW[D:]`` and the input gradient over the
+    stacked gate gradients ``dz`` [T*B, 4H].
     """
 
     def __init__(self, input_dim: int, hidden: int, rng: Rng, return_sequences: bool,
@@ -340,21 +366,35 @@ class LSTM(Layer):
     def parameters(self):
         return [self.weight, self.bias]
 
+    def _cell(self, z, h_prev, c_prev, c_out, tc_out, h_out) -> None:
+        """One recurrence step in place.
+
+        ``z`` [B, 4H] holds ``x_t . W[:D] + b`` and leaves holding the
+        activated gates (i, f, g, o); ``c_out``, ``tanh(c_out)`` and ``h_out``
+        are written into the given [B, H] arrays.
+        """
+        h = self.hidden
+        z += h_prev @ self.weight.value[self.input_dim:]
+        g = act.tanh(z[:, 2 * h: 3 * h])
+        act.sigmoid(z, out=z)  # one call over the whole row; the g block is put back
+        z[:, 2 * h: 3 * h] = g
+        np.multiply(z[:, h: 2 * h], c_prev, out=c_out)
+        g *= z[:, :h]
+        c_out += g
+        act.tanh(c_out, out=tc_out)
+        np.multiply(z[:, 3 * h:], tc_out, out=h_out)
+
     def step(self, x_t: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray):
-        """One recurrence step on a [B, D] slice; returns (h_t, c_t, gates)."""
+        """One recurrence step on a [B, D] slice; returns (h_t, c_t, gates),
+        where gates [B, 4H] holds the activated (i, f, g, o)."""
         h = self.hidden
         if x_t.shape[1] != self.input_dim or h_prev.shape[1] != h or c_prev.shape[1] != h:
             raise ShapeMismatchError("lstm step received inconsistent shapes")
-        z_in = np.concatenate([x_t, h_prev], axis=1)
-        z = z_in @ self.weight.value + self.bias.value
-        i = act.sigmoid(z[:, :h])
-        f = act.sigmoid(z[:, h: 2 * h])
-        g = act.tanh(z[:, 2 * h: 3 * h])
-        o = act.sigmoid(z[:, 3 * h:])
-        c_t = f * c_prev + i * g
-        tc = act.tanh(c_t)
-        h_t = o * tc
-        return h_t, c_t, (z_in, i, f, g, o, c_prev, tc)
+        gates = x_t @ self.weight.value[:self.input_dim] + self.bias.value
+        c_t = np.empty_like(c_prev, dtype=gates.dtype)
+        h_t = np.empty_like(c_t)
+        self._cell(gates, h_prev, c_prev, c_t, np.empty_like(c_t), h_t)
+        return h_t, c_t, gates
 
     def forward(self, x, training=False):
         b, t_steps, d = x.shape
@@ -362,51 +402,68 @@ class LSTM(Layer):
             raise EmptySequenceError("lstm requires at least one time step")
         if d != self.input_dim:
             raise ShapeMismatchError(f"lstm expects input dim {self.input_dim}, got {d}")
-        dtype = x.dtype
-        h_t = np.zeros((b, self.hidden), dtype=dtype)
-        c_t = np.zeros((b, self.hidden), dtype=dtype)
-        steps = []
-        hs = np.empty((b, t_steps, self.hidden), dtype=dtype)
+        h = self.hidden
+        # a view when x is time-major in memory, as an LSTM's sequence output is
+        x_flat = x.transpose(1, 0, 2).reshape(t_steps * b, d)
+        z = x_flat @ self.weight.value[:d]
+        z += self.bias.value
+        z = z.reshape(t_steps, b, 4 * h)
+        cs = np.empty((t_steps + 1, b, h), dtype=z.dtype)
+        hs = np.empty_like(cs)
+        cs[0] = 0
+        hs[0] = 0
+        # tanh(c) of every step is kept for backward; inference reuses one row
+        tcs = np.empty((t_steps if training else 1, b, h), dtype=z.dtype)
         for t in range(t_steps):
-            h_t, c_t, gates = self.step(x[:, t, :], h_t, c_t)
-            steps.append(gates)
-            hs[:, t, :] = h_t
-        self._cache = (steps, (b, t_steps, d))
-        return hs if self.return_sequences else hs[:, -1, :]
+            self._cell(z[t], hs[t], cs[t], cs[t + 1], tcs[t if training else 0], hs[t + 1])
+        self._cache = (x_flat, z, cs, tcs, hs) if training else None
+        return hs[1:].transpose(1, 0, 2) if self.return_sequences else hs[-1]
 
     def backward(self, grad_out):
-        steps, (b, t_steps, d) = self._take_cache()
+        x_flat, z, cs, tcs, hs = self._take_cache()
+        t_steps, b, _ = z.shape
         h = self.hidden
+        d = self.input_dim
         if self.return_sequences:
             if grad_out.shape != (b, t_steps, h):
                 raise ShapeMismatchError(f"lstm grad shape {grad_out.shape} != {(b, t_steps, h)}")
+            grad_seq = grad_out.transpose(1, 0, 2)
+            dh = grad_seq[-1]
         else:
             if grad_out.shape != (b, h):
                 raise ShapeMismatchError(f"lstm grad shape {grad_out.shape} != {(b, h)}")
+            dh = grad_out
 
-        grad_x = np.zeros((b, t_steps, d), dtype=grad_out.dtype)
-        dh_next = np.zeros((b, h), dtype=grad_out.dtype)
-        dc_next = np.zeros((b, h), dtype=grad_out.dtype)
-        dW = np.zeros_like(self.weight.value)
-        db = np.zeros_like(self.bias.value)
+        # Local factors of every step at once, written over the gates, so that
+        # dz_(i,f,g) = dc_t * (r_i, r_f, r_g) and dz_o = dh_t * p, where
+        # dc_t = dc_(t+1) * f_(t+1) + dh_t * q.
+        dz = z.reshape(t_steps, b, 4, h)
+        i, f, g, o = (dz[:, :, k] for k in range(4))
+        forget = f.copy()  # the factors overwrite f and i, which are still needed
+        i_kept = i.copy()
+        q = act.tanh_backward(o, tcs)
+        act.sigmoid_backward(tcs, o, grad_in=o)  # p
+        act.sigmoid_backward(cs[:-1], f, grad_in=f)  # r_f
+        act.sigmoid_backward(g, i, grad_in=i)  # r_i
+        act.tanh_backward(i_kept, g, grad_in=g)  # r_g
+
+        # The recurrence turns the factors into dz in place, one step at a time.
+        w_h_t = self.weight.value[d:].T
+        dc = np.zeros((b, h), dtype=z.dtype)
         for t in range(t_steps - 1, -1, -1):
-            z_in, i, f, g, o, c_prev, tc = steps[t]
+            dz[t, :, 3] *= dh
+            dc += dh * q[t]
+            dz[t, :, :3] *= dc[:, None, :]
+            if t == 0:
+                break  # h_0 and c_0 are constants
+            dc *= forget[t]
+            dh = dz[t].reshape(b, 4 * h) @ w_h_t
             if self.return_sequences:
-                dh = grad_out[:, t, :] + dh_next
-            else:
-                dh = (grad_out + dh_next) if t == t_steps - 1 else dh_next
-            dc = dc_next + act.tanh_backward(dh * o, tc)
-            dz = np.empty((b, 4 * h), dtype=grad_out.dtype)
-            dz[:, :h] = act.sigmoid_backward(dc * g, i)
-            dz[:, h: 2 * h] = act.sigmoid_backward(dc * c_prev, f)
-            dz[:, 2 * h: 3 * h] = act.tanh_backward(dc * i, g)
-            dz[:, 3 * h:] = act.sigmoid_backward(dh * tc, o)
-            dW += z_in.T @ dz
-            db += dz.sum(axis=0)
-            d_in = dz @ self.weight.value.T
-            grad_x[:, t, :] = d_in[:, :d]
-            dh_next = d_in[:, d:]
-            dc_next = dc * f
-        self.weight.grad += dW
-        self.bias.grad += db
-        return grad_x
+                dh += grad_seq[t - 1]
+
+        dz = dz.reshape(t_steps * b, 4 * h)
+        self.weight.grad[:d] += x_flat.T @ dz
+        self.weight.grad[d:] += hs[:-1].reshape(t_steps * b, h).T @ dz
+        self.bias.grad += dz.sum(axis=0)
+        grad_x = dz @ self.weight.value[:d].T
+        return grad_x.reshape(t_steps, b, d).transpose(1, 0, 2)

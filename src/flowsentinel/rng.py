@@ -54,10 +54,16 @@ def _fnv1a64(label: str) -> int:
 
 
 def _mix64_vec(z: np.ndarray) -> np.ndarray:
-    # uint64 array arithmetic wraps mod 2**64, matching _mix64.
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
+    """_mix64 over a uint64 array, in place (array arithmetic wraps mod 2**64)."""
+    shifted = z >> np.uint64(30)
+    z ^= shifted
+    z *= np.uint64(_MIX1)
+    np.right_shift(z, np.uint64(27), out=shifted)
+    z ^= shifted
+    z *= np.uint64(_MIX2)
+    np.right_shift(z, np.uint64(31), out=shifted)
+    z ^= shifted
+    return z
 
 
 class Rng:
@@ -81,9 +87,10 @@ class Rng:
             raise ValueError("n must be non-negative")
         start = self._counter
         self._counter += n
-        idx = np.arange(start + 1, start + n + 1, dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            return _mix64_vec(np.uint64(self.seed) + idx * np.uint64(_GAMMA))
+        z = np.arange(start + 1, start + n + 1, dtype=np.uint64)
+        z *= np.uint64(_GAMMA)
+        z += np.uint64(self.seed)
+        return _mix64_vec(z)
 
     def next_uint64(self) -> int:
         self._counter += 1

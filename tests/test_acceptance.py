@@ -112,7 +112,7 @@ def test_gradient_correctness_layers():
             d, h = int(rng.integers(1, 4)), int(rng.integers(2, 5))
             lstm = LSTM(d, h, Rng(200 + case), return_sequences=bool(case % 2))
             x = rng.normal(size=(int(rng.integers(1, 3)), int(rng.integers(1, 5)), d))
-            worst = max(worst, check_layer(lstm, x).max_rel_err)
+            worst = max(worst, check_layer(lstm, x, training=True).max_rel_err)
     elapsed = time.perf_counter() - started
     announce(
         "gradients: dense/conv/pool/lstm vs finite differences",

@@ -122,6 +122,18 @@ class TestSelect:
         assert total == pytest.approx(1.0, abs=1e-6)
 
 
+def one_row_class_cache(tmp_path, fixture_csv):
+    """A multi-mode cache of the fixture with all but one row of its first label removed."""
+    header, *rows = fixture_csv.read_text().strip().split("\n")
+    label = rows[0].rsplit(",", 1)[1]
+    rows = [rows[0]] + [r for r in rows[1:] if r.rsplit(",", 1)[1] != label]
+    data = tmp_path / "one.csv"
+    data.write_text("\n".join([header] + rows) + "\n")
+    out = tmp_path / "one_out"
+    assert run("ingest", "--data", str(data), "--mode", "multi", "--out", str(out)) == 0
+    return out
+
+
 class TestTrain:
     def test_train_emits_three_artifacts(self, workdir):
         code = run("train", "--arch", "cnn", "--mode", "binary", "--epochs", "3",
@@ -147,13 +159,7 @@ class TestTrain:
         assert run("train", "--arch", "cnn", "--out", str(tmp_path / "void")) == 2
 
     def test_class_with_one_row_exit_2(self, tmp_path, fixture_csv, capsys):
-        header, *rows = fixture_csv.read_text().strip().split("\n")
-        label = rows[0].rsplit(",", 1)[1]
-        rows = [rows[0]] + [r for r in rows[1:] if r.rsplit(",", 1)[1] != label]
-        data = tmp_path / "one.csv"
-        data.write_text("\n".join([header] + rows) + "\n")
-        out = tmp_path / "out"
-        assert run("ingest", "--data", str(data), "--mode", "multi", "--out", str(out)) == 0
+        out = one_row_class_cache(tmp_path, fixture_csv)
         code = run("train", "--arch", "cnn", "--epochs", "1", "--out", str(out))
         assert code == 2
         assert "1 row(s)" in capsys.readouterr().err
@@ -161,6 +167,13 @@ class TestTrain:
     def test_mode_flag_mismatch_exit_5(self, workdir):
         code = run("train", "--arch", "cnn", "--mode", "multi", "--epochs", "1",
                    "--out", str(workdir))
+        assert code == 5
+
+    def test_mode_mismatch_before_split_exit_5(self, tmp_path, fixture_csv):
+        # the mode check comes before the split that would fail on the one-row class
+        out = one_row_class_cache(tmp_path, fixture_csv)
+        code = run("train", "--arch", "cnn", "--mode", "binary", "--epochs", "1",
+                   "--out", str(out))
         assert code == 5
 
     def test_identical_invocations_identical_models(self, tmp_path, fixture_csv):
@@ -173,6 +186,21 @@ class TestTrain:
                        "--batch-size", "32", "--seed", "11", "--out", str(out)) == 0
             hashes.append(hash((out / "model.fsnn").read_bytes()))
         assert hashes[0] == hashes[1]
+
+    def test_lstm_rerun_byte_identical(self, tmp_path, fixture_csv):
+        # both dropout layers draw masks during training
+        digests = []
+        for name in ("r1", "r2"):
+            out = tmp_path / name
+            assert run("ingest", "--data", str(fixture_csv), "--mode", "binary",
+                       "--out", str(out)) == 0
+            assert run("train", "--arch", "lstm", "--mode", "binary", "--epochs", "2",
+                       "--batch-size", "32", "--seed", "5", "--out", str(out)) == 0
+            assert load(out / "model.fsnn").spec.dropout_rate > 0
+            assert run("evaluate", "--model", str(out / "model.fsnn"), "--out", str(out)) == 0
+            digests.append([hashlib.sha256((out / artefact).read_bytes()).hexdigest()
+                            for artefact in ("model.fsnn", "metrics.json")])
+        assert digests[0] == digests[1]
 
 
 class TestEvaluateAndPredict:
@@ -204,6 +232,13 @@ class TestEvaluateAndPredict:
         assert code == 5
         err = capsys.readouterr().err
         assert "binary" in err and "multi" in err
+
+    def test_mode_mismatch_before_split_exit_5(self, trained, tmp_path, fixture_csv, capsys):
+        # the mode check comes before the split that would fail on the one-row class
+        out = one_row_class_cache(tmp_path, fixture_csv)
+        code = run("evaluate", "--model", str(trained / "model.fsnn"), "--out", str(out))
+        assert code == 5
+        assert "cache mode 'multi'" in capsys.readouterr().err
 
     def test_missing_model_exit_2(self, workdir):
         assert run("evaluate", "--model", str(workdir / "ghost.fsnn"), "--out", str(workdir)) == 2

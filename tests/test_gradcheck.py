@@ -55,7 +55,8 @@ def test_randomized_shapes_all_layers(seed):
     assert check_layer(conv, rng.normal(size=(2, conv.in_channels, length))).max_rel_err < 1e-4
     assert check_layer(dense, rng.normal(size=(3, dense.in_features))).max_rel_err < 1e-4
     t_steps = int(rng.integers(1, 5))
-    assert check_layer(lstm, rng.normal(size=(2, t_steps, lstm.input_dim))).max_rel_err < 1e-4
+    x = rng.normal(size=(2, t_steps, lstm.input_dim))
+    assert check_layer(lstm, x, training=True).max_rel_err < 1e-4
     pool = MaxPool1D(2)
     x = rng.permutation(12).astype(np.float64).reshape(1, 2, 6)  # distinct values: no ties
     assert check_layer(pool, x).max_rel_err < 1e-4

@@ -324,6 +324,27 @@ class TestDropout:
         assert np.allclose(survivors, 2.0)
         assert abs(out.mean() - 1.0) < 0.05
 
+    @pytest.mark.parametrize("rate", [0.2, 1 / 3, 0.5, 0.999])
+    def test_mask_matches_uniform_rule(self, rate):
+        x = np.ones((64, 20, 8))
+        out = Dropout(rate, Rng(99)).forward(x, training=True)
+        keep = Rng(99).uniform(size=x.shape) >= rate  # the same draws as floats
+        assert np.array_equal(out != 0.0, keep)
+
+    @pytest.mark.parametrize("rate", [0.2, 1 / 3, 0.5, 0.999])
+    def test_mask_matches_uniform_rule_at_the_threshold(self, rate):
+        # draws one unit either side of the rate, where a float/int slip would show
+        class FixedDraws:
+            def raw(self, n):
+                k = int(np.ceil(rate * 2.0**53))
+                return np.array([(k + j) << 11 for j in (-2, -1, 0, 1)] * (n // 4),
+                                dtype=np.uint64)
+
+        out = Dropout(rate, FixedDraws()).forward(np.ones(8), training=True)
+        u = (FixedDraws().raw(8) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        assert np.array_equal(out != 0.0, u >= rate)
+        assert np.array_equal(out != 0.0, [False, False, True, True] * 2)
+
     def test_backward_uses_same_mask(self):
         layer = Dropout(0.5, Rng(7))
         x = np.ones(1000, dtype=np.float64)

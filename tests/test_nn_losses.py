@@ -64,6 +64,16 @@ class TestActivations:
         assert out[0] == pytest.approx(0.0, abs=1e-12)
         assert out[1] == pytest.approx(1.0)
 
+    def test_sigmoid_matches_logistic_float64(self):
+        x = np.linspace(-30.0, 30.0, 6001)
+        assert np.allclose(sigmoid(x), 1.0 / (1.0 + np.exp(-x)), rtol=1e-14, atol=1e-16)
+
+    def test_sigmoid_out_in_place(self, np_rng):
+        x = np_rng.normal(size=(4, 6)).astype(np.float32)
+        expected = sigmoid(x)
+        assert sigmoid(x, out=x) is x
+        assert np.array_equal(x, expected)
+
     def test_sigmoid_backward_matches_finite_differences(self, np_rng):
         x = np_rng.normal(size=16)
 

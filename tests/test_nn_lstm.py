@@ -20,9 +20,8 @@ class TestStep:
         lstm = make_lstm(2, 3)
         lstm.weight.value[...] = 0.0
         lstm.bias.value[...] = 0.0
-        h, c, (z_in, i, f, g, o, c_prev, tc) = lstm.step(
-            np.ones((1, 2)), np.zeros((1, 3)), np.zeros((1, 3))
-        )
+        h, c, gates = lstm.step(np.ones((1, 2)), np.zeros((1, 3)), np.zeros((1, 3)))
+        i, f, g, o = np.split(gates, 4, axis=1)
         assert np.allclose(i, 0.5) and np.allclose(f, 0.5) and np.allclose(o, 0.5)
         assert np.allclose(g, 0.0)
         assert np.allclose(c, 0.0)
@@ -85,11 +84,36 @@ class TestForward:
             h, c = reference_lstm_step(x[t], h, c, lstm.weight.value, lstm.bias.value)
             assert np.allclose(out[t], h, atol=1e-9)
 
+    def test_float32_model_shape_matches_reference(self):
+        # the model's second layer: 20 steps, width 64, a batch of 32
+        with precision(np.float32):
+            lstm = LSTM(64, 64, Rng(6), return_sequences=True)
+        x = np.random.default_rng(6).normal(size=(32, 20, 64)).astype(np.float32)
+        out = lstm.forward(x)
+        w = lstm.weight.value.astype(np.float64)
+        b = lstm.bias.value.astype(np.float64)
+        for n in range(x.shape[0]):
+            h = np.zeros(64)
+            c = np.zeros(64)
+            for t in range(x.shape[1]):
+                h, c = reference_lstm_step(x[n, t].astype(np.float64), h, c, w, b)
+                assert np.abs(out[n, t] - h).max() < 1e-6
+
     def test_return_last_only(self, np_rng):
         seq = make_lstm(2, 3, return_sequences=True, seed=4)
         last = make_lstm(2, 3, return_sequences=False, seed=4)
         x = np_rng.normal(size=(2, 7, 2))
         assert np.allclose(seq.forward(x)[:, -1, :], last.forward(x))
+
+    @pytest.mark.parametrize("return_sequences", [True, False])
+    def test_training_flag_leaves_output_bitwise_equal(self, return_sequences):
+        with precision(np.float32):
+            lstm = LSTM(3, 16, Rng(2), return_sequences=return_sequences)
+        x = np.random.default_rng(4).normal(size=(5, 20, 3)).astype(np.float32)
+        trained = np.array(lstm.forward(x, training=True))
+        inferred = np.array(lstm.forward(x, training=False))
+        assert trained.dtype == inferred.dtype == np.float32
+        assert trained.tobytes() == inferred.tobytes()
 
     def test_empty_sequence_rejected(self):
         lstm = make_lstm(2, 3)
@@ -101,7 +125,7 @@ class TestBackward:
     def test_zero_grad_out_gives_zero(self, np_rng):
         lstm = make_lstm(2, 3, return_sequences=True)
         x = np_rng.normal(size=(2, 4, 2))
-        out = lstm.forward(x)
+        out = lstm.forward(x, training=True)
         grad_x = lstm.backward(np.zeros_like(out))
         assert np.allclose(grad_x, 0)
         assert np.allclose(lstm.weight.grad, 0)
@@ -110,6 +134,32 @@ class TestBackward:
         lstm = make_lstm(2, 3)
         with pytest.raises(MissingCacheError):
             lstm.backward(np.zeros((1, 4, 3)))
+
+    def test_inference_forward_keeps_no_cache(self, np_rng):
+        lstm = make_lstm(2, 3)
+        x = np_rng.normal(size=(2, 4, 2))
+        lstm.forward(x, training=True)
+        out = lstm.forward(x, training=False)  # drops the training cache too
+        with pytest.raises(MissingCacheError):
+            lstm.backward(np.ones_like(out))
+
+    @pytest.mark.parametrize("return_sequences", [True, False])
+    def test_matches_finite_differences_at_model_shape(self, return_sequences):
+        # the model's 20 steps of a univariate sequence, a small batch and width
+        rng = np.random.default_rng(5)
+        lstm = make_lstm(1, 4, return_sequences=return_sequences, seed=8)
+        x = rng.normal(size=(3, 20, 1))
+        weights = rng.normal(size=lstm.forward(x).shape)
+
+        def loss():
+            return float((lstm.forward(x) * weights).sum())
+
+        out = lstm.forward(x, training=True)
+        grad_x = lstm.backward(weights.copy())
+        assert out.shape == weights.shape
+        assert max_rel_err(grad_x, central_difference(loss, x)) < 1e-4
+        assert max_rel_err(lstm.weight.grad, central_difference(loss, lstm.weight.value)) < 1e-4
+        assert max_rel_err(lstm.bias.grad, central_difference(loss, lstm.bias.value)) < 1e-4
 
     @pytest.mark.parametrize("t_steps,return_sequences", [(1, False), (1, True), (4, True), (4, False)])
     def test_matches_finite_differences(self, t_steps, return_sequences):
@@ -123,7 +173,7 @@ class TestBackward:
 
         lstm.weight.zero_grad()
         lstm.bias.zero_grad()
-        out = lstm.forward(x)
+        out = lstm.forward(x, training=True)
         grad_x = lstm.backward(np.ones_like(out))
         assert max_rel_err(grad_x, central_difference(loss, x)) < 1e-4
         assert max_rel_err(lstm.weight.grad, central_difference(loss, lstm.weight.value)) < 1e-4
@@ -141,7 +191,7 @@ class TestBackward:
 
         for p in first.parameters() + second.parameters():
             p.zero_grad()
-        out = second.forward(first.forward(x))
+        out = second.forward(first.forward(x, training=True), training=True)
         grad_mid = second.backward(np.ones_like(out))
         grad_x = first.backward(grad_mid)
         assert max_rel_err(grad_x, central_difference(loss, x)) < 1e-4
