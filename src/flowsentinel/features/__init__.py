@@ -7,10 +7,9 @@ from .forest import (
     compute_importances,
     export_importance_csv,
     fit_forest,
-    predict_forest,
     select_top_k,
 )
-from .tree import ForestConfig, TreeNode, fit_tree, predict_tree
+from .tree import ForestConfig, TreeNode, fit_tree
 
 __all__ = [
     "ForestConfig",
@@ -21,8 +20,6 @@ __all__ = [
     "export_importance_csv",
     "fit_forest",
     "fit_tree",
-    "predict_forest",
-    "predict_tree",
     "select_top_k",
 ]
 

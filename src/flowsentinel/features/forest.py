@@ -13,19 +13,13 @@ import numpy as np
 
 from ..errors import EmptyInputError, KTooLargeError
 from ..rng import Rng
-from .tree import ForestConfig, fit_tree, predict_tree, tree_feature_decreases
+from .tree import ForestConfig, check_inputs, grow_tree, sort_columns, tree_feature_decreases
 
 
 @dataclass
 class ImportanceReport:
     ranking: list  # [(feature_name, importance)], descending
     degenerate: bool  # True when no tree ever split (all importances zero)
-
-    def importance_of(self, name: str) -> float:
-        for feature, value in self.ranking:
-            if feature == name:
-                return value
-        raise KeyError(name)
 
     def total(self) -> float:
         return float(sum(v for _, v in self.ranking))
@@ -34,33 +28,20 @@ class ImportanceReport:
 def fit_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig) -> list:
     """Fit ``config.n_trees`` trees on seeded bootstrap resamples.
 
-    Every tree draws from its own spawned substream, so a parallel
-    implementation would reproduce the sequential result exactly.
+    Tree t draws its resample and its nodes' candidate features from its
+    own stream, ``Rng(config.seed).spawn(f"tree-{t}")``. The columns are
+    sorted once, on the un-resampled matrix, and shared by every tree.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise EmptyInputError("fit_forest requires a non-empty 2-D feature matrix")
+    X, y = check_inputs(X, y, "fit_forest")
     n = X.shape[0]
+    columns = sort_columns(X, y)
     root = Rng(config.seed)
     trees = []
     for t in range(config.n_trees):
         rng = root.spawn(f"tree-{t}")
-        if config.bootstrap:
-            rows = rng.integers(n, n)
-            trees.append(fit_tree(X[rows], y[rows], config, rng))
-        else:
-            trees.append(fit_tree(X, y, config, rng))
+        rows = rng.integers(n, n) if config.bootstrap else np.arange(n)
+        trees.append(grow_tree(X, y, columns, rows, config, rng))
     return trees
-
-
-def predict_forest(trees: list, X: np.ndarray) -> np.ndarray:
-    if not trees:
-        raise EmptyInputError("empty forest")
-    preds = np.zeros(np.asarray(X).shape[0], dtype=np.float64)
-    for tree in trees:
-        preds += predict_tree(tree, X)
-    return preds / len(trees)
 
 
 def compute_importances(trees: list, feature_names: list) -> ImportanceReport:

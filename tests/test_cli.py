@@ -121,6 +121,17 @@ class TestSelect:
         total = sum(float(r.split(",")[1]) for r in rows[1:])
         assert total == pytest.approx(1.0, abs=1e-6)
 
+    def test_recompute_rerun_byte_identical(self, tmp_path, fixture_csv):
+        digests = []
+        for name in ("r1", "r2"):
+            out = tmp_path / name
+            assert run("ingest", "--data", str(fixture_csv), "--mode", "multi",
+                       "--out", str(out)) == 0
+            assert run("select", "--recompute-importance", "--seed", "5", "--out", str(out)) == 0
+            digests.append([hashlib.sha256((out / artefact).read_bytes()).hexdigest()
+                            for artefact in ("importance.csv", "features.txt")])
+        assert digests[0] == digests[1]
+
 
 def one_row_class_cache(tmp_path, fixture_csv):
     """A multi-mode cache of the fixture with all but one row of its first label removed."""

@@ -31,3 +31,24 @@ def test_traced_ingest_records_rows_and_spans(tmp_path, monkeypatch):
     spans = {name for name, *_ in tracer.spans}
     assert {"data.ingest.load_csv", "data.labels.map_labels", "data.cache.write"} <= spans
     assert tracer.consistency_problems() == []
+
+
+def test_traced_select_counts_forest_trees_and_nodes(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer = importlib.import_module("tracer").Tracer()
+    data = tmp_path / "flows.csv"
+    write_fixture_csv(data, rows=600, seed=4)
+    out = tmp_path / "out"
+    assert cli.main(["ingest", "--data", str(data), "--out", str(out)]) == 0
+
+    with tracer.installed():
+        op = tracer.open("cli.select", new_op=True)
+        code = cli.main(["select", "--recompute-importance", "--out", str(out)])
+        tracer.close(op)
+    assert code == 0
+    metrics = tracer.metrics()
+    assert metrics["features.forest.trees"] == 100
+    assert metrics["features.forest.nodes"] > 100
+    spans = {name for name, *_ in tracer.spans}
+    assert {"features.forest.fit", "features.forest.importance"} <= spans
+    assert tracer.consistency_problems() == []
