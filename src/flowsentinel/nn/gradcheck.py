@@ -63,10 +63,12 @@ def gradient_check(loss_fn, arrays: dict, analytic: dict, h: float = 1e-5) -> Gr
     return report
 
 
-def check_layer(layer, x: np.ndarray, h: float = 1e-5, training: bool = False) -> GradCheckReport:
+def check_layer(layer, x: np.ndarray, h: float = 1e-5, training: bool = True) -> GradCheckReport:
     """Gradient-check one layer under the loss sum(forward(x)).
 
-    Covers the input gradient and every parameter gradient.
+    Covers the input gradient and every parameter gradient. The forward runs
+    in training mode by default, since only a training forward keeps the
+    cache that ``backward`` needs.
     """
     x = np.asarray(x, dtype=np.float64)
 

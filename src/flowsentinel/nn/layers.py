@@ -6,13 +6,13 @@ Conventions shared by every layer:
   is ``[B, C, L]``, recurrent input is ``[B, T, D]``. Layers do not adapt
   shapes; ``Model._frame`` is the one place that turns feature rows into
   these layouts.
-* ``forward`` caches whatever ``backward`` needs; ``backward`` consumes the
-  cache, accumulates parameter gradients in place (``param.grad += ...``),
-  returns the gradient w.r.t. the layer input, and clears the cache.
-  Calling ``backward`` twice, or before ``forward``, raises
-  :class:`MissingCacheError`.
-* The LSTM caches only in a training forward (``training=True``). An
-  inference forward keeps no cache and drops any earlier one, so a
+* A training forward (``training=True``) caches whatever ``backward``
+  needs; ``backward`` consumes the cache, accumulates parameter gradients in
+  place (``param.grad += ...``), returns the gradient w.r.t. the layer
+  input, and clears the cache. Calling ``backward`` twice, or before a
+  training ``forward``, raises :class:`MissingCacheError`.
+* An inference forward (``training=False``, the default) keeps no cache and
+  drops any earlier one, so it holds no input alive after it returns and a
   ``backward`` after it raises :class:`MissingCacheError`.
 * Weight init is Glorot-uniform, limit sqrt(6 / (fan_in + fan_out)); biases
   start at zero except the LSTM forget gate, which starts at 1.
@@ -108,7 +108,7 @@ class Dense(Layer):
     def forward(self, x, training=False):
         if x.shape[1] != self.in_features:
             raise ShapeMismatchError(f"dense expects {self.in_features} inputs, got {x.shape[1]}")
-        self._cache = x
+        self._cache = x if training else None
         return x @ self.weight.value.T + self.bias.value
 
     def backward(self, grad_out):
@@ -137,7 +137,7 @@ class Conv1D(Layer):
     buffers. The elementwise layers between convolutions keep that layout,
     so they run over rows of length B, and ``g`` reaches the GEMMs without a
     copy. Only ``x`` is cached: backward rebuilds the patches rather than
-    keeping a [C*K, T*B] matrix alive through inference.
+    keeping a [C*K, T*B] matrix alive between the passes.
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int, rng: Rng,
@@ -179,7 +179,7 @@ class Conv1D(Layer):
         t_out = self.output_length(length)
         out = self.weight.value.reshape(self.out_channels, -1) @ self._patches(x)
         out += self.bias.value[:, None]
-        self._cache = x
+        self._cache = x if training else None
         return out.reshape(self.out_channels, t_out, b).transpose(2, 0, 1)
 
     def backward(self, grad_out):
@@ -228,7 +228,7 @@ class MaxPool1D(Layer):
         if self.output_length(length) < 1:
             raise ShapeMismatchError(f"input length {length} < pool size {self.pool_size}")
         out = functools.reduce(np.maximum, self._slices(x))
-        self._cache = (x, out)
+        self._cache = (x, out) if training else None
         return out
 
     def backward(self, grad_out):
@@ -255,7 +255,7 @@ class MaxPool1D(Layer):
 
 class ReLU(Layer):
     def forward(self, x, training=False):
-        self._cache = x > 0
+        self._cache = x > 0 if training else None
         return act.relu(x)
 
     def backward(self, grad_out):
@@ -266,15 +266,15 @@ class Flatten(Layer):
     """[B, C, L] -> [B, C*L] (row-major)."""
 
     def forward(self, x, training=False):
-        self._cache = x.shape
+        self._cache = x.shape if training else None
         return x.reshape(x.shape[0], -1)
 
     def backward(self, grad_out):
         return grad_out.reshape(self._take_cache())
 
 
-# Dropout's cache on the identity path: backward passes the gradient through,
-# and a backward without a forward still finds no cache.
+# Dropout's cache for a training forward at rate 0: backward passes the
+# gradient through, and a backward without a forward still finds no cache.
 _PASS_THROUGH = object()
 
 
@@ -299,7 +299,7 @@ class Dropout(Layer):
 
     def forward(self, x, training=False):
         if not training or self.rate == 0.0:
-            self._cache = _PASS_THROUGH
+            self._cache = _PASS_THROUGH if training else None
             return x
         if self.rng is None:
             raise InvalidRateError("dropout in training mode requires an Rng")
@@ -330,21 +330,28 @@ class LSTM(Layer):
     output or just the final hidden state [B, H].
 
     The passes follow Appleyard et al. (2016). The input part of ``z`` does
-    not depend on ``h``, so forward computes it for every step in one GEMM,
-    ``x[T*B, D] . W[:D] + b``, into a time-major [T, B, 4H] gate buffer; the
-    row blocks ``W[:D]`` and ``W[D:]`` are views of ``W``. Each step then adds
-    one ``h_{t-1} . W[D:]`` and activates its [B, 4H] slice in place
-    (:meth:`_cell`, which :meth:`step` runs too), writing ``c`` and ``h`` into
-    [T+1, B, H] buffers whose row 0 is the zero state. The sequence output is
-    a [B, T, H] view of the ``h`` buffer.
+    not depend on ``h``, so a training forward computes it for every step in
+    one GEMM, ``x[T*B, D] . W[:D] + b``, into a time-major [T, B, 4H] gate
+    buffer; the row blocks ``W[:D]`` and ``W[D:]`` are views of ``W``. Each
+    step then adds one ``h_{t-1} . W[D:]`` and activates its [B, 4H] slice in
+    place (:meth:`_cell`, which :meth:`step` runs too), writing ``c`` and
+    ``h`` into [T+1, B, H] buffers whose row 0 is the zero state. The
+    sequence output is a [B, T, H] view of the ``h`` buffer.
 
-    Only a training forward keeps the buffers for backward; an inference
+    Only a training forward keeps the buffers for backward. An inference
     forward keeps nothing, so a backward after it raises
-    :class:`MissingCacheError`. Backward is full BPTT. It computes the local
-    derivative factors of every step at once, leaves each step one small
-    GEMM, ``dz_t . W[D:]^T``, plus a few elementwise ops, and finishes with
-    one GEMM each for ``dW[:D]``, ``dW[D:]`` and the input gradient over the
-    stacked gate gradients ``dz`` [T*B, 4H].
+    :class:`MissingCacheError`, and it holds one step at a time: each step
+    writes ``x_t . W[:D] + b`` into one reused [B, 4H] gate row, ``c`` lives
+    in two rows used in turn, and so does ``h`` unless ``return_sequences``
+    asks for all of it. The tests check that its output matches the training
+    forward's bit for bit. (A batch of one row keeps the single GEMM, whose
+    rows a one-row product would not match.)
+
+    Backward is full BPTT. It computes the local derivative factors of
+    every step at once, leaves each step one small GEMM, ``dz_t . W[D:]^T``,
+    plus a few elementwise ops, and finishes with one GEMM each for
+    ``dW[:D]``, ``dW[D:]`` and the input gradient over the stacked gate
+    gradients ``dz`` [T*B, 4H].
     """
 
     def __init__(self, input_dim: int, hidden: int, rng: Rng, return_sequences: bool,
@@ -403,21 +410,36 @@ class LSTM(Layer):
         if d != self.input_dim:
             raise ShapeMismatchError(f"lstm expects input dim {self.input_dim}, got {d}")
         h = self.hidden
-        # a view when x is time-major in memory, as an LSTM's sequence output is
-        x_flat = x.transpose(1, 0, 2).reshape(t_steps * b, d)
-        z = x_flat @ self.weight.value[:d]
-        z += self.bias.value
-        z = z.reshape(t_steps, b, 4 * h)
-        cs = np.empty((t_steps + 1, b, h), dtype=z.dtype)
-        hs = np.empty_like(cs)
+        w_x, bias = self.weight.value[:d], self.bias.value
+        # numpy runs a one-row product as GEMV, whose sums may round unlike
+        # the GEMM's, so a one-row batch keeps the hoisted GEMM (its buffers
+        # are small)
+        hoisted = training or b == 1
+        if hoisted:
+            # a view when x is time-major in memory, as an LSTM's sequence output is
+            x_flat = x.transpose(1, 0, 2).reshape(t_steps * b, d)
+            z = x_flat @ w_x
+            z += bias
+            z = z.reshape(t_steps, b, 4 * h)
+            rows = t_steps + 1
+        else:
+            z = np.empty((1, b, 4 * h), dtype=np.result_type(x, w_x))
+            rows = 2
+        # State s of c, tanh(c) and h sits in row s % len(buffer): a buffer of
+        # T+1 rows keeps every step, one of two rows is reused in turn.
+        cs = np.empty((rows, b, h), dtype=z.dtype)
+        tcs = np.empty((rows - 1, b, h), dtype=z.dtype)
+        hs = np.empty((t_steps + 1 if self.return_sequences else rows, b, h), dtype=z.dtype)
         cs[0] = 0
         hs[0] = 0
-        # tanh(c) of every step is kept for backward; inference reuses one row
-        tcs = np.empty((t_steps if training else 1, b, h), dtype=z.dtype)
         for t in range(t_steps):
-            self._cell(z[t], hs[t], cs[t], cs[t + 1], tcs[t if training else 0], hs[t + 1])
+            if not hoisted:
+                np.matmul(x[:, t], w_x, out=z[0])
+                z[0] += bias
+            self._cell(z[t % len(z)], hs[t % len(hs)], cs[t % rows], cs[(t + 1) % rows],
+                       tcs[t % len(tcs)], hs[(t + 1) % len(hs)])
         self._cache = (x_flat, z, cs, tcs, hs) if training else None
-        return hs[1:].transpose(1, 0, 2) if self.return_sequences else hs[-1]
+        return hs[1:].transpose(1, 0, 2) if self.return_sequences else hs[t_steps % len(hs)]
 
     def backward(self, grad_out):
         x_flat, z, cs, tcs, hs = self._take_cache()

@@ -164,7 +164,7 @@ def test_gradient_correctness_full_cnn_composite():
 
         for p in model.parameters():
             p.zero_grad()
-        probs = model.forward(x, training=False)
+        probs = model.forward(x, training=True)  # the CNN has no dropout
         from flowsentinel.nn.losses import binary_logit_grad
 
         model.backward_from_logits(binary_logit_grad(probs, y))

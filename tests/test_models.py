@@ -1,5 +1,7 @@
 """Model construction, shape chain, parameter counts, prediction, FSNN files."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from flowsentinel.data import ClassificationMode, FeatureStats
 from flowsentinel.errors import CorruptModelError, InvalidSpecError, ShapeMismatchError
 from flowsentinel.models import Model, ModelSpec, build, load, save
 from flowsentinel.nn import Conv1D, Dense, MaxPool1D
+from flowsentinel.rng import Rng
 
 
 def spec_of(arch, mode):
@@ -122,6 +125,30 @@ class TestForward:
         model = build(spec_of("cnn", "binary"), seed=0)
         with pytest.raises(ShapeMismatchError):
             model.forward(np_rng.uniform(size=(2, 19)))
+
+    def test_lstm_inference_forward_holds_one_step(self, np_rng):
+        # lstm1 keeps one step of gates and state, not [T, B, 4H] and [T+1, B, H]
+        model = build(spec_of("lstm", "binary"), seed=5)
+        model.bind_dropout_rng(Rng(5))
+        x = np_rng.uniform(size=(4096, 20)).astype(np.float32)
+        model.forward(x[:8], training=True)  # training caches for inference to drop
+        tracemalloc.start()
+        try:
+            model.forward(x, training=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6, f"peak {peak / 1e6:.1f} MB"
+        assert all(layer._cache is None for layer in model.layers)
+
+    @pytest.mark.parametrize("rows", [1, 37, 300])
+    def test_lstm_training_flag_leaves_output_bitwise_equal(self, rows, np_rng):
+        # no dropout, so both forwards compute the same numbers; lstm1 reads
+        # lstm0's time-major sequence through its 64-wide input GEMM
+        model = build(ModelSpec("lstm", ClassificationMode.MULTI, dropout_rate=0.0), seed=6)
+        x = np_rng.uniform(size=(rows, 20)).astype(np.float32)
+        trained = model.forward(x, training=True)
+        assert trained.tobytes() == model.forward(x, training=False).tobytes()
 
 
 class TestPredict:

@@ -94,7 +94,7 @@ class TestConv1DBackward:
     def test_zero_upstream_gradient(self, np_rng):
         conv = make_conv(2, 3, 3)
         x = np_rng.normal(size=(2, 8))
-        out = conv.forward(one(x))
+        out = conv.forward(one(x), training=True)
         w_before = conv.weight.grad.copy()
         grad_in = conv.backward(np.zeros_like(out))
         assert np.allclose(grad_in, 0)
@@ -103,7 +103,7 @@ class TestConv1DBackward:
     def test_identity_kernel_chain_rule(self):
         conv = make_conv(1, 1, 3)
         set_conv(conv, np.array([[[0.0, 1.0, 0.0]]]), np.array([0.0]))
-        conv.forward(one([[1.0, 2.0, 3.0, 4.0]]))
+        conv.forward(one([[1.0, 2.0, 3.0, 4.0]]), training=True)
         grad_in = conv.backward(one([[1.0, 1.0]]))[0]
         assert np.allclose(grad_in, [[0.0, 1.0, 1.0, 0.0]])
 
@@ -111,7 +111,7 @@ class TestConv1DBackward:
         conv = make_conv(1, 1, 3)
         with pytest.raises(MissingCacheError):
             conv.backward(np.ones((1, 2)))
-        conv.forward(one(np.ones((1, 5))))
+        conv.forward(one(np.ones((1, 5))), training=True)
         conv.backward(one(np.ones((1, 3))))
         with pytest.raises(MissingCacheError):  # cache cleared after use
             conv.backward(one(np.ones((1, 3))))
@@ -127,7 +127,7 @@ class TestConv1DBackward:
 
         conv.weight.zero_grad()
         conv.bias.zero_grad()
-        out = conv.forward(x)
+        out = conv.forward(x, training=True)
         grad_x = conv.backward(np.ones_like(out))
         assert max_rel_err(grad_x, central_difference(loss, x)) < 1e-4
         assert max_rel_err(conv.weight.grad, central_difference(loss, conv.weight.value)) < 1e-4
@@ -143,7 +143,7 @@ class TestConv1DBackward:
         # Non-contiguous views of both the input and the upstream gradient.
         x = rng.normal(size=(3, 9, 32)).astype(dtype).transpose(0, 2, 1)
         grad_out = rng.normal(size=(3, 7, 64)).astype(dtype).transpose(0, 2, 1)
-        out = conv.forward(x)
+        out = conv.forward(x, training=True)
         assert out.dtype == dtype
         for b in range(3):
             want = brute_force_conv1d(x[b], conv.weight.value, conv.bias.value)
@@ -165,7 +165,7 @@ class TestMaxPool1D:
 
     def test_tie_break_lower_index(self):
         pool = MaxPool1D(2)
-        out = pool.forward(one([[7.0, 7.0, 7.0, 7.0]]))[0]
+        out = pool.forward(one([[7.0, 7.0, 7.0, 7.0]]), training=True)[0]
         assert np.allclose(out, [[7.0, 7.0]])
         grad_in = pool.backward(one([[1.0, 1.0]]))[0]
         assert np.allclose(grad_in, [[1.0, 0.0, 1.0, 0.0]])
@@ -186,7 +186,7 @@ class TestMaxPool1D:
             [[4, 4, 4, 1, 6, 6, 2, 0, 5, 9, 9]],
             [[0, 0, 0, 3, 2, 3, 7, 7, 1, 8, 8]],
         ], dtype=dtype)
-        out = pool.forward(x)
+        out = pool.forward(x, training=True)
         assert out.dtype == dtype
         assert np.array_equal(out, [[[4, 6, 5]], [[0, 3, 7]]])
         grad_in = pool.backward(np.array([[[1, 2, 3]], [[4, 5, 6]]], dtype=dtype))
@@ -198,13 +198,13 @@ class TestMaxPool1D:
 
     def test_backward_routes_to_argmax(self):
         pool = MaxPool1D(2)
-        pool.forward(one([[1.0, 3.0, 2.0, 5.0]]))
+        pool.forward(one([[1.0, 3.0, 2.0, 5.0]]), training=True)
         grad_in = pool.backward(one([[1.0, 1.0]]))[0]
         assert np.allclose(grad_in, [[0.0, 1.0, 0.0, 1.0]])
 
     def test_backward_zero_is_zero(self):
         pool = MaxPool1D(2)
-        pool.forward(np.ones((2, 3, 6)))
+        pool.forward(np.ones((2, 3, 6)), training=True)
         assert np.allclose(pool.backward(np.zeros((2, 3, 3))), 0)
 
     def test_backward_requires_cache(self):
@@ -221,7 +221,7 @@ class TestMaxPool1D:
         def loss():
             return float(pool.forward(x).sum())
 
-        pool.forward(x)
+        pool.forward(x, training=True)
         grad_x = pool.backward(np.ones((1, 2, 4)))
         assert max_rel_err(grad_x, central_difference(loss, x)) < 1e-4
 
@@ -253,14 +253,14 @@ class TestDense:
         with precision(np.float64):
             layer = Dense(3, 3, Rng(0))
         layer.weight.value[...] = np.eye(3)
-        layer.forward(one([1.0, 2.0, 3.0]))
+        layer.forward(one([1.0, 2.0, 3.0]), training=True)
         g = np.array([0.1, 0.2, 0.3])
         assert np.allclose(layer.backward(one(g))[0], g)
 
     def test_backward_zero_grad(self):
         with precision(np.float64):
             layer = Dense(3, 2, Rng(1))
-        layer.forward(one(np.ones(3)))
+        layer.forward(one(np.ones(3)), training=True)
         assert np.allclose(layer.backward(one(np.zeros(2))), 0)
 
     def test_shape_mismatch(self):
@@ -281,7 +281,7 @@ class TestDense:
 
         layer.weight.zero_grad()
         layer.bias.zero_grad()
-        out = layer.forward(x)
+        out = layer.forward(x, training=True)
         grad_x = layer.backward(np.ones_like(out))
         assert max_rel_err(grad_x, central_difference(loss, x)) < 1e-4
         assert max_rel_err(layer.weight.grad, central_difference(loss, layer.weight.value)) < 1e-4
@@ -292,7 +292,7 @@ class TestFlatten:
     def test_round_trip(self, np_rng):
         flat = Flatten()
         x = np_rng.normal(size=(2, 3, 4))
-        out = flat.forward(x)
+        out = flat.forward(x, training=True)
         assert out.shape == (2, 12)
         back = flat.backward(out)
         assert np.array_equal(back, x)
@@ -303,6 +303,9 @@ class TestDropout:
         layer = Dropout(0.0, Rng(0))
         x = np.ones((4, 4), dtype=np.float32)
         assert np.array_equal(layer.forward(x, training=True), x)
+        assert np.allclose(layer.backward(np.full((4, 4), 3.0)), 3.0)
+        with pytest.raises(MissingCacheError):  # the identity pass is consumed too
+            layer.backward(np.ones((4, 4)))
         assert np.array_equal(layer.forward(x, training=False), x)
 
     def test_inference_is_identity(self):
@@ -352,21 +355,51 @@ class TestDropout:
         grad = layer.backward(np.ones(1000))
         assert np.array_equal(grad, out)  # identical mask and scale
 
-    def test_backward_identity_when_inference(self):
-        layer = Dropout(0.5, Rng(7))
-        with pytest.raises(MissingCacheError):
-            layer.backward(np.ones(10))
-        layer.forward(np.ones(10), training=False)
-        assert np.allclose(layer.backward(np.full(10, 3.0)), 3.0)
-        with pytest.raises(MissingCacheError):  # the identity pass is consumed too
-            layer.backward(np.ones(10))
-
 
 class TestReLULayer:
     def test_forward_backward(self):
         layer = ReLU()
         x = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
-        out = layer.forward(x)
+        out = layer.forward(x, training=True)
         assert np.allclose(out, [0, 0, 0, 1, 2])
         grad = layer.backward(np.ones(5))
         assert np.allclose(grad, [0, 0, 0, 1, 1])
+
+
+# One small float64 input per layer, in the layout the layer takes.
+CACHE_CASES = {
+    "Dense": (lambda: Dense(3, 2, Rng(0), dtype=np.float64), (4, 3)),
+    "Conv1D": (lambda: Conv1D(2, 3, 3, Rng(0), dtype=np.float64), (4, 2, 8)),
+    "MaxPool1D": (lambda: MaxPool1D(2), (4, 2, 8)),
+    "ReLU": (ReLU, (4, 5)),
+    "Flatten": (Flatten, (4, 2, 3)),
+    "Dropout": (lambda: Dropout(0.5, Rng(7)), (4, 5)),
+}
+
+
+class TestCacheContract:
+    """Every layer caches for backward only in a training forward."""
+
+    @pytest.mark.parametrize("kind", CACHE_CASES)
+    def test_backward_after_inference_forward_raises(self, kind, np_rng):
+        make, shape = CACHE_CASES[kind]
+        layer = make()
+        with pytest.raises(MissingCacheError):
+            layer.backward(np.ones(shape))
+        out = layer.forward(np_rng.normal(size=shape), training=False)
+        assert layer._cache is None
+        with pytest.raises(MissingCacheError):
+            layer.backward(np.ones_like(out))
+
+    @pytest.mark.parametrize("kind", CACHE_CASES)
+    def test_inference_forward_drops_training_cache(self, kind, np_rng):
+        make, shape = CACHE_CASES[kind]
+        layer = make()
+        x = np_rng.normal(size=shape)
+        out = layer.forward(x, training=True)
+        assert layer.backward(np.ones_like(out)).shape == shape  # the training cache works
+        layer.forward(x, training=True)
+        layer.forward(x, training=False)
+        assert layer._cache is None
+        with pytest.raises(MissingCacheError):
+            layer.backward(np.ones_like(out))

@@ -107,13 +107,16 @@ class TestForward:
 
     @pytest.mark.parametrize("return_sequences", [True, False])
     def test_training_flag_leaves_output_bitwise_equal(self, return_sequences):
-        with precision(np.float32):
-            lstm = LSTM(3, 16, Rng(2), return_sequences=return_sequences)
-        x = np.random.default_rng(4).normal(size=(5, 20, 3)).astype(np.float32)
-        trained = np.array(lstm.forward(x, training=True))
-        inferred = np.array(lstm.forward(x, training=False))
-        assert trained.dtype == inferred.dtype == np.float32
-        assert trained.tobytes() == inferred.tobytes()
+        # training runs one input GEMM over all steps, inference one per step
+        for dtype in (np.float32, np.float64):
+            with precision(dtype):
+                lstm = LSTM(3, 16, Rng(2), return_sequences=return_sequences)
+            for batch in (1, 37, 4096):
+                x = np.random.default_rng(4).normal(size=(batch, 20, 3)).astype(dtype)
+                trained = np.array(lstm.forward(x, training=True))
+                inferred = np.array(lstm.forward(x, training=False))
+                assert trained.dtype == inferred.dtype == dtype
+                assert trained.tobytes() == inferred.tobytes(), (dtype, batch)
 
     def test_empty_sequence_rejected(self):
         lstm = make_lstm(2, 3)

@@ -52,3 +52,30 @@ def test_traced_select_counts_forest_trees_and_nodes(tmp_path, monkeypatch):
     spans = {name for name, *_ in tracer.spans}
     assert {"features.forest.fit", "features.forest.importance"} <= spans
     assert tracer.consistency_problems() == []
+
+
+def test_traced_lstm_train_evaluate_predict_names_every_layer(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer = importlib.import_module("tracer").Tracer()
+    data = tmp_path / "flows.csv"
+    write_fixture_csv(data, rows=600, seed=4)
+    out = tmp_path / "out"
+    assert cli.main(["ingest", "--data", str(data), "--mode", "binary", "--out", str(out)]) == 0
+    model = str(out / "model.fsnn")
+    ops = [
+        ("cli.train", ["train", "--arch", "lstm", "--epochs", "1", "--out", str(out)]),
+        ("cli.evaluate", ["evaluate", "--model", model, "--out", str(out)]),
+        ("cli.predict", ["predict", "--model", model, "--input", str(data), "--out", str(out)]),
+    ]
+
+    with tracer.installed():
+        codes = []
+        for name, argv in ops:
+            op = tracer.open(name, new_op=True)
+            codes.append(cli.main(argv))
+            tracer.close(op)
+    assert codes == [0, 0, 0]
+    spans = {name for name, *_ in tracer.spans}
+    assert {"training.train", "training.evaluate", "models.forward", "models.predict",
+            "nn.lstm0.forward", "nn.lstm1.forward", "nn.head.forward"} <= spans
+    assert tracer.consistency_problems() == []
