@@ -68,7 +68,7 @@ from .features import (
     select_top_k,
 )
 from .models import ModelSpec, build, load, save
-from .training import INFERENCE_BATCH_ROWS, TrainConfig, evaluate, export_history, train
+from .training import TrainConfig, evaluate, export_history, train
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -76,8 +76,6 @@ EXIT_MISSING_INPUT = 2
 EXIT_SCHEMA = 3
 EXIT_NUMERIC = 4
 EXIT_MODE_MISMATCH = 5
-
-THREADS_ENV = "FLOWSENTINEL_THREADS"
 
 
 @dataclass
@@ -152,25 +150,6 @@ class RunConfig:
             seed=self.seed,
             validation_fraction=self.validation_fraction,
         )
-
-
-def thread_cap() -> int:
-    """Parallelism cap from ``FLOWSENTINEL_THREADS`` (default 1).
-
-    The value is validated and recorded in the run manifest, but it does not
-    yet limit anything: numpy's matrix products run on the BLAS library's own
-    thread pool, which sizes itself from the machine (or from
-    ``OPENBLAS_NUM_THREADS`` / ``OMP_NUM_THREADS``)."""
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ConfigError(f"{THREADS_ENV} must be an integer, got {raw!r}")
-    if cap < 1:
-        raise ConfigError(f"{THREADS_ENV} must be >= 1, got {cap}")
-    return cap
 
 
 def _emit(text: str) -> None:
@@ -348,7 +327,6 @@ def cmd_train(config: RunConfig) -> int:
     manifest = {
         "config": asdict(config),
         "tool_version": __version__,
-        "thread_cap": thread_cap(),
         "cache_sha256": cache_sha256,
         "cache_rows": len(y_train) + len(y_test),
         "train_rows": len(y_train),
@@ -376,24 +354,33 @@ def cmd_train(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_evaluate(config: RunConfig, model_path: str) -> int:
-    out = _out_dir(config)
+def _load_model(model_path: str):
+    """The model at ``model_path``, with the normalizer it was trained under.
+
+    A missing file is a missing input (exit 2); a corrupt file, or one that
+    carries no normalizer to scale inputs with, is a schema error (exit 3).
+    """
     path = Path(model_path)
     if not path.exists():
-        print(f"error: missing model {path}", file=sys.stderr)
-        return EXIT_MISSING_INPUT
+        raise FileNotFoundError(f"missing model {path}")
+    model = load(path)
+    if model.normalizer is None:
+        raise CorruptModelError(f"{path}: model carries no normalizer")
+    return model
+
+
+def cmd_evaluate(config: RunConfig, model_path: str) -> int:
+    out = _out_dir(config)
+    model = _load_model(model_path)
     cache_path = out / "dataset.fsds"
     if not cache_path.exists():
         print(f"error: missing cache {cache_path}", file=sys.stderr)
         return EXIT_MISSING_INPUT
-    model = load(path)
     if "seed" in config.explicit_fields and config.seed != model.rng_seed:
         raise ConfigError(
             f"seed {config.seed} contradicts the split seed {model.rng_seed} recorded in "
-            f"{path}; evaluate scores the rows that training held out"
+            f"{model_path}; evaluate scores the rows that training held out"
         )
-    if model.normalizer is None:
-        raise CorruptModelError(f"{path}: model carries no normalizer")
     cache_mode = (read_meta(cache_path) or {}).get("mode")
     if cache_mode and cache_mode != model.spec.mode.value:
         print(
@@ -414,15 +401,11 @@ def cmd_evaluate(config: RunConfig, model_path: str) -> int:
 
 
 def cmd_predict(config: RunConfig, model_path: str, input_path: str) -> int:
-    path = Path(model_path)
-    if not path.exists():
-        print(f"error: missing model {path}", file=sys.stderr)
-        return EXIT_MISSING_INPUT
+    model = _load_model(model_path)
     source = Path(input_path)
     if not source.exists():
         print(f"error: missing input {source}", file=sys.stderr)
         return EXIT_MISSING_INPUT
-    model = load(path)
     X, _, bad = read_flows(source, model.feature_names or canonical_top20())
     if bad:
         row_id, column, reason = bad[0]
@@ -430,17 +413,15 @@ def cmd_predict(config: RunConfig, model_path: str, input_path: str) -> int:
     if not len(X):
         print(f"error: no rows in {source}", file=sys.stderr)
         return EXIT_MISSING_INPUT
-    if model.normalizer is not None:
-        X = apply_normalizer(X, model.normalizer, scheme=model.normalizer_scheme)
-    X = X.astype(np.float32)
+    X = apply_normalizer(X, model.normalizer, scheme=model.normalizer_scheme).astype(np.float32)
     class_names = model.class_names or [str(i) for i in range(model.spec.mode.class_count)]
     out = _out_dir(config)
     target = out / "predictions.csv"
     with open(target, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["row_id", "predicted_class", "confidence"])
-        for start in range(0, len(X), INFERENCE_BATCH_ROWS):
-            classes, confidences = model.classify(X[start:start + INFERENCE_BATCH_ROWS])
+        for start, probs in model.batches(X):
+            classes, confidences = model.decide(probs)
             writer.writerows(
                 [start + i, class_names[int(klass)], f"{conf:.6f}"]
                 for i, (klass, conf) in enumerate(zip(classes, confidences))
@@ -517,7 +498,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        thread_cap()  # validate the env var before doing any work
         if args.command == "inspect":
             return cmd_inspect(args.model)
         config = RunConfig.load(args)

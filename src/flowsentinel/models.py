@@ -40,6 +40,10 @@ FORMAT_VERSION = 1
 
 ARCHITECTURES = ("cnn", "lstm")
 
+# Rows per inference forward pass when scoring or classifying a whole file;
+# bounds the activations held at once.
+INFERENCE_BATCH_ROWS = 4096
+
 CNN_INPUT_LENGTH = 20
 CNN_CONV_FILTERS = (32, 64)
 CNN_KERNEL_SIZE = 3
@@ -117,8 +121,6 @@ class Model:
 
     def _frame(self, batch: np.ndarray) -> np.ndarray:
         batch = np.asarray(batch)
-        if batch.ndim == 1:
-            batch = batch[None, :]
         if batch.ndim != 2 or batch.shape[1] != self.spec.input_features:
             raise ShapeMismatchError(
                 f"expected [batch, {self.spec.input_features}] input, got {batch.shape}"
@@ -154,13 +156,18 @@ class Model:
             return attack.astype(np.int64), np.where(attack, p, 1.0 - p)
         return np.argmax(probs, axis=1), probs.max(axis=1)
 
-    def classify(self, batch) -> tuple:
-        """(class indices, confidences) from one inference forward pass."""
-        return self.decide(self.forward(batch, training=False))
+    def batches(self, X):
+        """Yield ``(start, probs)`` for each slice of at most
+        ``INFERENCE_BATCH_ROWS`` rows of ``X``, one inference forward each."""
+        for start in range(0, len(X), INFERENCE_BATCH_ROWS):
+            yield start, self.forward(X[start:start + INFERENCE_BATCH_ROWS])
 
-    def predict(self, batch) -> np.ndarray:
-        """Class indices (see :meth:`classify`)."""
-        return self.classify(batch)[0]
+    def predict(self, X) -> np.ndarray:
+        """Class indices of every row of ``X`` (see :meth:`decide`)."""
+        classes = np.empty(len(X), dtype=np.int64)
+        for start, probs in self.batches(X):
+            classes[start:start + len(probs)] = self.decide(probs)[0]
+        return classes
 
 
 def build(spec: ModelSpec, seed: int = 0) -> Model:

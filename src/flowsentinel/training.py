@@ -36,10 +36,6 @@ from .nn.losses import (
 # LSTM trains at 1e-4, the CNN at the common Adam default.
 DEFAULT_LEARNING_RATES = {"cnn": 0.001, "lstm": 0.0001}
 
-# Rows per inference forward pass when scoring or classifying a whole file;
-# bounds the activations held at once.
-INFERENCE_BATCH_ROWS = 4096
-
 
 @dataclass
 class TrainConfig:
@@ -94,29 +90,28 @@ def _check_mode(model: Model, y: np.ndarray) -> None:
         )
 
 
-def _batch_loss_and_grad(model: Model, probs: np.ndarray, y: np.ndarray):
+def _batch_loss(model: Model, probs: np.ndarray, y: np.ndarray) -> float:
     if model.spec.mode is ClassificationMode.BINARY:
-        loss = binary_cross_entropy(probs[:, 0], y)
+        return binary_cross_entropy(probs[:, 0], y)
+    return sparse_categorical_cross_entropy(probs, y)
+
+
+def _logit_grad(model: Model, probs: np.ndarray, y: np.ndarray) -> np.ndarray:
+    if model.spec.mode is ClassificationMode.BINARY:
         grad = binary_logit_grad(probs, y)
     else:
-        loss = sparse_categorical_cross_entropy(probs, y)
         grad = sparse_categorical_logit_grad(probs, y)
-    return loss, grad.astype(probs.dtype, copy=False)
+    return grad.astype(probs.dtype, copy=False)
 
 
-def _batched_eval(model: Model, X: np.ndarray, y: np.ndarray,
-                  batch_size: int = INFERENCE_BATCH_ROWS):
+def _batched_eval(model: Model, X: np.ndarray, y: np.ndarray):
     """(mean loss, accuracy) without touching training state."""
     total_loss = 0.0
     correct = 0
-    for start in range(0, X.shape[0], batch_size):
-        xb = X[start:start + batch_size]
-        yb = y[start:start + batch_size]
-        probs = model.forward(xb, training=False)
-        loss, _ = _batch_loss_and_grad(model, probs, yb)
-        total_loss += loss * xb.shape[0]
-        pred, _ = model.decide(probs)
-        correct += int((pred == yb).sum())
+    for start, probs in model.batches(X):
+        yb = y[start:start + len(probs)]
+        total_loss += _batch_loss(model, probs, yb) * len(probs)
+        correct += int((model.decide(probs)[0] == yb).sum())
     return total_loss / X.shape[0], correct / X.shape[0]
 
 
@@ -159,13 +154,13 @@ def train(model: Model, X: np.ndarray, y: np.ndarray, config: TrainConfig):
             xb, yb = X_tr[rows], y_tr[rows]
             optimizer.zero_grad()
             probs = model.forward(xb, training=True)
-            loss, grad_logits = _batch_loss_and_grad(model, probs, yb)
+            loss = _batch_loss(model, probs, yb)
             if not np.isfinite(loss):
                 raise NonFiniteLossError(
                     f"loss became non-finite in epoch {epoch + 1}; "
                     f"last good epoch: {epoch}"
                 )
-            model.backward_from_logits(grad_logits)
+            model.backward_from_logits(_logit_grad(model, probs, yb))
             optimizer.step()
             epoch_loss += loss * xb.shape[0]
             pred, _ = model.decide(probs)
@@ -309,11 +304,7 @@ def evaluate(model: Model, X_test: np.ndarray, y_test: np.ndarray,
     if class_names is None:
         class_names = [str(i) for i in range(n_classes)]
     confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
-    for start in range(0, X_test.shape[0], INFERENCE_BATCH_ROWS):
-        xb = X_test[start:start + INFERENCE_BATCH_ROWS]
-        yb = y_test[start:start + INFERENCE_BATCH_ROWS]
-        pred = model.predict(xb)
-        np.add.at(confusion, (yb, pred), 1)
+    np.add.at(confusion, (y_test, model.predict(X_test)), 1)
     return metrics_from_confusion(confusion, class_names)
 
 

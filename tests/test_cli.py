@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 import flowsentinel
-from flowsentinel import cli
+from flowsentinel import cli, models
 from flowsentinel.cli import main
-from flowsentinel.data import read_cache, schema, write_fixture_csv
-from flowsentinel.models import load
+from flowsentinel.data import ClassificationMode, read_cache, schema, write_fixture_csv
+from flowsentinel.models import ModelSpec, build, load, save
 
 ROWS = 600  # small but every class keeps >= 2 rows
 
@@ -302,6 +302,26 @@ class TestEvaluateAndPredict:
         direct = [model.class_names[i] for i in model.predict(Xn)]
         assert got == direct
 
+    def test_predict_batch_boundaries_do_not_change_output(self, trained, fixture_csv,
+                                                            monkeypatch):
+        argv = ("predict", "--model", str(trained / "model.fsnn"), "--input", str(fixture_csv),
+                "--out", str(trained))
+        assert run(*argv) == 0
+        one_batch = (trained / "predictions.csv").read_bytes()
+        monkeypatch.setattr(models, "INFERENCE_BATCH_ROWS", 64)  # 600 rows: 9 x 64 + 24
+        assert run(*argv) == 0
+        assert (trained / "predictions.csv").read_bytes() == one_batch
+        row_ids = [line.split(",")[0] for line in one_batch.decode().splitlines()[1:]]
+        assert row_ids == [str(i) for i in range(ROWS)]
+
+    def test_predict_model_without_normalizer_exit_3(self, tmp_path, fixture_csv, capsys):
+        path = tmp_path / "raw.fsnn"
+        save(build(ModelSpec("cnn", ClassificationMode.BINARY), seed=0), path)
+        out = tmp_path / "pred"
+        code = run("predict", "--model", str(path), "--input", str(fixture_csv), "--out", str(out))
+        assert code == 3
+        assert "normalizer" in capsys.readouterr().err
+        assert not (out / "predictions.csv").exists()
 
     def test_evaluate_scores_the_training_split(self, tmp_path):
         # A 34-class, one-epoch model: accuracy differs between splits, so a
@@ -448,12 +468,6 @@ class TestInspectAndConfig:
         assert run("ingest", "--config", str(config), "--data", "x.csv",
                    "--out", str(tmp_path)) == 1
         assert "modee" in capsys.readouterr().err
-
-    def test_threads_env_validated(self, workdir, monkeypatch, capsys):
-        monkeypatch.setenv("FLOWSENTINEL_THREADS", "zero")
-        assert run("select", "--out", str(workdir)) == 1
-        monkeypatch.setenv("FLOWSENTINEL_THREADS", "4")
-        assert run("select", "--out", str(workdir)) == 0
 
     def test_manifest_replay_reproduces_metrics(self, workdir):
         assert run("train", "--arch", "cnn", "--mode", "binary", "--epochs", "2",

@@ -125,6 +125,8 @@ class TestForward:
         model = build(spec_of("cnn", "binary"), seed=0)
         with pytest.raises(ShapeMismatchError):
             model.forward(np_rng.uniform(size=(2, 19)))
+        with pytest.raises(ShapeMismatchError):
+            model.forward(np_rng.uniform(size=20))  # a bare feature vector is not a batch
 
     def test_lstm_inference_forward_holds_one_step(self, np_rng):
         # lstm1 keeps one step of gates and state, not [T, B, 4H] and [T+1, B, H]

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from flowsentinel import models
 from flowsentinel.data import ClassificationMode
 from flowsentinel.errors import ConfigError, EmptyInputError, ModeMismatchError
-from flowsentinel.models import ModelSpec, build
+from flowsentinel.models import Model, ModelSpec, build
 from flowsentinel.training import (
     TrainConfig,
+    _batched_eval,
     evaluate,
     export_history,
     metrics_from_confusion,
@@ -163,6 +165,38 @@ class TestMetrics:
         text = report.to_text()
         assert "accuracy: 0.8500" in text
         assert "macro" in text and "weighted" in text
+
+
+@pytest.mark.parametrize("arch,mode", [("cnn", "multi"), ("lstm", "binary")])
+def test_batch_boundaries_do_not_change_results(arch, mode, monkeypatch):
+    model = build(ModelSpec(arch, ClassificationMode(mode)), seed=3)
+    rng = np.random.default_rng(8)
+    X = rng.uniform(size=(20, 20)).astype(np.float32)
+    y = rng.integers(0, model.spec.mode.class_count, size=20)
+    if mode == "binary":  # centre the head's logit so that both classes occur
+        p = np.median(model.forward(X)[:, 0])
+        model.layers[-1].bias.value -= np.log(p / (1.0 - p))
+    pred = model.predict(X)
+    assert len(np.unique(pred)) > 1
+    confusion = evaluate(model, X, y).confusion
+    loss, acc = _batched_eval(model, X, y)
+
+    rows = []
+    forward = Model.forward
+
+    def counted(self, batch, training=False):
+        rows.append(len(batch))
+        return forward(self, batch, training)
+
+    monkeypatch.setattr(Model, "forward", counted)
+    monkeypatch.setattr(models, "INFERENCE_BATCH_ROWS", 7)
+    assert np.array_equal(model.predict(X), pred)
+    assert rows == [7, 7, 6]
+    assert np.array_equal(evaluate(model, X, y).confusion, confusion)
+    split_loss, split_acc = _batched_eval(model, X, y)
+    assert split_acc == acc
+    assert split_loss == pytest.approx(loss, abs=1e-6)
+    assert rows == [7, 7, 6] * 3
 
 
 class TestExportHistory:
