@@ -9,10 +9,11 @@ Exit codes are a stable contract:
     0  success
     1  configuration error (including a ``select --top-k`` above the cache's
        column count)
-    2  missing input (file, cache, or model not found / empty, or a class
-       with fewer than two rows to split)
-    3  schema error (missing column, corrupt cache or model file, or a
-       predict input row with a non-numeric, NaN or infinite feature)
+    2  missing input (file, cache, or model not found / empty, a directory
+       where a file is expected, or a class with fewer than two rows to split)
+    3  schema error (missing column, an input CSV that is not UTF-8, corrupt
+       cache or model file, or a predict input row with a non-numeric, NaN or
+       infinite feature)
     4  numeric failure (non-finite loss or gradient)
     5  classification-mode mismatch between artifacts
 """
@@ -51,6 +52,7 @@ from .errors import (
     CorruptCacheError,
     CorruptModelError,
     EmptyInputError,
+    InputEncodingError,
     InvalidRowError,
     InvalidSpecError,
     KTooLargeError,
@@ -515,10 +517,11 @@ def main(argv=None) -> int:
     except (ConfigError, InvalidSpecError, KTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (FileNotFoundError, EmptyInputError, ClassTooSmallError) as exc:
+    except (FileNotFoundError, IsADirectoryError, EmptyInputError, ClassTooSmallError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING_INPUT
-    except (MissingColumnError, InvalidRowError, CorruptCacheError, CorruptModelError) as exc:
+    except (MissingColumnError, InputEncodingError, InvalidRowError, CorruptCacheError,
+            CorruptModelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     except (NonFiniteLossError, NonFiniteGradientError) as exc:

@@ -1,6 +1,11 @@
 """Flow-CSV reading: ``read_flows`` is the one reader for ``ingest`` (through
 ``load_csv``, which drops and counts bad rows) and ``predict`` (which refuses
-its input at the first bad row); ``parse_value`` is the one rule for a cell."""
+its input at the first bad row); ``parse_value`` is the one rule for a cell.
+
+Blocks of lines that numpy's C tokenizer parses whole are taken from it: it
+accepts a subset of what ``float()`` accepts, to the same bits. The blocks it
+rejects, and the rest of a file from its first ``"`` on (a quoted cell may
+span lines), go through ``csv.reader`` and ``parse_value`` cell by cell."""
 
 from __future__ import annotations
 
@@ -13,10 +18,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import EmptyInputError, MissingColumnError
+from ..errors import EmptyInputError, InputEncodingError, MissingColumnError
 from . import schema
 
-CHUNK_ROWS = 512  # rows held as strings at once while parsing
+CHUNK_ROWS = 64  # lines parsed at once: a block numpy rejects is parsed again, cell by cell
+# ASCII separators numpy's tokenizer strips around a number and float() rejects
+_UNVOUCHED = "\x1c\x1d\x1e\x1f"
 
 
 @dataclass
@@ -60,6 +67,26 @@ def parse_value(text: str):
     return value, None
 
 
+def _tokenized(lines, usecols):
+    """The ``usecols`` cells of non-blank ``lines`` without ``"``, parsed by
+    numpy's C tokenizer, or None where it cannot vouch for every line."""
+    text = "".join(lines)
+    if any(separator in text for separator in _UNVOUCHED):
+        return None
+    try:
+        block = np.loadtxt(lines, delimiter=",", usecols=usecols, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return block if len(block) == len(lines) else None
+
+
+def _decoded(fh, path):
+    try:
+        yield from fh
+    except UnicodeDecodeError as exc:
+        raise InputEncodingError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def read_flows(path, feature_columns, label_column=None):
     """One flow CSV as ``(X, labels, bad)``, columns matched by header name.
 
@@ -70,11 +97,12 @@ def read_flows(path, feature_columns, label_column=None):
     reason of the first feature, in the given order, that is not a finite
     number (a cell missing from a short row is ``non_numeric``). ``row_id``
     counts non-blank data lines from 0. A missing column raises
-    MissingColumnError.
+    MissingColumnError, and a file that is not UTF-8 InputEncodingError.
     """
     features = list(feature_columns)
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        lines = _decoded(fh, path)
+        reader = csv.reader(lines)
         header = next(reader, [])
         for column in features + ([label_column] if label_column is not None else []):
             if column not in header:
@@ -86,29 +114,56 @@ def read_flows(path, feature_columns, label_column=None):
         def cell(row, i):
             return row[i] if i < len(row) else None
 
+        def label_of(row):
+            return (cell(row, label_at) or "").strip()
+
         def fault(row):
-            if label_at is not None and not (cell(row, label_at) or "").strip():
+            if label_at is not None and not label_of(row):
                 return label_column, "empty_label"
             return next((column, reason) for column, i in zip(features, at)
                         if (reason := parse_value(cell(row, i))[1]))
 
+        def label_in(line):  # label_of for a line without '"', which csv.reader splits at ','
+            if line.count(",") == len(header) - 1:  # as wide as the header: split from the right
+                return line.rsplit(",", len(header) - label_at)[label_at - len(header)].strip()
+            return label_of(line.split(",", label_at + 1))
+
         blocks, labels, bad = [], [], []
-        rows = filter(None, reader)  # csv.reader yields [] for a blank line
-        while chunk := list(itertools.islice(rows, CHUNK_ROWS)):
-            block = np.empty((len(chunk), len(at)))
-            for i, row in enumerate(chunk):
+        done = 0
+
+        def add(block, block_labels, cells_of):  # cells_of(i): the block's row i as csv cells
+            nonlocal done
+            suspect = ~np.isfinite(block).all(axis=1)
+            if label_at is not None:
+                suspect |= np.array([not text for text in block_labels], dtype=bool)
+                labels.extend(block_labels)
+            bad.extend((done + i, *fault(cells_of(i))) for i in np.flatnonzero(suspect).tolist())
+            blocks.append(block)
+            done += len(block)
+
+        def per_cell(rows):
+            block = np.empty((len(rows), len(at)))
+            for i, row in enumerate(rows):
                 try:
                     block[i] = pick(row)  # numpy converts each string with float()
                 except (IndexError, ValueError):
                     block[i] = np.nan
-            suspect = ~np.isfinite(block).all(axis=1)
-            if label_at is not None:
-                chunk_labels = [(cell(row, label_at) or "").strip() for row in chunk]
-                suspect |= np.array([not text for text in chunk_labels], dtype=bool)
-                labels += chunk_labels
-            first = len(blocks) * CHUNK_ROWS
-            bad += [(first + i, *fault(chunk[i])) for i in np.flatnonzero(suspect).tolist()]
-            blocks.append(block)
+            add(block, [label_of(row) for row in rows] if label_at is not None else None,
+                rows.__getitem__)
+
+        while block_lines := list(itertools.islice(lines, CHUNK_ROWS)):
+            if any('"' in line for line in block_lines):  # a quoted cell may span lines
+                # csv.reader reads the rest of the file, and yields [] for a blank line
+                rows = filter(None, csv.reader(itertools.chain(block_lines, lines)))
+                while chunk := list(itertools.islice(rows, CHUNK_ROWS)):
+                    per_cell(chunk)
+                break
+            block_lines = [line for line in block_lines if line.rstrip("\r\n")]
+            if block_lines and (block := _tokenized(block_lines, at)) is not None:
+                add(block, [label_in(line) for line in block_lines] if label_at is not None
+                    else None, lambda i: next(csv.reader([block_lines[i]])))
+            else:
+                per_cell(list(csv.reader(block_lines)))
     X = np.concatenate(blocks) if blocks else np.empty((0, len(at)))
     return X, (labels if label_at is not None else None), bad
 
@@ -131,7 +186,8 @@ def load_csv(paths, feature_columns=schema.FEATURE_COLUMNS, label_column=schema.
             keep[row_id] = False
             report.drop(reason)
         report.rows_read += len(X)
-        blocks.append(X[keep])
+        X = X[keep]  # the unfiltered rows are freed before the next file or the concatenation
+        blocks.append(X)
         labels += itertools.compress(file_labels, keep)
     report.rows_retained = len(labels)
     report.label_histogram = dict(Counter(labels))

@@ -51,6 +51,10 @@ class MissingColumnError(FlowSentinelError):
         super().__init__(f"missing column {column!r}{where}")
 
 
+class InputEncodingError(FlowSentinelError):
+    """An input CSV is not valid UTF-8 text."""
+
+
 class InvalidRowError(FlowSentinelError):
     """An input row to classify has a non-numeric, NaN or infinite feature."""
 

@@ -40,6 +40,19 @@ def run(*argv):
     return main(list(argv))
 
 
+def cli_env():
+    """The environment for a ``python -m flowsentinel.cli`` child of this tree."""
+    src = str(Path(flowsentinel.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
+# predict input cells that stop predict, with the reason it names (None: a
+# row cut short before the cell)
+BAD_CELL_REASONS = {"nan": "nan", "inf": "inf", "n/a": "non_numeric", None: "non_numeric",
+                    "2.0#x": "non_numeric", "1e400": "inf"}
+
+
 class TestIngest:
     def test_empty_directory_exit_2(self, tmp_path, capsys):
         code = run("ingest", "--data", str(tmp_path), "--out", str(tmp_path / "out"))
@@ -344,13 +357,15 @@ class TestEvaluateAndPredict:
         assert run("evaluate", "--model", str(out / "model.fsnn"), "--seed", "8",
                    "--out", str(out)) == 1
 
-    @pytest.mark.parametrize("cell", ["nan", "inf", "n/a", None])
+    @pytest.mark.parametrize("cell", list(BAD_CELL_REASONS))
     def test_predict_bad_cell_exit_3_writes_nothing(self, trained, tmp_path, fixture_csv,
                                                     capsys, cell):
         model = load(trained / "model.fsnn")
         lines = fixture_csv.read_text().strip().split("\n")[:6]
         header = lines[0].split(",")
-        column = model.feature_names[3]
+        # the model's last feature in the file: a '#' there would end the row
+        # early for a tokenizer that reads comments, and the row would parse
+        column = max(model.feature_names, key=header.index)
         cells = lines[3].split(",")
         if cell is None:  # a truncated row, short of the feature's column
             cells = cells[:header.index(column)]
@@ -364,20 +379,17 @@ class TestEvaluateAndPredict:
                    "--input", str(bad), "--out", str(out))
         assert code == 3
         err = capsys.readouterr().err
-        assert "row_id 2" in err and repr(column) in err
+        assert f"row_id 2, column {column!r}: {BAD_CELL_REASONS[cell]}" in err
         assert not (out / "predictions.csv").exists()
 
     def test_closed_stdout_no_traceback(self, trained):
         read_end, write_end = os.pipe()
         os.close(read_end)  # the reader is gone before the command prints
-        src = str(Path(flowsentinel.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
         try:
             proc = subprocess.run(
                 [sys.executable, "-m", "flowsentinel.cli", "evaluate",
                  "--model", str(trained / "model.fsnn"), "--out", str(trained)],
-                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+                stdout=write_end, stderr=subprocess.PIPE, env=cli_env(), timeout=120,
             )
         finally:
             os.close(write_end)
@@ -439,6 +451,51 @@ class TestIngestAndPredictAgree:
             X, _, names, _, _ = read_cache(out / "dataset.fsds")
             assert X[2, names.index(column)] == float(cell)
             assert len((pred / "predictions.csv").read_text().strip().split("\n")) == 6
+
+
+class TestNoTraceback:
+    """Inputs of the wrong kind end in a documented exit code and a one-line
+    ``error:``, not a Python traceback."""
+
+    @staticmethod
+    def not_utf8(tmp_path, fixture_csv):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(fixture_csv.read_bytes().replace(b"BenignTraffic", b"B\xe9nign", 1))
+        return path
+
+    @pytest.mark.parametrize("case,code", [
+        ("predict --input a directory", 2),
+        ("predict --model a directory", 2),
+        ("predict a file that is not UTF-8", 3),
+        ("ingest a file that is not UTF-8", 3),
+    ])
+    def test_exit_code(self, binary_model, tmp_path, fixture_csv, capsys, case, code):
+        model, data = binary_model, fixture_csv
+        if "not UTF-8" in case:
+            data = self.not_utf8(tmp_path, fixture_csv)
+        elif "--input" in case:
+            data = tmp_path
+        else:
+            model = tmp_path
+        out = tmp_path / "out"
+        argv = (["ingest", "--data", str(data)] if case.startswith("ingest")
+                else ["predict", "--model", str(model), "--input", str(data)])
+        assert run(*argv, "--out", str(out)) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+        if "not UTF-8" in case:
+            assert str(data) in err and "UTF-8" in err
+        assert not (out / "predictions.csv").exists() and not (out / "dataset.fsds").exists()
+
+    def test_not_utf8_in_a_process(self, binary_model, tmp_path, fixture_csv):
+        data = self.not_utf8(tmp_path, fixture_csv)
+        proc = subprocess.run(
+            [sys.executable, "-m", "flowsentinel.cli", "predict", "--model", str(binary_model),
+             "--input", str(data), "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=cli_env(), timeout=120,
+        )
+        assert proc.returncode == 3
+        assert proc.stderr == f"error: {data}: not UTF-8 text (invalid continuation byte)\n"
 
 
 class TestInspectAndConfig:

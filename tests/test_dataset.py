@@ -152,6 +152,67 @@ class TestLoadCsv:
                        (3, "Max", "non_numeric")]
 
 
+# Cells numpy's tokenizer reads as float() does, and cells it rejects, some
+# of which float() accepts.
+READ_CELLS = ["\xa01.5", "-Infinity", "1e400", "1e-400", "nan", "-nan", " 2.5 ", "7"]
+REJECTED_CELLS = ["1_000", "\u0661\u0662", "2.0#x", "0x10", "1d5", "nan(1)", "", "   ", "1.5 2",
+                  "\x1c1"]
+
+
+def edge_corpus(header, quoted):
+    """Flow-CSV text over ``header``: runs of lines the tokenizer reads (edge
+    cells, empty labels, long rows, blank lines) longer than a default block,
+    around rejected cells, short rows and whitespace-only lines, with all
+    three line ends; ``quoted`` adds quoted cells, one holding a comma and a
+    newline, before the last run."""
+    def row(label="XSS", **cells):
+        values = {name: f"{k}.25" for k, name in enumerate(header)}
+        values.update(cells, label=label)
+        return ",".join(values[name] for name in header)
+
+    def rows(cells):
+        return [row(**{("Rate", "Max", "Srate")[k % 3]: text}, label=f" DoS-{k} ")
+                for k, text in enumerate(cells)]
+
+    read = rows(READ_CELLS) + [row(label=""), row(label="   "), row() + ",9,x", "", "", ""]
+    rejected = rows(REJECTED_CELLS) + ["   ", "\t"]
+    rejected += [row().rsplit(",", cut)[0] for cut in range(1, len(header))]  # short rows
+    tail = [row(Rate='"1.5"'), row(label='"a,\nb"')] if quoted else []
+    lines = read * 6 + rejected + read * 6 + tail + read * 2
+    ends = ["\n", "\r", "\r\n"]  # so that no blank line merges into the line before it
+    return ",".join(header) + "\n" + "".join(line + ends[k % 3] for k, line in enumerate(lines))
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 3, ingest.CHUNK_ROWS])
+@pytest.mark.parametrize("quoted", [False, True])
+@pytest.mark.parametrize("header", [["id", "Rate", "Srate", "label", "Max"],
+                                    ["Max", "Srate", "id", "Rate", "label"],
+                                    ["label", "Rate", "Max", "Srate"]])
+def test_read_flows_matches_the_per_cell_path(tmp_path, monkeypatch, chunk_rows, quoted, header):
+    """Blocks numpy's tokenizer parses give the bits, labels and bad rows of
+    the per-cell path (``csv.reader`` and ``parse_value``) on every input."""
+    monkeypatch.setattr(ingest, "CHUNK_ROWS", chunk_rows)
+    p = tmp_path / "edge.csv"
+    p.write_bytes(edge_corpus(header, quoted).encode("utf-8"))
+    tokenized, parsed = ingest._tokenized, []
+
+    def spy(lines, usecols):
+        block = tokenized(lines, usecols)
+        parsed.append(0 if block is None else len(block))
+        return block
+
+    features = ["Max", "Rate", "Srate"]
+    for label in ("label", None):
+        monkeypatch.setattr(ingest, "_tokenized", spy)
+        fast = read_flows(p, features, label)
+        monkeypatch.setattr(ingest, "_tokenized", lambda lines, usecols: None)
+        slow = read_flows(p, features, label)
+        assert fast[0].view(np.uint64).tolist() == slow[0].view(np.uint64).tolist()
+        assert fast[1] == slow[1] and fast[2] == slow[2]
+        assert sum(parsed) > len(READ_CELLS) + 3  # the tokenizer read a whole block
+        parsed.clear()
+
+
 class TestVocabulary:
     def test_binary_mapping(self):
         vocab = build_vocabulary(ClassificationMode.BINARY)
