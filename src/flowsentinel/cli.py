@@ -7,10 +7,10 @@ and seeds, and ``train`` writes a manifest sufficient to replay the run.
 Exit codes are a stable contract:
 
     0  success
-    1  configuration error (including a ``select --top-k`` above the cache's
-       column count)
-    2  missing input (file, cache, or model not found / empty, a directory
-       where a file is expected, or a class with fewer than two rows to split)
+    1  configuration error (a config value of the wrong type, or a ``select
+       --top-k`` above the cache's column count)
+    2  missing input (file, cache, or model not found / empty, a file where a
+       directory is expected or the reverse, a class with < 2 rows to split)
     3  schema error (missing column, an input CSV that is not UTF-8, corrupt
        cache or model file, or a predict input row with a non-numeric, NaN or
        infinite feature)
@@ -107,13 +107,13 @@ class RunConfig:
         config_path = getattr(args, "config", None)
         if config_path:
             try:
-                values.update(json.loads(Path(config_path).read_text(encoding="utf-8")))
-            except FileNotFoundError:
-                raise
-            except json.JSONDecodeError as exc:
+                values = json.loads(Path(config_path).read_text(encoding="utf-8"))
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise ConfigError(f"invalid JSON in {config_path}: {exc}") from exc
-        if "config" in values and "tool_version" in values:
+        if isinstance(values, dict) and "config" in values and "tool_version" in values:
             values = values["config"]  # a run manifest: replay its resolved config
+        if not isinstance(values, dict):
+            raise ConfigError(f"{config_path} does not hold a JSON object")
         known = set(cls.__dataclass_fields__)
         unknown = set(values) - known
         if unknown:
@@ -130,6 +130,17 @@ class RunConfig:
         return config
 
     def validate(self) -> None:
+        admits = {"bool": bool, "int": int, "float": (int, float), "str": str, "list": list}
+        for name, spec in self.__dataclass_fields__.items():
+            value = getattr(self, name)
+            kind = spec.type.split(" | ")[0]  # the annotation's text: "int", "str | None", ...
+            if value is None and spec.default is None:
+                continue
+            # a bool is not a number (though Python's bool is an int)
+            if (isinstance(value, bool) and kind != "bool") or not isinstance(value, admits[kind]):
+                raise ConfigError(f"{name} must be of type {kind}, got {value!r}")
+        if self.data is not None and not all(isinstance(entry, str) for entry in self.data):
+            raise ConfigError(f"data must be a list of paths, got {self.data!r}")
         if self.mode not in ("binary", "grouped", "multi"):
             raise ConfigError(f"mode must be binary|grouped|multi, got {self.mode!r}")
         if self.arch not in ("cnn", "lstm"):
@@ -180,7 +191,10 @@ def _collect_csvs(entries) -> list:
 
 def _out_dir(config: RunConfig) -> Path:
     out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except FileExistsError:
+        raise NotADirectoryError(f"--out {out} is a file, not a directory") from None
     return out
 
 
@@ -202,8 +216,7 @@ def _feature_list(config: RunConfig, out: Path) -> list:
 def cmd_ingest(config: RunConfig) -> int:
     paths = _collect_csvs(config.data)
     if not paths:
-        print("error: no input files", file=sys.stderr)
-        return EXIT_MISSING_INPUT
+        raise EmptyInputError("no input files")
     out = _out_dir(config)
     mode = ClassificationMode(config.mode)
     (X, labels), report = load_csv(paths)
@@ -246,8 +259,7 @@ def cmd_select(config: RunConfig) -> int:
     if config.recompute_importance:
         cache_path = out / "dataset.fsds"
         if not cache_path.exists():
-            print(f"error: missing cache {cache_path}", file=sys.stderr)
-            return EXIT_MISSING_INPUT
+            raise FileNotFoundError(f"missing cache {cache_path}")
         X, y, names, meta, _ = read_cache(cache_path)
         if config.top_k > len(names):
             raise KTooLargeError(f"top_k={config.top_k} exceeds the cache's {len(names)} columns")
@@ -267,9 +279,8 @@ def cmd_select(config: RunConfig) -> int:
     else:
         top = canonical_top20()[: config.top_k] if config.top_k <= 20 else None
         if top is None:
-            print("error: canonical list has 20 features; use --recompute-importance "
-                  "for larger top_k", file=sys.stderr)
-            return EXIT_CONFIG
+            raise ConfigError("canonical list has 20 features; use --recompute-importance "
+                              "for larger top_k")
     features_path.write_text("".join(name + "\n" for name in top), encoding="utf-8")
     _emit(f"wrote {features_path} ({len(top)} features)")
     return EXIT_OK
@@ -296,8 +307,7 @@ def cmd_train(config: RunConfig) -> int:
     out = _out_dir(config)
     cache_path = out / "dataset.fsds"
     if not cache_path.exists():
-        print(f"error: missing cache {cache_path}", file=sys.stderr)
-        return EXIT_MISSING_INPUT
+        raise FileNotFoundError(f"missing cache {cache_path}")
     feature_names = _feature_list(config, out)
     cache_mode = (read_meta(cache_path) or {}).get("mode")
     if cache_mode and cache_mode != config.mode:
@@ -376,8 +386,7 @@ def cmd_evaluate(config: RunConfig, model_path: str) -> int:
     model = _load_model(model_path)
     cache_path = out / "dataset.fsds"
     if not cache_path.exists():
-        print(f"error: missing cache {cache_path}", file=sys.stderr)
-        return EXIT_MISSING_INPUT
+        raise FileNotFoundError(f"missing cache {cache_path}")
     if "seed" in config.explicit_fields and config.seed != model.rng_seed:
         raise ConfigError(
             f"seed {config.seed} contradicts the split seed {model.rng_seed} recorded in "
@@ -385,11 +394,7 @@ def cmd_evaluate(config: RunConfig, model_path: str) -> int:
         )
     cache_mode = (read_meta(cache_path) or {}).get("mode")
     if cache_mode and cache_mode != model.spec.mode.value:
-        print(
-            f"error: model mode {model.spec.mode.value!r} != cache mode {cache_mode!r}",
-            file=sys.stderr,
-        )
-        return EXIT_MODE_MISMATCH
+        raise ModeMismatchError(f"model mode {model.spec.mode.value!r} != cache mode {cache_mode!r}")
     _, (X_test, y_test), _, _ = _load_split(
         cache_path, model.feature_names or canonical_top20(), model.rng_seed, config.split_fraction
     )
@@ -406,15 +411,13 @@ def cmd_predict(config: RunConfig, model_path: str, input_path: str) -> int:
     model = _load_model(model_path)
     source = Path(input_path)
     if not source.exists():
-        print(f"error: missing input {source}", file=sys.stderr)
-        return EXIT_MISSING_INPUT
+        raise FileNotFoundError(f"missing input {source}")
     X, _, bad = read_flows(source, model.feature_names or canonical_top20())
     if bad:
         row_id, column, reason = bad[0]
         raise InvalidRowError(f"{source}: row_id {row_id}, column {column!r}: {reason}")
     if not len(X):
-        print(f"error: no rows in {source}", file=sys.stderr)
-        return EXIT_MISSING_INPUT
+        raise EmptyInputError(f"no rows in {source}")
     X = apply_normalizer(X, model.normalizer, scheme=model.normalizer_scheme).astype(np.float32)
     class_names = model.class_names or [str(i) for i in range(model.spec.mode.class_count)]
     out = _out_dir(config)
@@ -435,8 +438,7 @@ def cmd_predict(config: RunConfig, model_path: str, input_path: str) -> int:
 def cmd_inspect(model_path: str) -> int:
     path = Path(model_path)
     if not path.exists():
-        print(f"error: missing model {path}", file=sys.stderr)
-        return EXIT_MISSING_INPUT
+        raise FileNotFoundError(f"missing model {path}")
     model = load(path)
     info = {
         "spec": model.spec.to_dict(),
@@ -517,7 +519,8 @@ def main(argv=None) -> int:
     except (ConfigError, InvalidSpecError, KTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (FileNotFoundError, IsADirectoryError, EmptyInputError, ClassTooSmallError) as exc:
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError, EmptyInputError,
+            ClassTooSmallError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING_INPUT
     except (MissingColumnError, InputEncodingError, InvalidRowError, CorruptCacheError,

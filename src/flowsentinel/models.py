@@ -112,7 +112,7 @@ class Model:
         return params
 
     def parameter_count(self) -> int:
-        return sum(p.size for p in self.parameters())
+        return sum(p.value.size for p in self.parameters())
 
     def bind_dropout_rng(self, rng: Rng) -> None:
         for layer in self.layers:

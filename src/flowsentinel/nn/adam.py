@@ -1,14 +1,15 @@
-"""Adam optimizer with bias-corrected first and second moments.
+"""Adam (Kingma & Ba, ICLR 2015) over one flat parameter arena.
 
-Per step t (1-based), for each parameter with gradient g:
+Per step t (1-based), for every parameter value with gradient g:
 
-    m <- beta1 * m + (1 - beta1) * g
-    v <- beta2 * v + (1 - beta2) * g^2
-    m_hat = m / (1 - beta1^t)
-    v_hat = v / (1 - beta2^t)
-    value <- value - lr * m_hat / (sqrt(v_hat) + eps)
+    m <- BETA1 * m + (1 - BETA1) * g
+    v <- BETA2 * v + (1 - BETA2) * g^2
+    value <- value - lr * (m / (1 - BETA1^t)) / (sqrt(v / (1 - BETA2^t)) + EPS)
 
-Moments live on the Parameter objects and are zero before the first step.
+Adam owns flat ``value``, ``grad``, ``m`` and ``v`` vectors; each
+parameter's ``value`` and ``grad`` become views of its slice, in the order
+given. A step checks that no gradient is NaN or Inf, then runs each ufunc
+once over the whole arena, into preallocated scratch vectors.
 """
 
 from __future__ import annotations
@@ -17,33 +18,44 @@ import numpy as np
 
 from ..errors import NonFiniteGradientError
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 class Adam:
-    def __init__(self, parameters, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
+    def __init__(self, parameters, lr: float):
         self.parameters = list(parameters)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
+        self.offsets = np.cumsum([0] + [p.value.size for p in self.parameters])
+        n, dtype = self.offsets[-1], self.parameters[0].value.dtype
+        self.value, self.grad, self.m, self.v, self._a, self._b = (np.zeros(n, dtype) for _ in range(6))
+        self._finite = np.empty(n, dtype=bool)
+        for p, start, end in zip(self.parameters, self.offsets, self.offsets[1:]):
+            self.value[start:end] = p.value.ravel()
+            self.grad[start:end] = p.grad.ravel()
+            p.value = self.value[start:end].reshape(p.value.shape)
+            p.grad = self.grad[start:end].reshape(p.grad.shape)
 
     def zero_grad(self) -> None:
-        for p in self.parameters:
-            p.zero_grad()
+        self.grad.fill(0)
 
     def step(self) -> None:
+        if not np.isfinite(self.grad, out=self._finite).all():
+            first = np.argmin(self._finite)  # the first non-finite entry
+            p = self.parameters[np.searchsorted(self.offsets, first, side="right") - 1]
+            raise NonFiniteGradientError(f"non-finite gradient in {p.name}")
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
-        for p in self.parameters:
-            g = p.grad
-            if not np.all(np.isfinite(g)):
-                raise NonFiniteGradientError(f"non-finite gradient in {p.name}")
-            p.adam_m *= self.beta1
-            p.adam_m += (1.0 - self.beta1) * g
-            p.adam_v *= self.beta2
-            p.adam_v += (1.0 - self.beta2) * (g * g)
-            m_hat = p.adam_m / bc1
-            v_hat = p.adam_v / bc2
-            p.value -= (self.lr * m_hat / (np.sqrt(v_hat) + self.eps)).astype(p.value.dtype, copy=False)
+        g, m, v, a, b = self.grad, self.m, self.v, self._a, self._b
+        m *= BETA1
+        m += np.multiply(g, 1.0 - BETA1, out=a)
+        v *= BETA2
+        v += np.multiply(np.multiply(g, g, out=a), 1.0 - BETA2, out=a)
+        np.divide(m, 1.0 - BETA1 ** self.t, out=a)  # m_hat
+        a *= self.lr
+        np.divide(v, 1.0 - BETA2 ** self.t, out=b)  # v_hat
+        np.sqrt(b, out=b)
+        b += EPS
+        a /= b
+        self.value -= a

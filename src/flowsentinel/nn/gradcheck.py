@@ -76,7 +76,7 @@ def check_layer(layer, x: np.ndarray, h: float = 1e-5, training: bool = True) ->
         return float(np.sum(layer.forward(x, training=training)))
 
     for p in layer.parameters():
-        p.zero_grad()
+        p.grad.fill(0)
     out = layer.forward(x, training=training)
     grad_x = layer.backward(np.ones_like(out))
 

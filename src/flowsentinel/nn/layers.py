@@ -38,33 +38,17 @@ from .tensor import active_dtype
 
 
 class Parameter:
-    """A trainable tensor with its gradient and Adam moment accumulators."""
+    """A trainable tensor and its gradient; Adam rebinds both to views of its arena."""
 
     def __init__(self, name: str, value: np.ndarray):
         self.name = name
         self.value = np.ascontiguousarray(value)
         self.grad = np.zeros_like(self.value)
-        self.adam_m = np.zeros_like(self.value)
-        self.adam_v = np.zeros_like(self.value)
-
-    @property
-    def shape(self):
-        return self.value.shape
-
-    @property
-    def size(self) -> int:
-        return self.value.size
-
-    def zero_grad(self) -> None:
-        self.grad.fill(0)
-
-    def __repr__(self) -> str:
-        return f"Parameter({self.name!r}, shape={self.value.shape})"
 
 
-def glorot_uniform(rng: Rng, shape, fan_in: int, fan_out: int, dtype) -> np.ndarray:
+def glorot_uniform(rng: Rng, shape, fan_in: int, fan_out: int) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(size=shape, low=-limit, high=limit).astype(dtype)
+    return rng.uniform(size=shape, low=-limit, high=limit).astype(active_dtype())
 
 
 class Layer:
@@ -92,15 +76,14 @@ class Layer:
 class Dense(Layer):
     """Affine map: out = x . W^T + b with W of shape [out, in]."""
 
-    def __init__(self, in_features: int, out_features: int, rng: Rng, name: str = "dense", dtype=None):
+    def __init__(self, in_features: int, out_features: int, rng: Rng, name: str = "dense"):
         super().__init__()
-        dtype = dtype or active_dtype()
         self.in_features = in_features
         self.out_features = out_features
         self.weight = Parameter(
-            f"{name}/W", glorot_uniform(rng, (out_features, in_features), in_features, out_features, dtype)
+            f"{name}/W", glorot_uniform(rng, (out_features, in_features), in_features, out_features)
         )
-        self.bias = Parameter(f"{name}/b", np.zeros(out_features, dtype=dtype))
+        self.bias = Parameter(f"{name}/b", np.zeros(out_features, dtype=active_dtype()))
 
     def parameters(self):
         return [self.weight, self.bias]
@@ -141,11 +124,10 @@ class Conv1D(Layer):
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int, rng: Rng,
-                 name: str = "conv", dtype=None):
+                 name: str = "conv"):
         super().__init__()
         if kernel_size < 1:
             raise ShapeMismatchError("kernel size must be >= 1")
-        dtype = dtype or active_dtype()
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_size = kernel_size
@@ -153,9 +135,9 @@ class Conv1D(Layer):
         fan_out = out_channels * kernel_size
         self.weight = Parameter(
             f"{name}/W",
-            glorot_uniform(rng, (out_channels, in_channels, kernel_size), fan_in, fan_out, dtype),
+            glorot_uniform(rng, (out_channels, in_channels, kernel_size), fan_in, fan_out),
         )
-        self.bias = Parameter(f"{name}/b", np.zeros(out_channels, dtype=dtype))
+        self.bias = Parameter(f"{name}/b", np.zeros(out_channels, dtype=active_dtype()))
 
     def parameters(self):
         return [self.weight, self.bias]
@@ -191,7 +173,7 @@ class Conv1D(Layer):
                 f"conv grad shape {grad_out.shape} != {(b, self.out_channels, t_out)}"
             )
         g = grad_out.transpose(1, 2, 0).reshape(self.out_channels, t_out * b)
-        self.weight.grad += (g @ self._patches(x).T).reshape(self.weight.shape)
+        self.weight.grad += (g @ self._patches(x).T).reshape(self.weight.value.shape)
         self.bias.grad += g.sum(axis=1)
         dcols = self.weight.value.reshape(self.out_channels, -1).T @ g
         dcols = dcols.reshape(c_in, self.kernel_size, t_out, b)
@@ -355,18 +337,17 @@ class LSTM(Layer):
     """
 
     def __init__(self, input_dim: int, hidden: int, rng: Rng, return_sequences: bool,
-                 name: str = "lstm", dtype=None):
+                 name: str = "lstm"):
         super().__init__()
-        dtype = dtype or active_dtype()
         self.input_dim = input_dim
         self.hidden = hidden
         self.return_sequences = return_sequences
         fan_in = input_dim + hidden
         fan_out = 4 * hidden
         self.weight = Parameter(
-            f"{name}/W", glorot_uniform(rng, (fan_in, fan_out), fan_in, fan_out, dtype)
+            f"{name}/W", glorot_uniform(rng, (fan_in, fan_out), fan_in, fan_out)
         )
-        bias = np.zeros(4 * hidden, dtype=dtype)
+        bias = np.zeros(4 * hidden, dtype=active_dtype())
         bias[hidden: 2 * hidden] = 1.0  # forget gate starts open
         self.bias = Parameter(f"{name}/b", bias)
 

@@ -3,8 +3,8 @@
 Training carves a stratified validation set out of the training rows, then
 runs seeded shuffle -> mini-batch forward/loss/backward/Adam for a fixed
 number of epochs. Everything stochastic (validation carve-out, epoch
-shuffles, dropout masks) draws from substreams spawned off one seed, so a
-(seed, data, config) triple reproduces the run bit-for-bit.
+shuffles, dropout masks) draws from substreams spawned off one seed, so the
+same (seed, data, config, BLAS thread count) reproduces the run bit-for-bit.
 """
 
 from __future__ import annotations

@@ -163,7 +163,7 @@ def test_gradient_correctness_full_cnn_composite():
             return binary_cross_entropy(probs[:, 0], y)
 
         for p in model.parameters():
-            p.zero_grad()
+            p.grad.fill(0)
         probs = model.forward(x, training=True)  # the CNN has no dropout
         from flowsentinel.nn.losses import binary_logit_grad
 

@@ -1,11 +1,13 @@
-"""Adam optimizer against a scalar hand-rolled oracle."""
+"""Adam optimizer against a scalar hand-rolled oracle and a per-parameter reference."""
 
 import math
 
 import numpy as np
 import pytest
 
+from flowsentinel.data import ClassificationMode
 from flowsentinel.errors import NonFiniteGradientError
+from flowsentinel.models import ModelSpec, build
 from flowsentinel.nn import Adam, Parameter
 
 
@@ -80,9 +82,89 @@ def test_non_finite_gradient_rejected():
 
 def test_moments_start_at_zero_and_update():
     p = Parameter("w", np.array([1.0]))
-    assert np.all(p.adam_m == 0) and np.all(p.adam_v == 0)
     opt = Adam([p], lr=0.1)
+    assert np.all(opt.m == 0) and np.all(opt.v == 0)
     p.grad[...] = 0.5
     opt.step()
-    assert p.adam_m[0] == pytest.approx(0.05)
-    assert p.adam_v[0] == pytest.approx(0.001 * 0.25)
+    assert opt.m[0] == pytest.approx(0.05)
+    assert opt.v[0] == pytest.approx(0.001 * 0.25)
+
+
+class ReferenceAdam:
+    """Adam with moments per parameter, one parameter at a time: the loop the
+    flat arena replaced, kept as the oracle for its bits."""
+
+    def __init__(self, parameters, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.parameters = list(parameters)
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.moments = [(np.zeros_like(p.value), np.zeros_like(p.value)) for p in self.parameters]
+        self.t = 0
+
+    def step(self):
+        self.t += 1
+        bc1 = 1.0 - self.beta1 ** self.t
+        bc2 = 1.0 - self.beta2 ** self.t
+        for p, (m, v) in zip(self.parameters, self.moments):
+            g = p.grad
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * (g * g)
+            m_hat = m / bc1
+            v_hat = v / bc2
+            p.value -= (self.lr * m_hat / (np.sqrt(v_hat) + self.eps)).astype(p.value.dtype, copy=False)
+
+
+MODEL_CASES = [(arch, mode) for arch in ("cnn", "lstm") for mode in ("binary", "grouped", "multi")]
+
+
+def built(arch, mode):
+    return build(ModelSpec(architecture=arch, mode=ClassificationMode(mode)), seed=3)
+
+
+@pytest.mark.parametrize("arch,mode", MODEL_CASES)
+def test_arena_matches_per_parameter_reference(arch, mode):
+    model, reference = built(arch, mode), built(arch, mode)
+    opt = Adam(model.parameters(), lr=0.001)
+    oracle = ReferenceAdam(reference.parameters(), lr=0.001)
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        # magnitudes spread log-uniformly over 1e-8..10, either sign
+        g = 10.0 ** rng.uniform(-8.0, 1.0, size=opt.grad.size) * rng.choice([-1.0, 1.0], size=opt.grad.size)
+        opt.grad[...] = g
+        for p, start, end in zip(reference.parameters(), opt.offsets, opt.offsets[1:]):
+            p.grad[...] = g[start:end].reshape(p.grad.shape)
+        opt.step()
+        oracle.step()
+    for p, q in zip(model.parameters(), reference.parameters()):
+        assert p.value.dtype == q.value.dtype == np.float32
+        assert p.value.tobytes() == q.value.tobytes(), p.name
+
+
+def test_parameters_are_views_of_the_arena_in_order():
+    model = built("cnn", "binary")
+    before = [p.value.copy() for p in model.parameters()]
+    opt = Adam(model.parameters(), lr=0.001)
+    assert opt.value.size == model.parameter_count()
+    for p, value, start, end in zip(model.parameters(), before, opt.offsets, opt.offsets[1:]):
+        assert np.array_equal(p.value, value)
+        assert np.shares_memory(p.value, opt.value[start:end])
+        assert np.shares_memory(p.grad, opt.grad[start:end])
+    opt.grad[...] = 1.0
+    opt.zero_grad()
+    assert all(not p.grad.any() for p in model.parameters())
+
+
+def test_non_finite_gradient_names_the_parameter_and_moves_nothing():
+    model = built("lstm", "multi")
+    opt = Adam(model.parameters(), lr=0.001)
+    opt.grad[...] = 0.25
+    opt.step()  # moments no longer zero
+    state = [a.tobytes() for a in (opt.value, opt.m, opt.v)]
+    bad = model.parameters()[2]  # lstm1/W, past the first parameter
+    opt.grad[...] = 0.25
+    bad.grad[0, 0] = np.nan  # its first entry: the slot where it starts in the arena
+    model.parameters()[3].grad[0] = np.inf  # a later bad one is not the one named
+    with pytest.raises(NonFiniteGradientError, match=f"in {bad.name}$"):
+        opt.step()
+    assert [a.tobytes() for a in (opt.value, opt.m, opt.v)] == state

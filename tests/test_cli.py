@@ -468,18 +468,37 @@ class TestNoTraceback:
         ("predict --model a directory", 2),
         ("predict a file that is not UTF-8", 3),
         ("ingest a file that is not UTF-8", 3),
+        ("ingest --out an existing file", 2),
+        # config files: the text after --config, written as Latin-1 bytes
+        ("ingest --config [1, 2]", 1),
+        ('ingest --config {"epochs": "3"}', 1),
+        ('ingest --config {"lr": "0.1"}', 1),
+        ('ingest --config {"seed": 1.5}', 1),
+        ('ingest --config {"epochs": true}', 1),
+        ('ingest --config {"top_k": 20.0}', 1),
+        ('ingest --config {"subsample": true}', 1),
+        ('ingest --config {"recompute_importance": 1}', 1),
+        ('ingest --config {"data": ["a.csv", 3]}', 1),
+        ('ingest --config {"mode": "caf\xe9"}', 1),  # a byte that is not UTF-8
     ])
     def test_exit_code(self, binary_model, tmp_path, fixture_csv, capsys, case, code):
-        model, data = binary_model, fixture_csv
+        model, data, out, config = binary_model, fixture_csv, tmp_path / "out", None
         if "not UTF-8" in case:
             data = self.not_utf8(tmp_path, fixture_csv)
+        elif "--config" in case:
+            config = tmp_path / "run.json"
+            config.write_bytes(case.split("--config ", 1)[1].encode("latin-1"))
+        elif "--out" in case:
+            out.write_text("")
         elif "--input" in case:
             data = tmp_path
         else:
             model = tmp_path
-        out = tmp_path / "out"
-        argv = (["ingest", "--data", str(data)] if case.startswith("ingest")
-                else ["predict", "--model", str(model), "--input", str(data)])
+        if case.startswith("ingest"):
+            # no --data with a config file, since the flag would override the file's value
+            argv = ["ingest", "--config", str(config)] if config else ["ingest", "--data", str(data)]
+        else:
+            argv = ["predict", "--model", str(model), "--input", str(data)]
         assert run(*argv, "--out", str(out)) == code
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err

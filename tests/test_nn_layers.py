@@ -125,8 +125,8 @@ class TestConv1DBackward:
         def loss():
             return float(conv.forward(x).sum())
 
-        conv.weight.zero_grad()
-        conv.bias.zero_grad()
+        conv.weight.grad.fill(0)
+        conv.bias.grad.fill(0)
         out = conv.forward(x, training=True)
         grad_x = conv.backward(np.ones_like(out))
         assert max_rel_err(grad_x, central_difference(loss, x)) < 1e-4
@@ -148,8 +148,8 @@ class TestConv1DBackward:
         for b in range(3):
             want = brute_force_conv1d(x[b], conv.weight.value, conv.bias.value)
             np.testing.assert_allclose(out[b], want, rtol=tol, atol=tol)
-        conv.weight.zero_grad()
-        conv.bias.zero_grad()
+        conv.weight.grad.fill(0)
+        conv.bias.grad.fill(0)
         grad_in = conv.backward(grad_out)
         dw, db, dx = brute_force_conv1d_backward(x, conv.weight.value, grad_out)
         assert grad_in.dtype == dtype and grad_in.shape == x.shape
@@ -279,8 +279,8 @@ class TestDense:
         def loss():
             return float(layer.forward(x).sum())
 
-        layer.weight.zero_grad()
-        layer.bias.zero_grad()
+        layer.weight.grad.fill(0)
+        layer.bias.grad.fill(0)
         out = layer.forward(x, training=True)
         grad_x = layer.backward(np.ones_like(out))
         assert max_rel_err(grad_x, central_difference(loss, x)) < 1e-4
@@ -366,10 +366,18 @@ class TestReLULayer:
         assert np.allclose(grad, [0, 0, 0, 1, 1])
 
 
+def in_float64(make):
+    """``make`` with float64 as the active dtype while it builds the layer."""
+    def build():
+        with precision(np.float64):
+            return make()
+    return build
+
+
 # One small float64 input per layer, in the layout the layer takes.
 CACHE_CASES = {
-    "Dense": (lambda: Dense(3, 2, Rng(0), dtype=np.float64), (4, 3)),
-    "Conv1D": (lambda: Conv1D(2, 3, 3, Rng(0), dtype=np.float64), (4, 2, 8)),
+    "Dense": (in_float64(lambda: Dense(3, 2, Rng(0))), (4, 3)),
+    "Conv1D": (in_float64(lambda: Conv1D(2, 3, 3, Rng(0))), (4, 2, 8)),
     "MaxPool1D": (lambda: MaxPool1D(2), (4, 2, 8)),
     "ReLU": (ReLU, (4, 5)),
     "Flatten": (Flatten, (4, 2, 3)),

@@ -174,8 +174,8 @@ class TestBackward:
         def loss():
             return float(lstm.forward(x).sum())
 
-        lstm.weight.zero_grad()
-        lstm.bias.zero_grad()
+        lstm.weight.grad.fill(0)
+        lstm.bias.grad.fill(0)
         out = lstm.forward(x, training=True)
         grad_x = lstm.backward(np.ones_like(out))
         assert max_rel_err(grad_x, central_difference(loss, x)) < 1e-4
@@ -193,7 +193,7 @@ class TestBackward:
             return float(second.forward(first.forward(x)).sum())
 
         for p in first.parameters() + second.parameters():
-            p.zero_grad()
+            p.grad.fill(0)
         out = second.forward(first.forward(x, training=True), training=True)
         grad_mid = second.backward(np.ones_like(out))
         grad_x = first.backward(grad_mid)
