@@ -15,7 +15,13 @@ Exit codes are a stable contract:
        cache or model file, or a predict input row with a non-numeric, NaN or
        infinite feature)
     4  numeric failure (non-finite loss or gradient)
-    5  classification-mode mismatch between artifacts
+    5  artifact mismatch: a classification mode that differs between
+       artifacts, or an ``evaluate`` cache whose sha256 is not the one the
+       model records (or a model that records none)
+
+Every run splits one way: a seeded, stratified 80/20 train/test split, and a
+10% validation carve-out of the training side. Features are min-max scaled
+by stats fitted on the training rows.
 """
 
 from __future__ import annotations
@@ -47,6 +53,7 @@ from .data import (
     write_cache,
 )
 from .errors import (
+    CacheMismatchError,
     ClassTooSmallError,
     ConfigError,
     CorruptCacheError,
@@ -77,7 +84,7 @@ EXIT_CONFIG = 1
 EXIT_MISSING_INPUT = 2
 EXIT_SCHEMA = 3
 EXIT_NUMERIC = 4
-EXIT_MODE_MISMATCH = 5
+EXIT_MISMATCH = 5
 
 
 @dataclass
@@ -89,13 +96,10 @@ class RunConfig:
     recompute_importance: bool = False
     top_k: int = 20
     subsample: float = 1.0
-    split_fraction: float = 0.8
     seed: int = 0
     epochs: int = 20
     batch_size: int = 256
     lr: float | None = None
-    validation_fraction: float = 0.1
-    scheme: str = "minmax"  # feature scaling: minmax | zscore
     out: str = "out"
 
     def __post_init__(self):
@@ -147,12 +151,8 @@ class RunConfig:
             raise ConfigError(f"arch must be cnn|lstm, got {self.arch!r}")
         if not 0.0 < self.subsample <= 1.0:
             raise ConfigError(f"subsample must be in (0, 1], got {self.subsample}")
-        if not 0.0 < self.split_fraction < 1.0:
-            raise ConfigError(f"split_fraction must be in (0, 1), got {self.split_fraction}")
         if self.top_k < 1:
             raise ConfigError(f"top_k must be >= 1, got {self.top_k}")
-        if self.scheme not in ("minmax", "zscore"):
-            raise ConfigError(f"scheme must be minmax|zscore, got {self.scheme!r}")
         self.train_config().validate()
 
     def train_config(self) -> TrainConfig:
@@ -161,7 +161,6 @@ class RunConfig:
             batch_size=self.batch_size,
             learning_rate=self.lr,
             seed=self.seed,
-            validation_fraction=self.validation_fraction,
         )
 
 
@@ -286,20 +285,28 @@ def cmd_select(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _load_split(cache_path: Path, feature_names: list, seed: int, fraction: float):
+def _load_split(cache_path: Path, feature_names: list, seed: int,
+                trained_on: str | None = None):
     """Read the cache once and draw a run's stratified train/test split.
 
     Returns ``((X_train, y_train), (X_test, y_test), meta, sha256)`` with the
     ``feature_names`` columns in that order, unscaled, and the cache file's
     digest. ``train`` and ``evaluate`` both split here, from the same seed,
-    so ``evaluate`` scores exactly the rows that training held out.
+    so ``evaluate`` scores exactly the rows that training held out. A cache
+    whose digest is not ``trained_on``, when given, is refused before the
+    split is drawn.
     """
     X, y, cache_columns, meta, sha256 = read_cache(cache_path)
+    if trained_on is not None and sha256 != trained_on:
+        raise CacheMismatchError(
+            f"{cache_path} (sha256 {sha256[:12]}) is not the cache the model was trained on "
+            f"(sha256 {trained_on[:12]}); evaluate scores the rows that training held out"
+        )
     missing = [name for name in feature_names if name not in cache_columns]
     if missing:
         raise MissingColumnError(missing[0], str(cache_path))
     X = X[:, [cache_columns.index(name) for name in feature_names]]
-    split = stratified_split(y, fraction, seed=seed)
+    split = stratified_split(y, seed=seed)
     return (X[split.train], y[split.train]), (X[split.test], y[split.test]), meta or {}, sha256
 
 
@@ -318,17 +325,17 @@ def cmd_train(config: RunConfig) -> int:
         config.mode = cache_mode  # inherit the cache's regime when unspecified
     mode = ClassificationMode(config.mode)
     (X_train, y_train), (X_test, y_test), meta, cache_sha256 = _load_split(
-        cache_path, feature_names, config.seed, config.split_fraction
+        cache_path, feature_names, config.seed
     )
     stats = fit_normalizer(X_train)
-    X_train = apply_normalizer(X_train, stats, scheme=config.scheme).astype(np.float32)
-    X_test = apply_normalizer(X_test, stats, scheme=config.scheme).astype(np.float32)
+    X_train = apply_normalizer(X_train, stats).astype(np.float32)
+    X_test = apply_normalizer(X_test, stats).astype(np.float32)
     spec = ModelSpec(architecture=config.arch, mode=mode, input_features=len(feature_names))
     model = build(spec, seed=config.seed)  # the split seed, which evaluate reads back
     model.feature_names = list(feature_names)
     model.class_names = list(meta.get("classes") or [str(i) for i in range(mode.class_count)])
     model.normalizer = stats
-    model.normalizer_scheme = config.scheme
+    model.cache_sha256 = cache_sha256
 
     train_config = config.train_config()
     history = train(model, X_train, y_train, train_config)
@@ -395,10 +402,12 @@ def cmd_evaluate(config: RunConfig, model_path: str) -> int:
     cache_mode = (read_meta(cache_path) or {}).get("mode")
     if cache_mode and cache_mode != model.spec.mode.value:
         raise ModeMismatchError(f"model mode {model.spec.mode.value!r} != cache mode {cache_mode!r}")
+    if model.cache_sha256 is None:
+        raise CacheMismatchError(f"{model_path} records no dataset cache digest; retrain it")
     _, (X_test, y_test), _, _ = _load_split(
-        cache_path, model.feature_names or canonical_top20(), model.rng_seed, config.split_fraction
+        cache_path, model.feature_names or canonical_top20(), model.rng_seed, model.cache_sha256
     )
-    X_test = apply_normalizer(X_test, model.normalizer, scheme=model.normalizer_scheme)
+    X_test = apply_normalizer(X_test, model.normalizer)
     report = evaluate(model, X_test.astype(np.float32), y_test,
                       class_names=model.class_names or None)
     (out / "metrics.json").write_text(report.to_json(), encoding="utf-8")
@@ -418,7 +427,7 @@ def cmd_predict(config: RunConfig, model_path: str, input_path: str) -> int:
         raise InvalidRowError(f"{source}: row_id {row_id}, column {column!r}: {reason}")
     if not len(X):
         raise EmptyInputError(f"no rows in {source}")
-    X = apply_normalizer(X, model.normalizer, scheme=model.normalizer_scheme).astype(np.float32)
+    X = apply_normalizer(X, model.normalizer).astype(np.float32)
     class_names = model.class_names or [str(i) for i in range(model.spec.mode.class_count)]
     out = _out_dir(config)
     target = out / "predictions.csv"
@@ -530,9 +539,9 @@ def main(argv=None) -> int:
     except (NonFiniteLossError, NonFiniteGradientError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ModeMismatchError as exc:
+    except (ModeMismatchError, CacheMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MODE_MISMATCH
+        return EXIT_MISMATCH
 
 
 if __name__ == "__main__":

@@ -7,7 +7,6 @@ from enum import Enum
 
 import numpy as np
 
-from ..errors import UnknownLabelError
 from . import schema
 
 
@@ -30,13 +29,6 @@ class LabelVocabulary:
     @property
     def n_classes(self) -> int:
         return len(self.classes)
-
-    def index_of(self, raw_label: str) -> int:
-        """Class index for a raw label; raises UnknownLabelError if it has none."""
-        idx = self.raw_to_class.get(raw_label)
-        if idx is None:
-            raise UnknownLabelError(f"raw label {raw_label!r} has no class in {self.mode.value} mode")
-        return idx
 
 
 def build_vocabulary(mode: ClassificationMode) -> LabelVocabulary:

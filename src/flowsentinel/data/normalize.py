@@ -1,9 +1,8 @@
-"""Train-fitted feature scaling.
+"""Train-fitted min-max feature scaling to [0, 1].
 
-The default scheme is min-max to [0, 1]; z-score standardization is available
-behind the ``scheme`` switch. Stats are always fitted on training rows only
-and then applied to everything else; min-max output is clipped to [0, 1] so
-test values outside the training range cannot leak out of bounds.
+Stats are always fitted on training rows only and then applied to
+everything else; the output is clipped to [0, 1] so test values outside the
+training range cannot leak out of bounds.
 """
 
 from __future__ import annotations
@@ -14,31 +13,20 @@ import numpy as np
 
 from ..errors import EmptyInputError
 
-SCHEMES = ("minmax", "zscore")
-
 
 @dataclass
 class FeatureStats:
     minimum: np.ndarray
     maximum: np.ndarray
-    mean: np.ndarray
-    std: np.ndarray
 
     def to_dict(self) -> dict:
-        return {
-            "min": self.minimum.tolist(),
-            "max": self.maximum.tolist(),
-            "mean": self.mean.tolist(),
-            "std": self.std.tolist(),
-        }
+        return {"min": self.minimum.tolist(), "max": self.maximum.tolist()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "FeatureStats":
         return cls(
             minimum=np.asarray(d["min"], dtype=np.float64),
             maximum=np.asarray(d["max"], dtype=np.float64),
-            mean=np.asarray(d["mean"], dtype=np.float64),
-            std=np.asarray(d["std"], dtype=np.float64),
         )
 
 
@@ -46,25 +34,13 @@ def fit_normalizer(X_train) -> FeatureStats:
     X_train = np.asarray(X_train, dtype=np.float64)
     if X_train.ndim != 2 or X_train.shape[0] == 0:
         raise EmptyInputError("fit_normalizer requires a non-empty 2-D matrix")
-    return FeatureStats(
-        minimum=X_train.min(axis=0),
-        maximum=X_train.max(axis=0),
-        mean=X_train.mean(axis=0),
-        std=X_train.std(axis=0),
-    )
+    return FeatureStats(minimum=X_train.min(axis=0), maximum=X_train.max(axis=0))
 
 
-def apply_normalizer(X, stats: FeatureStats, scheme: str = "minmax") -> np.ndarray:
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+def apply_normalizer(X, stats: FeatureStats) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
-    if scheme == "minmax":
-        span = stats.maximum - stats.minimum
-        safe = np.where(span > 0, span, 1.0)
-        out = (X - stats.minimum) / safe
-        out[:, span == 0] = 0.0  # constant features map to zero
-        return np.clip(out, 0.0, 1.0)
-    safe = np.where(stats.std > 0, stats.std, 1.0)
-    out = (X - stats.mean) / safe
-    out[:, stats.std == 0] = 0.0
-    return out
+    span = stats.maximum - stats.minimum
+    safe = np.where(span > 0, span, 1.0)
+    out = (X - stats.minimum) / safe
+    out[:, span == 0] = 0.0  # constant features map to zero
+    return np.clip(out, 0.0, 1.0)

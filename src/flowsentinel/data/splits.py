@@ -14,8 +14,6 @@ from ..rng import Rng
 class SplitIndices:
     train: np.ndarray
     test: np.ndarray
-    seed: int
-    fraction: float
 
 
 def _round_half_up(x: float) -> int:
@@ -47,6 +45,9 @@ def subsample_indices(y, fraction: float, rng: Rng) -> np.ndarray:
 def stratified_split(y, fraction: float = 0.8, seed: int = 0) -> SplitIndices:
     """Seeded per-class shuffle, then a per-class cut at ``fraction``.
 
+    The default 0.8 is the pipeline's one outer train/test split: ``train``
+    and ``evaluate`` both draw it, so they agree on the held-out rows.
+
     The train count per class is round-half-up of fraction * n_c, clamped to
     [1, n_c - 1] so both sides stay non-empty; the clamp only moves the count
     for degenerate classes and stays within one row of the exact fraction.
@@ -72,4 +73,4 @@ def stratified_split(y, fraction: float = 0.8, seed: int = 0) -> SplitIndices:
     train = np.sort(np.concatenate(train_parts))
     test = np.sort(np.concatenate(test_parts))
     assert train.size + test.size == y.size
-    return SplitIndices(train=train, test=test, seed=seed, fraction=fraction)
+    return SplitIndices(train=train, test=test)

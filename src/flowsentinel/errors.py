@@ -59,8 +59,8 @@ class InvalidRowError(FlowSentinelError):
     """An input row to classify has a non-numeric, NaN or infinite feature."""
 
 
-class UnknownLabelError(FlowSentinelError):
-    """A raw label string has no class assignment in strict mode."""
+class CacheMismatchError(FlowSentinelError):
+    """A dataset cache is not the one a model records it was trained on."""
 
 
 class ClassTooSmallError(FlowSentinelError):

@@ -14,8 +14,9 @@ Binary mode uses a single sigmoid unit; grouped/multi use a softmax head.
 fused loss gradient w.r.t. the logits and feeds it straight to the head.
 
 Model files (FSNN) are self-contained for deployment: besides the layer
-parameters they carry the feature list, class names, and the train-fitted
-normalizer, guarded by a CRC-32 of everything after the magic.
+parameters they carry the feature list, class names, the train-fitted
+min-max normalizer and the sha256 of the dataset cache the model was trained
+on, guarded by a CRC-32 of everything after the magic.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .nn.tensor import active_dtype
 from .rng import Rng
 
 MAGIC = b"FSNN"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 ARCHITECTURES = ("cnn", "lstm")
 
@@ -103,7 +104,7 @@ class Model:
     feature_names: list = field(default_factory=list)
     class_names: list = field(default_factory=list)
     normalizer: FeatureStats | None = None
-    normalizer_scheme: str = "minmax"
+    cache_sha256: str | None = None  # the dataset cache trained on
 
     def parameters(self) -> list:
         params = []
@@ -211,7 +212,7 @@ def save(model: Model, path) -> None:
         "features": list(model.feature_names),
         "classes": list(model.class_names),
         "normalizer": model.normalizer.to_dict() if model.normalizer else None,
-        "normalizer_scheme": model.normalizer_scheme,
+        "cache_sha256": model.cache_sha256,
     }
     header_raw = json.dumps(header, sort_keys=True).encode("utf-8")
     payload = bytearray()
@@ -257,7 +258,7 @@ def load(path) -> Model:
         model.class_names = list(header.get("classes") or [])
         if header.get("normalizer"):
             model.normalizer = FeatureStats.from_dict(header["normalizer"])
-        model.normalizer_scheme = header.get("normalizer_scheme", "minmax")
+        model.cache_sha256 = header.get("cache_sha256")
         (n_params,) = struct.unpack_from("<I", payload, offset)
         offset += 4
         params = model.parameters()

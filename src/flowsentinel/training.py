@@ -36,6 +36,9 @@ from .nn.losses import (
 # LSTM trains at 1e-4, the CNN at the common Adam default.
 DEFAULT_LEARNING_RATES = {"cnn": 0.001, "lstm": 0.0001}
 
+# The share of the training rows carved out, stratified, for validation.
+VALIDATION_FRACTION = 0.1
+
 
 @dataclass
 class TrainConfig:
@@ -43,17 +46,12 @@ class TrainConfig:
     batch_size: int = 256
     learning_rate: float | None = None  # None -> architecture default
     seed: int = 0
-    validation_fraction: float = 0.1
 
     def validate(self) -> None:
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not 0.0 < self.validation_fraction < 1.0:
-            raise ConfigError(
-                f"validation_fraction must be in (0, 1), got {self.validation_fraction}"
-            )
         if self.learning_rate is not None and self.learning_rate <= 0:
             raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
 
@@ -119,7 +117,7 @@ def train(model: Model, X: np.ndarray, y: np.ndarray, config: TrainConfig):
     """Train in place; returns the TrainHistory.
 
     ``X`` is the normalized training matrix (the 80% side of the outer
-    split); a further ``validation_fraction`` is carved out of it here,
+    split); a further ``VALIDATION_FRACTION`` is carved out of it here,
     stratified, and never trained on.
     """
     config.validate()
@@ -131,7 +129,7 @@ def train(model: Model, X: np.ndarray, y: np.ndarray, config: TrainConfig):
         raise ModeMismatchError("feature matrix and label vector row counts disagree")
     _check_mode(model, y)
 
-    carve = stratified_split(y, 1.0 - config.validation_fraction, seed=config.seed)
+    carve = stratified_split(y, 1.0 - VALIDATION_FRACTION, seed=config.seed)
     train_idx, val_idx = carve.train, carve.test
     X_tr, y_tr = X[train_idx], y[train_idx]
     X_val, y_val = X[val_idx], y[val_idx]

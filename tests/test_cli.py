@@ -4,8 +4,10 @@ import csv
 import hashlib
 import json
 import os
+import struct
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -357,6 +359,28 @@ class TestEvaluateAndPredict:
         assert run("evaluate", "--model", str(out / "model.fsnn"), "--seed", "8",
                    "--out", str(out)) == 1
 
+    def test_evaluate_refuses_a_cache_the_model_was_not_trained_on(self, trained, fixture_csv,
+                                                                   capsys):
+        # the same CSV re-ingested at half size: the same mode, other rows
+        assert run("ingest", "--data", str(fixture_csv), "--mode", "binary",
+                   "--subsample", "0.5", "--out", str(trained)) == 0
+        capsys.readouterr()
+        code = run("evaluate", "--model", str(trained / "model.fsnn"), "--out", str(trained))
+        assert code == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "not the cache the model was trained on" in err
+        assert not (trained / "metrics.json").exists()
+
+    def test_evaluate_refuses_a_model_without_a_cache_digest(self, trained, capsys):
+        model = load(trained / "model.fsnn")
+        model.cache_sha256 = None
+        save(model, trained / "model.fsnn")
+        code = run("evaluate", "--model", str(trained / "model.fsnn"), "--out", str(trained))
+        assert code == 5
+        assert "records no dataset cache digest" in capsys.readouterr().err
+        assert not (trained / "metrics.json").exists()
+
     @pytest.mark.parametrize("cell", list(BAD_CELL_REASONS))
     def test_predict_bad_cell_exit_3_writes_nothing(self, trained, tmp_path, fixture_csv,
                                                     capsys, cell):
@@ -480,6 +504,11 @@ class TestNoTraceback:
         ('ingest --config {"recompute_importance": 1}', 1),
         ('ingest --config {"data": ["a.csv", 3]}', 1),
         ('ingest --config {"mode": "caf\xe9"}', 1),  # a byte that is not UTF-8
+        # keys of a fixed split and scaling contract, which no config sets
+        ('ingest --config {"split_fraction": 0.9}', 1),
+        ('ingest --config {"validation_fraction": 0.2}', 1),
+        ('ingest --config {"scheme": "zscore"}', 1),
+        ("predict --model a version-1 file", 3),
     ])
     def test_exit_code(self, binary_model, tmp_path, fixture_csv, capsys, case, code):
         model, data, out, config = binary_model, fixture_csv, tmp_path / "out", None
@@ -492,6 +521,11 @@ class TestNoTraceback:
             out.write_text("")
         elif "--input" in case:
             data = tmp_path
+        elif "version-1" in case:
+            model = tmp_path / "v1.fsnn"  # the version byte rewritten, the CRC still valid
+            payload = bytearray(binary_model.read_bytes()[4:-4])
+            payload[0] = 1
+            model.write_bytes(b"FSNN" + payload + struct.pack("<I", zlib.crc32(payload)))
         else:
             model = tmp_path
         if case.startswith("ingest"):
@@ -504,6 +538,10 @@ class TestNoTraceback:
         assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
         if "not UTF-8" in case:
             assert str(data) in err and "UTF-8" in err
+        if "fraction" in case or "scheme" in case:
+            assert "unknown config keys" in err
+        if "version-1" in case:
+            assert "unsupported version 1" in err
         assert not (out / "predictions.csv").exists() and not (out / "dataset.fsds").exists()
 
     def test_not_utf8_in_a_process(self, binary_model, tmp_path, fixture_csv):
@@ -554,12 +592,3 @@ class TestInspectAndConfig:
         replayed = json.loads((workdir / "manifest.json").read_text())
         assert replayed["test_metrics"] == manifest["test_metrics"]
         assert hash((workdir / "model.fsnn").read_bytes()) == model_hash
-
-    def test_zscore_scheme_round_trips_through_model(self, workdir, tmp_path, fixture_csv):
-        config = tmp_path / "run.json"
-        config.write_text(json.dumps({"scheme": "zscore"}))
-        assert run("train", "--config", str(config), "--arch", "cnn", "--mode", "binary",
-                   "--epochs", "2", "--batch-size", "32", "--out", str(workdir)) == 0
-        model = load(workdir / "model.fsnn")
-        assert model.normalizer_scheme == "zscore"
-        assert run("evaluate", "--model", str(workdir / "model.fsnn"), "--out", str(workdir)) == 0

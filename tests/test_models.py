@@ -202,11 +202,11 @@ class TestSerialization:
         model = build(spec_of(arch, mode), seed=11)
         model.feature_names = [f"f{i}" for i in range(20)]
         model.class_names = [f"c{i}" for i in range(model.spec.output_units)]
-        model.normalizer = FeatureStats(
-            minimum=np.zeros(20), maximum=np.ones(20), mean=np.full(20, 0.5), std=np.full(20, 0.1)
-        )
+        model.normalizer = FeatureStats(minimum=np.zeros(20), maximum=np.ones(20))
+        model.cache_sha256 = "0f" * 32
         loaded, _ = self.roundtrip(model, tmp_path)
         assert loaded.spec == model.spec
+        assert loaded.cache_sha256 == model.cache_sha256
         assert loaded.feature_names == model.feature_names
         assert loaded.class_names == model.class_names
         assert np.array_equal(loaded.normalizer.minimum, model.normalizer.minimum)

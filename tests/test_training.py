@@ -31,11 +31,9 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             TrainConfig(epochs=0).validate()
 
-    def test_bad_batch_and_fraction_rejected(self):
+    def test_bad_batch_and_learning_rate_rejected(self):
         with pytest.raises(ConfigError):
             TrainConfig(batch_size=0).validate()
-        with pytest.raises(ConfigError):
-            TrainConfig(validation_fraction=0.0).validate()
         with pytest.raises(ConfigError):
             TrainConfig(learning_rate=-1.0).validate()
 

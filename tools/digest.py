@@ -11,7 +11,9 @@ artefact and the exit code and stderr of every step. The matrix:
 * ``train`` (2 epochs), ``evaluate`` and ``predict`` for cnn and lstm in all
   three modes, predicting over 4,097 rows (more than one inference batch)
   and over one row;
-* ``predict`` on every bad-cell case, which must exit 3.
+* ``predict`` on every bad-cell case, which must exit 3;
+* ``evaluate`` of the binary model against a cache of the same two files
+  re-ingested at ``--subsample 0.5``, which must exit 5.
 
 Wall-clock fields are removed before hashing: the ``seconds`` column of
 ``history.csv``, and the run directory wherever it appears. Inputs are made
@@ -136,6 +138,13 @@ def matrix():
         steps.append((f"predict-bad-{name}", ["predict", "--model", "runs/multi/model.fsnn",
                                               "--input", f"inputs/bad-{name}.csv", "--out", pred],
                       [f"{pred}/predictions.csv"]))
+    steps += [
+        ("ingest-half", ["ingest", "--data", "inputs/flows.csv", "inputs/more.csv", "--mode",
+                         "binary", "--subsample", 0.5, "--seed", SEED, "--out", "runs/half"],
+         [f"runs/half/{name}" for name in CACHE]),
+        ("evaluate-half", ["evaluate", "--model", "runs/binary/model.fsnn", "--out", "runs/half"],
+         ["runs/half/metrics.json"]),
+    ]
     return steps
 
 
