@@ -3,17 +3,21 @@
 Commands read an optional JSON run-config (``--config``); explicit flags win
 over config values. Every command is deterministic given identical inputs
 and seeds, and ``train`` writes a manifest sufficient to replay the run.
+``train`` takes its feature list from ``features.txt`` in the run directory,
+or the canonical top 20 without one; ``evaluate`` and ``predict`` take the
+seed, feature list and class names from the model file alone.
 
 Exit codes are a stable contract:
 
     0  success
-    1  configuration error (a config value of the wrong type, or a ``select
-       --top-k`` above the cache's column count)
+    1  configuration error (a config value of the wrong type or range, or a
+       ``select --top-k`` above the cache's column count)
     2  missing input (file, cache, or model not found / empty, a file where a
        directory is expected or the reverse, a class with < 2 rows to split)
     3  schema error (missing column, an input CSV that is not UTF-8, corrupt
-       cache or model file, or a predict input row with a non-numeric, NaN or
-       infinite feature)
+       cache or model file, a model whose feature or class list does not fit
+       its spec, or a predict input row with a non-numeric, NaN or infinite
+       feature)
     4  numeric failure (non-finite loss or gradient)
     5  artifact mismatch: a classification mode that differs between
        artifacts, or an ``evaluate`` cache whose sha256 is not the one the
@@ -29,6 +33,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass
@@ -77,7 +82,7 @@ from .features import (
     select_top_k,
 )
 from .models import ModelSpec, build, load, save
-from .training import TrainConfig, evaluate, export_history, train
+from .training import DEFAULT_LEARNING_RATES, evaluate, export_history, train
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -92,14 +97,13 @@ class RunConfig:
     data: list = None  # CSV files or directories
     mode: str = "multi"
     arch: str = "cnn"
-    features: str | None = None  # feature-list file; None -> canonical
     recompute_importance: bool = False
     top_k: int = 20
     subsample: float = 1.0
     seed: int = 0
     epochs: int = 20
     batch_size: int = 256
-    lr: float | None = None
+    lr: float | None = None  # None -> DEFAULT_LEARNING_RATES[arch]
     out: str = "out"
 
     def __post_init__(self):
@@ -153,15 +157,12 @@ class RunConfig:
             raise ConfigError(f"subsample must be in (0, 1], got {self.subsample}")
         if self.top_k < 1:
             raise ConfigError(f"top_k must be >= 1, got {self.top_k}")
-        self.train_config().validate()
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            epochs=self.epochs,
-            batch_size=self.batch_size,
-            learning_rate=self.lr,
-            seed=self.seed,
-        )
+        if self.epochs < 1:
+            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.lr is not None and not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"lr must be finite and positive, got {self.lr}")
 
 
 def _emit(text: str) -> None:
@@ -197,19 +198,15 @@ def _out_dir(config: RunConfig) -> Path:
     return out
 
 
-def _feature_list(config: RunConfig, out: Path) -> list:
-    if config.features:
-        path = Path(config.features)
-        names = [ln.strip() for ln in path.read_text(encoding="utf-8").splitlines() if ln.strip()]
-        if not names:
-            raise EmptyInputError(f"feature list {path} is empty")
-        return names
-    generated = out / "features.txt"
-    if generated.exists():
-        names = [ln.strip() for ln in generated.read_text(encoding="utf-8").splitlines() if ln.strip()]
-        if names:
-            return names
-    return canonical_top20()
+def _feature_list(out: Path) -> list:
+    """``features.txt`` in the run directory, or the canonical top 20 without one."""
+    path = out / "features.txt"
+    if not path.exists():
+        return canonical_top20()
+    names = [ln.strip() for ln in path.read_text(encoding="utf-8").splitlines() if ln.strip()]
+    if not names:
+        raise EmptyInputError(f"feature list {path} is empty")
+    return names
 
 
 def cmd_ingest(config: RunConfig) -> int:
@@ -315,7 +312,7 @@ def cmd_train(config: RunConfig) -> int:
     cache_path = out / "dataset.fsds"
     if not cache_path.exists():
         raise FileNotFoundError(f"missing cache {cache_path}")
-    feature_names = _feature_list(config, out)
+    feature_names = _feature_list(out)
     cache_mode = (read_meta(cache_path) or {}).get("mode")
     if cache_mode and cache_mode != config.mode:
         if "mode" in config.explicit_fields:
@@ -337,8 +334,9 @@ def cmd_train(config: RunConfig) -> int:
     model.normalizer = stats
     model.cache_sha256 = cache_sha256
 
-    train_config = config.train_config()
-    history = train(model, X_train, y_train, train_config)
+    learning_rate = config.lr if config.lr is not None else DEFAULT_LEARNING_RATES[config.arch]
+    history = train(model, X_train, y_train, epochs=config.epochs,
+                    batch_size=config.batch_size, learning_rate=learning_rate)
     model_path = out / "model.fsnn"
     save(model, model_path)
     export_history(history, out / "history.csv")
@@ -352,7 +350,7 @@ def cmd_train(config: RunConfig) -> int:
         "test_rows": len(y_test),
         "features": list(feature_names),
         "classes": list(model.class_names),
-        "learning_rate": train_config.resolve_learning_rate(config.arch),
+        "learning_rate": learning_rate,
         "final_train": {
             "loss": history.final().train_loss,
             "accuracy": history.final().train_acc,
@@ -376,8 +374,9 @@ def cmd_train(config: RunConfig) -> int:
 def _load_model(model_path: str):
     """The model at ``model_path``, with the normalizer it was trained under.
 
-    A missing file is a missing input (exit 2); a corrupt file, or one that
-    carries no normalizer to scale inputs with, is a schema error (exit 3).
+    A missing file is a missing input (exit 2); a corrupt file, one without a
+    normalizer, or one whose feature or class list does not fit its spec is a
+    schema error (exit 3).
     """
     path = Path(model_path)
     if not path.exists():
@@ -385,6 +384,13 @@ def _load_model(model_path: str):
     model = load(path)
     if model.normalizer is None:
         raise CorruptModelError(f"{path}: model carries no normalizer")
+    spec = model.spec
+    if len(model.feature_names) != spec.input_features:
+        raise CorruptModelError(f"{path}: model lists {len(model.feature_names)} features, "
+                                f"its spec takes {spec.input_features}")
+    if len(model.class_names) != spec.mode.class_count:
+        raise CorruptModelError(f"{path}: model lists {len(model.class_names)} classes, "
+                                f"{spec.mode.value!r} mode has {spec.mode.class_count}")
     return model
 
 
@@ -405,11 +411,10 @@ def cmd_evaluate(config: RunConfig, model_path: str) -> int:
     if model.cache_sha256 is None:
         raise CacheMismatchError(f"{model_path} records no dataset cache digest; retrain it")
     _, (X_test, y_test), _, _ = _load_split(
-        cache_path, model.feature_names or canonical_top20(), model.rng_seed, model.cache_sha256
+        cache_path, model.feature_names, model.rng_seed, model.cache_sha256
     )
     X_test = apply_normalizer(X_test, model.normalizer)
-    report = evaluate(model, X_test.astype(np.float32), y_test,
-                      class_names=model.class_names or None)
+    report = evaluate(model, X_test.astype(np.float32), y_test, class_names=model.class_names)
     (out / "metrics.json").write_text(report.to_json(), encoding="utf-8")
     (out / "metrics.txt").write_text(report.to_text() + "\n", encoding="utf-8")
     _emit(report.to_text())
@@ -421,14 +426,13 @@ def cmd_predict(config: RunConfig, model_path: str, input_path: str) -> int:
     source = Path(input_path)
     if not source.exists():
         raise FileNotFoundError(f"missing input {source}")
-    X, _, bad = read_flows(source, model.feature_names or canonical_top20())
+    X, _, bad = read_flows(source, model.feature_names)
     if bad:
         row_id, column, reason = bad[0]
         raise InvalidRowError(f"{source}: row_id {row_id}, column {column!r}: {reason}")
     if not len(X):
         raise EmptyInputError(f"no rows in {source}")
     X = apply_normalizer(X, model.normalizer).astype(np.float32)
-    class_names = model.class_names or [str(i) for i in range(model.spec.mode.class_count)]
     out = _out_dir(config)
     target = out / "predictions.csv"
     with open(target, "w", newline="", encoding="utf-8") as fh:
@@ -437,7 +441,7 @@ def cmd_predict(config: RunConfig, model_path: str, input_path: str) -> int:
         for start, probs in model.batches(X):
             classes, confidences = model.decide(probs)
             writer.writerows(
-                [start + i, class_names[int(klass)], f"{conf:.6f}"]
+                [start + i, model.class_names[int(klass)], f"{conf:.6f}"]
                 for i, (klass, conf) in enumerate(zip(classes, confidences))
             )
     _emit(f"wrote {target} ({len(X)} predictions)")
@@ -488,7 +492,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_train)
     p_train.add_argument("--arch", choices=["cnn", "lstm"], default=None)
     p_train.add_argument("--mode", choices=["binary", "grouped", "multi"], default=None)
-    p_train.add_argument("--features", default=None, help="feature list file")
     p_train.add_argument("--epochs", type=int, default=None)
     p_train.add_argument("--batch-size", dest="batch_size", type=int, default=None)
     p_train.add_argument("--lr", type=float, default=None)

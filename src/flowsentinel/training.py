@@ -3,8 +3,9 @@
 Training carves a stratified validation set out of the training rows, then
 runs seeded shuffle -> mini-batch forward/loss/backward/Adam for a fixed
 number of epochs. Everything stochastic (validation carve-out, epoch
-shuffles, dropout masks) draws from substreams spawned off one seed, so the
-same (seed, data, config, BLAS thread count) reproduces the run bit-for-bit.
+shuffles, dropout masks) draws from substreams spawned off the model's seed,
+so the same (seed, data, epochs, batch size, learning rate, BLAS thread
+count) reproduces the run bit-for-bit.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import numpy as np
 from .data.labels import ClassificationMode
 from .data.splits import stratified_split
 from .errors import (
-    ConfigError,
     EmptyInputError,
     ModeMismatchError,
     NonFiniteLossError,
@@ -38,27 +38,6 @@ DEFAULT_LEARNING_RATES = {"cnn": 0.001, "lstm": 0.0001}
 
 # The share of the training rows carved out, stratified, for validation.
 VALIDATION_FRACTION = 0.1
-
-
-@dataclass
-class TrainConfig:
-    epochs: int = 20
-    batch_size: int = 256
-    learning_rate: float | None = None  # None -> architecture default
-    seed: int = 0
-
-    def validate(self) -> None:
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.learning_rate is not None and self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
-
-    def resolve_learning_rate(self, architecture: str) -> float:
-        if self.learning_rate is not None:
-            return self.learning_rate
-        return DEFAULT_LEARNING_RATES[architecture]
 
 
 @dataclass
@@ -113,14 +92,14 @@ def _batched_eval(model: Model, X: np.ndarray, y: np.ndarray):
     return total_loss / X.shape[0], correct / X.shape[0]
 
 
-def train(model: Model, X: np.ndarray, y: np.ndarray, config: TrainConfig):
+def train(model: Model, X: np.ndarray, y: np.ndarray, *, epochs: int, batch_size: int,
+          learning_rate: float):
     """Train in place; returns the TrainHistory.
 
     ``X`` is the normalized training matrix (the 80% side of the outer
     split); a further ``VALIDATION_FRACTION`` is carved out of it here,
     stratified, and never trained on.
     """
-    config.validate()
     X = np.asarray(X, dtype=np.float32)
     y = np.asarray(y, dtype=np.int64)
     if X.shape[0] == 0:
@@ -129,26 +108,26 @@ def train(model: Model, X: np.ndarray, y: np.ndarray, config: TrainConfig):
         raise ModeMismatchError("feature matrix and label vector row counts disagree")
     _check_mode(model, y)
 
-    carve = stratified_split(y, 1.0 - VALIDATION_FRACTION, seed=config.seed)
+    carve = stratified_split(y, 1.0 - VALIDATION_FRACTION, seed=model.rng_seed)
     train_idx, val_idx = carve.train, carve.test
     X_tr, y_tr = X[train_idx], y[train_idx]
     X_val, y_val = X[val_idx], y[val_idx]
 
     from .rng import Rng
 
-    root = Rng(config.seed)
+    root = Rng(model.rng_seed)
     model.bind_dropout_rng(root.spawn("dropout"))
-    optimizer = Adam(model.parameters(), lr=config.resolve_learning_rate(model.spec.architecture))
+    optimizer = Adam(model.parameters(), lr=learning_rate)
 
     history = TrainHistory()
     n = X_tr.shape[0]
-    for epoch in range(config.epochs):
+    for epoch in range(epochs):
         started = time.perf_counter()
         order = root.spawn(f"epoch-{epoch}").permutation(n)
         epoch_loss = 0.0
         epoch_correct = 0
-        for start in range(0, n, config.batch_size):
-            rows = order[start:start + config.batch_size]
+        for start in range(0, n, batch_size):
+            rows = order[start:start + batch_size]
             xb, yb = X_tr[rows], y_tr[rows]
             optimizer.zero_grad()
             probs = model.forward(xb, training=True)

@@ -61,7 +61,12 @@ from flowsentinel.nn import (
     sparse_categorical_logit_grad,
 )
 from flowsentinel.rng import Rng
-from flowsentinel.training import TrainConfig, evaluate, metrics_from_confusion, train
+from flowsentinel.training import (
+    DEFAULT_LEARNING_RATES,
+    evaluate,
+    metrics_from_confusion,
+    train,
+)
 
 GRAD_TOL = 1e-4
 COMPOSITE_TOL = 1e-3
@@ -248,7 +253,7 @@ def test_overfit_smoke(arch):
     started = time.perf_counter()
     X, y = _separable64()
     model = build(ModelSpec(arch, ClassificationMode.BINARY), seed=0)
-    history = train(model, X, y, TrainConfig(epochs=200, batch_size=8, seed=0, learning_rate=0.01))
+    history = train(model, X, y, epochs=200, batch_size=8, learning_rate=0.01)
     accs = [r.train_acc for r in history.epochs]
     hit = next((i + 1 for i, a in enumerate(accs) if a == 1.0), None)
     loss_down = history.final().train_loss < history.epochs[0].train_loss
@@ -281,8 +286,8 @@ def _end_to_end(arch: str, mode: ClassificationMode, batch_size: int) -> float:
     X_train = apply_normalizer(Xc[split.train], stats).astype(np.float32)
     X_test = apply_normalizer(Xc[split.test], stats).astype(np.float32)
     model = build(ModelSpec(arch, mode), seed=0)
-    train(model, X_train, y[split.train],
-          TrainConfig(epochs=20, batch_size=batch_size, seed=0))
+    train(model, X_train, y[split.train], epochs=20, batch_size=batch_size,
+          learning_rate=DEFAULT_LEARNING_RATES[arch])
     return evaluate(model, X_test, y[split.test]).accuracy
 
 
@@ -342,7 +347,7 @@ def test_real_corpus_reproduction(arch, mode):
     stats = fit_normalizer(X[split.train])
     model = build(ModelSpec(arch, ClassificationMode(mode)), seed=0)
     train(model, apply_normalizer(X[split.train], stats).astype(np.float32), y[split.train],
-          TrainConfig(epochs=20, seed=0))
+          epochs=20, batch_size=256, learning_rate=DEFAULT_LEARNING_RATES[arch])
     report = evaluate(model, apply_normalizer(X[split.test], stats).astype(np.float32), y[split.test])
     target = PUBLISHED_ACCURACY[(arch, mode)]
     announce(

@@ -16,7 +16,14 @@ import pytest
 import flowsentinel
 from flowsentinel import cli, models
 from flowsentinel.cli import main
-from flowsentinel.data import ClassificationMode, read_cache, schema, write_fixture_csv
+from flowsentinel.data import (
+    ClassificationMode,
+    FeatureStats,
+    read_cache,
+    schema,
+    write_fixture_csv,
+)
+from flowsentinel.features import canonical_top20
 from flowsentinel.models import ModelSpec, build, load, save
 
 ROWS = 600  # small but every class keeps >= 2 rows
@@ -181,6 +188,36 @@ class TestTrain:
         assert code == 1
         assert "epochs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags,rate", [((), 0.0001), (("--lr", "0.5"), 0.5)])
+    def test_lstm_learning_rate_recorded(self, workdir, flags, rate):
+        assert run("train", "--arch", "lstm", "--mode", "binary", "--epochs", "1", *flags,
+                   "--out", str(workdir)) == 0
+        manifest = json.loads((workdir / "manifest.json").read_text())
+        assert manifest["learning_rate"] == pytest.approx(rate)
+
+    @pytest.mark.parametrize("source", ["--lr nan", "--lr inf", '--config {"lr": NaN}'])
+    def test_non_finite_learning_rate_exit_1_writes_nothing(self, workdir, capsys, source):
+        flag, value = source.split(" ", 1)
+        if flag == "--config":
+            config = workdir.parent / "run.json"
+            config.write_text(value)
+            value = str(config)
+        code = run("train", "--arch", "cnn", "--epochs", "1", flag, value, "--out", str(workdir))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: lr must be finite and positive") and err.count("\n") == 1
+        for artefact in ("model.fsnn", "history.csv", "manifest.json"):
+            assert not (workdir / artefact).exists()
+
+    def test_empty_feature_list_exit_2(self, workdir, capsys):
+        assert run("select", "--top-k", "7", "--out", str(workdir)) == 0
+        features = workdir / "features.txt"
+        features.write_text("")
+        code = run("train", "--arch", "cnn", "--epochs", "1", "--out", str(workdir))
+        assert code == 2
+        assert str(features) in capsys.readouterr().err
+        assert not (workdir / "model.fsnn").exists()
+
     def test_missing_cache_exit_2(self, tmp_path):
         assert run("train", "--arch", "cnn", "--out", str(tmp_path / "void")) == 2
 
@@ -336,6 +373,22 @@ class TestEvaluateAndPredict:
         code = run("predict", "--model", str(path), "--input", str(fixture_csv), "--out", str(out))
         assert code == 3
         assert "normalizer" in capsys.readouterr().err
+        assert not (out / "predictions.csv").exists()
+
+    @pytest.mark.parametrize("emptied", ["feature_names", "class_names"])
+    def test_predict_model_without_its_lists_exit_3(self, tmp_path, fixture_csv, capsys,
+                                                    emptied):
+        model = build(ModelSpec("cnn", ClassificationMode.BINARY), seed=0)
+        model.normalizer = FeatureStats(minimum=np.zeros(20), maximum=np.ones(20))
+        model.feature_names = canonical_top20()
+        model.class_names = ["Benign", "Attack"]
+        setattr(model, emptied, [])
+        path = tmp_path / "bare.fsnn"
+        save(model, path)
+        out = tmp_path / "pred"
+        code = run("predict", "--model", str(path), "--input", str(fixture_csv), "--out", str(out))
+        assert code == 3
+        assert emptied.split("_")[0] in capsys.readouterr().err
         assert not (out / "predictions.csv").exists()
 
     def test_evaluate_scores_the_training_split(self, tmp_path):
@@ -504,6 +557,12 @@ class TestNoTraceback:
         ('ingest --config {"recompute_importance": 1}', 1),
         ('ingest --config {"data": ["a.csv", 3]}', 1),
         ('ingest --config {"mode": "caf\xe9"}', 1),  # a byte that is not UTF-8
+        # out-of-range training settings; Python's json reads NaN and Infinity
+        ('ingest --config {"epochs": 0}', 1),
+        ('ingest --config {"batch_size": 0}', 1),
+        ('ingest --config {"lr": -1.0}', 1),
+        ('ingest --config {"lr": NaN}', 1),
+        ('ingest --config {"lr": Infinity}', 1),
         # keys of a fixed split and scaling contract, which no config sets
         ('ingest --config {"split_fraction": 0.9}', 1),
         ('ingest --config {"validation_fraction": 0.2}', 1),

@@ -5,10 +5,10 @@ import pytest
 
 from flowsentinel import models
 from flowsentinel.data import ClassificationMode
-from flowsentinel.errors import ConfigError, EmptyInputError, ModeMismatchError
+from flowsentinel.errors import EmptyInputError, ModeMismatchError
 from flowsentinel.models import Model, ModelSpec, build
 from flowsentinel.training import (
-    TrainConfig,
+    DEFAULT_LEARNING_RATES,
     _batched_eval,
     evaluate,
     export_history,
@@ -26,37 +26,20 @@ def separable_binary(n=64, seed=0):
     return X, y
 
 
-class TestTrainConfig:
-    def test_zero_epochs_rejected(self):
-        with pytest.raises(ConfigError):
-            TrainConfig(epochs=0).validate()
-
-    def test_bad_batch_and_learning_rate_rejected(self):
-        with pytest.raises(ConfigError):
-            TrainConfig(batch_size=0).validate()
-        with pytest.raises(ConfigError):
-            TrainConfig(learning_rate=-1.0).validate()
-
-    def test_architecture_default_learning_rates(self):
-        cfg = TrainConfig()
-        assert cfg.resolve_learning_rate("lstm") == pytest.approx(0.0001)
-        assert cfg.resolve_learning_rate("cnn") == pytest.approx(0.001)
-        assert TrainConfig(learning_rate=0.5).resolve_learning_rate("lstm") == 0.5
-
-
 class TestTrain:
     def test_cnn_overfits_separable_binary(self):
         X, y = separable_binary()
         model = build(ModelSpec("cnn", ClassificationMode.BINARY), seed=0)
-        config = TrainConfig(epochs=30, batch_size=16, seed=0)
-        history = train(model, X, y, config)
+        history = train(model, X, y, epochs=30, batch_size=16,
+                        learning_rate=DEFAULT_LEARNING_RATES["cnn"])
         assert history.final().train_acc == 1.0
         assert history.final().train_loss < history.epochs[0].train_loss
 
     def test_history_row_count_and_ranges(self):
         X, y = separable_binary()
         model = build(ModelSpec("cnn", ClassificationMode.BINARY), seed=1)
-        history = train(model, X, y, TrainConfig(epochs=5, batch_size=16, seed=1))
+        history = train(model, X, y, epochs=5, batch_size=16,
+                        learning_rate=DEFAULT_LEARNING_RATES["cnn"])
         assert len(history.epochs) == 5
         for r in history.epochs:
             assert 0.0 <= r.train_acc <= 1.0
@@ -68,7 +51,8 @@ class TestTrain:
         runs = []
         for _ in range(2):
             model = build(ModelSpec("cnn", ClassificationMode.BINARY), seed=9)
-            history = train(model, X, y, TrainConfig(epochs=4, batch_size=16, seed=9))
+            history = train(model, X, y, epochs=4, batch_size=16,
+                            learning_rate=DEFAULT_LEARNING_RATES["cnn"])
             runs.append((history, [p.value.copy() for p in model.parameters()]))
         h1, params1 = runs[0]
         h2, params2 = runs[1]
@@ -83,18 +67,20 @@ class TestTrain:
         y_multi = np.arange(64) % 9  # labels outside binary range
         model = build(ModelSpec("cnn", ClassificationMode.BINARY), seed=0)
         with pytest.raises(ModeMismatchError):
-            train(model, X, y_multi, TrainConfig(epochs=1, seed=0))
+            train(model, X, y_multi, epochs=1, batch_size=256,
+                  learning_rate=DEFAULT_LEARNING_RATES["cnn"])
 
     def test_empty_training_set_rejected(self):
         model = build(ModelSpec("cnn", ClassificationMode.BINARY), seed=0)
         with pytest.raises(EmptyInputError):
-            train(model, np.zeros((0, 20)), np.zeros(0, dtype=int), TrainConfig(epochs=1))
+            train(model, np.zeros((0, 20)), np.zeros(0, dtype=int), epochs=1, batch_size=256,
+                  learning_rate=DEFAULT_LEARNING_RATES["cnn"])
 
     def test_lstm_trains_and_improves(self):
         X, y = separable_binary(n=96, seed=4)
         model = build(ModelSpec("lstm", ClassificationMode.BINARY), seed=2)
         # generous lr so the smoke test stays fast
-        history = train(model, X, y, TrainConfig(epochs=15, batch_size=16, seed=2, learning_rate=0.01))
+        history = train(model, X, y, epochs=15, batch_size=16, learning_rate=0.01)
         assert history.final().train_loss < history.epochs[0].train_loss
         assert history.final().train_acc > 0.9
 
@@ -201,7 +187,8 @@ class TestExportHistory:
     def test_csv_row_count_and_round_trip(self, tmp_path):
         X, y = separable_binary()
         model = build(ModelSpec("cnn", ClassificationMode.BINARY), seed=0)
-        history = train(model, X, y, TrainConfig(epochs=20, batch_size=16, seed=0))
+        history = train(model, X, y, epochs=20, batch_size=16,
+                        learning_rate=DEFAULT_LEARNING_RATES["cnn"])
         path = tmp_path / "history.csv"
         export_history(history, path)
         lines = path.read_text().strip().split("\n")
@@ -215,7 +202,8 @@ class TestExportHistory:
     def test_deterministic_file_given_history(self, tmp_path):
         X, y = separable_binary()
         model = build(ModelSpec("cnn", ClassificationMode.BINARY), seed=0)
-        history = train(model, X, y, TrainConfig(epochs=3, batch_size=16, seed=0))
+        history = train(model, X, y, epochs=3, batch_size=16,
+                        learning_rate=DEFAULT_LEARNING_RATES["cnn"])
         export_history(history, tmp_path / "a.csv")
         export_history(history, tmp_path / "b.csv")
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()

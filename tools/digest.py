@@ -17,7 +17,8 @@ artefact and the exit code and stderr of every step. The matrix:
 
 Wall-clock fields are removed before hashing: the ``seconds`` column of
 ``history.csv``, and the run directory wherever it appears. Inputs are made
-once, by this tree's fixture generator, and shared by every run.
+once, by this tree's fixture generator, and shared by every run. The report
+also gives each tree's ``src/`` line count (the lines of its ``.py`` files).
 
     python tools/digest.py                          # this tree
     python tools/digest.py --against HEAD~1         # and REV's; exit 1 if any differ
@@ -156,6 +157,10 @@ def scrub(data: bytes, name: str, work: Path) -> bytes:
     return data
 
 
+def src_lines(src: Path) -> int:
+    return sum(path.read_bytes().count(b"\n") for path in src.rglob("*.py"))
+
+
 def run_matrix(src: Path, inputs: Path, work: Path, threads: str | None) -> dict:
     work.mkdir(parents=True)
     (work / "inputs").symlink_to(inputs)
@@ -203,6 +208,9 @@ def main(argv=None) -> int:
             with tarfile.open(fileobj=BytesIO(git.stdout)) as tar:
                 tar.extractall(tmp / "against", filter="data")
             trees["against"] = tmp / "against" / "src"
+        report["src_lines"] = {tree: src_lines(src) for tree, src in trees.items()}
+        print("src/ lines: " + ", ".join(f"{tree} {n}" for tree, n in report["src_lines"].items()),
+              file=sys.stderr)
         make_inputs(tmp / "inputs")
         for threads in settings:
             key = f"threads={threads or 'default'}"
