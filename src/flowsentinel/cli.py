@@ -49,6 +49,7 @@ from .data import (
     fit_normalizer,
     load_csv,
     map_labels,
+    meta_path,
     read_cache,
     read_flows,
     read_meta,
@@ -286,14 +287,14 @@ def _load_split(cache_path: Path, feature_names: list, seed: int,
                 trained_on: str | None = None):
     """Read the cache once and draw a run's stratified train/test split.
 
-    Returns ``((X_train, y_train), (X_test, y_test), meta, sha256)`` with the
+    Returns ``((X_train, y_train), (X_test, y_test), sha256)`` with the
     ``feature_names`` columns in that order, unscaled, and the cache file's
     digest. ``train`` and ``evaluate`` both split here, from the same seed,
     so ``evaluate`` scores exactly the rows that training held out. A cache
     whose digest is not ``trained_on``, when given, is refused before the
     split is drawn.
     """
-    X, y, cache_columns, meta, sha256 = read_cache(cache_path)
+    X, y, cache_columns, _, sha256 = read_cache(cache_path)
     if trained_on is not None and sha256 != trained_on:
         raise CacheMismatchError(
             f"{cache_path} (sha256 {sha256[:12]}) is not the cache the model was trained on "
@@ -304,7 +305,7 @@ def _load_split(cache_path: Path, feature_names: list, seed: int,
         raise MissingColumnError(missing[0], str(cache_path))
     X = X[:, [cache_columns.index(name) for name in feature_names]]
     split = stratified_split(y, seed=seed)
-    return (X[split.train], y[split.train]), (X[split.test], y[split.test]), meta or {}, sha256
+    return (X[split.train], y[split.train]), (X[split.test], y[split.test]), sha256
 
 
 def cmd_train(config: RunConfig) -> int:
@@ -312,8 +313,11 @@ def cmd_train(config: RunConfig) -> int:
     cache_path = out / "dataset.fsds"
     if not cache_path.exists():
         raise FileNotFoundError(f"missing cache {cache_path}")
+    meta = read_meta(cache_path)
+    if meta is None:  # the only record of the cache's mode and class names
+        raise FileNotFoundError(f"missing cache sidecar {meta_path(cache_path)}")
     feature_names = _feature_list(out)
-    cache_mode = (read_meta(cache_path) or {}).get("mode")
+    cache_mode = meta.get("mode")
     if cache_mode and cache_mode != config.mode:
         if "mode" in config.explicit_fields:
             raise ModeMismatchError(
@@ -321,7 +325,7 @@ def cmd_train(config: RunConfig) -> int:
             )
         config.mode = cache_mode  # inherit the cache's regime when unspecified
     mode = ClassificationMode(config.mode)
-    (X_train, y_train), (X_test, y_test), meta, cache_sha256 = _load_split(
+    (X_train, y_train), (X_test, y_test), cache_sha256 = _load_split(
         cache_path, feature_names, config.seed
     )
     stats = fit_normalizer(X_train)
@@ -330,7 +334,7 @@ def cmd_train(config: RunConfig) -> int:
     spec = ModelSpec(architecture=config.arch, mode=mode, input_features=len(feature_names))
     model = build(spec, seed=config.seed)  # the split seed, which evaluate reads back
     model.feature_names = list(feature_names)
-    model.class_names = list(meta.get("classes") or [str(i) for i in range(mode.class_count)])
+    model.class_names = list(meta["classes"])
     model.normalizer = stats
     model.cache_sha256 = cache_sha256
 
@@ -410,7 +414,7 @@ def cmd_evaluate(config: RunConfig, model_path: str) -> int:
         raise ModeMismatchError(f"model mode {model.spec.mode.value!r} != cache mode {cache_mode!r}")
     if model.cache_sha256 is None:
         raise CacheMismatchError(f"{model_path} records no dataset cache digest; retrain it")
-    _, (X_test, y_test), _, _ = _load_split(
+    _, (X_test, y_test), _ = _load_split(
         cache_path, model.feature_names, model.rng_seed, model.cache_sha256
     )
     X_test = apply_normalizer(X_test, model.normalizer)

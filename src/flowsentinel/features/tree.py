@@ -57,6 +57,8 @@ class ForestConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.n_trees < 1:
+            raise ValueError(f"n_trees must be at least 1, got {self.n_trees}")
         if self.min_samples_leaf < 1:
             raise ValueError(f"min_samples_leaf must be at least 1, got {self.min_samples_leaf}")
 

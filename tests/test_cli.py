@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import multiprocessing
 import os
 import struct
 import subprocess
@@ -23,7 +24,8 @@ from flowsentinel.data import (
     schema,
     write_fixture_csv,
 )
-from flowsentinel.features import canonical_top20
+from flowsentinel.errors import EmptyInputError
+from flowsentinel.features import canonical_top20, forest
 from flowsentinel.models import ModelSpec, build, load, save
 
 ROWS = 600  # small but every class keeps >= 2 rows
@@ -154,6 +156,42 @@ class TestSelect:
                             for artefact in ("importance.csv", "features.txt")])
         assert digests[0] == digests[1]
 
+    def test_recompute_leaves_no_worker_running(self, workdir):
+        assert run("select", "--recompute-importance", "--out", str(workdir)) == 0
+        assert (workdir / "importance.csv").exists()
+        assert multiprocessing.active_children() == []
+
+    def test_recompute_worker_error_exit_2_leaves_no_worker(self, workdir, monkeypatch, capsys):
+        def grow(*args):
+            raise EmptyInputError("a tree without rows")
+
+        monkeypatch.setattr(forest, "usable_cpus", lambda: 2)  # a pool on any host
+        monkeypatch.setattr(forest, "grow_tree", grow)
+        code = run("select", "--recompute-importance", "--out", str(workdir))
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == "error: a tree without rows"
+        assert not (workdir / "importance.csv").exists()
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda _: ())(0)) < 2,
+                        reason="needs two usable CPUs")
+    def test_recompute_on_one_cpu_writes_the_same_bytes(self, tmp_path, fixture_csv):
+        out = tmp_path / "out"
+        assert run("ingest", "--data", str(fixture_csv), "--mode", "multi",
+                   "--out", str(out)) == 0
+        cpu = min(os.sched_getaffinity(0))
+        written = []
+        for pin in (None, lambda: os.sched_setaffinity(0, {cpu})):
+            proc = subprocess.run(
+                [sys.executable, "-m", "flowsentinel.cli", "select", "--recompute-importance",
+                 "--seed", "5", "--out", str(out)],
+                capture_output=True, env=cli_env(), preexec_fn=pin, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            written.append((out / "importance.csv").read_bytes())
+        assert written[0] == written[1]
+
 
 def one_row_class_cache(tmp_path, fixture_csv):
     """A multi-mode cache of the fixture with all but one row of its first label removed."""
@@ -220,6 +258,16 @@ class TestTrain:
 
     def test_missing_cache_exit_2(self, tmp_path):
         assert run("train", "--arch", "cnn", "--out", str(tmp_path / "void")) == 2
+
+    def test_missing_sidecar_exit_2_writes_nothing(self, workdir, capsys):
+        # without its sidecar a cache has no mode or class names to train under
+        sidecar = workdir / "dataset.fsds.meta.json"
+        sidecar.unlink()
+        code = run("train", "--arch", "cnn", "--epochs", "1", "--out", str(workdir))
+        assert code == 2
+        assert capsys.readouterr().err == f"error: missing cache sidecar {sidecar}\n"
+        for artefact in ("model.fsnn", "history.csv", "manifest.json"):
+            assert not (workdir / artefact).exists()
 
     def test_class_with_one_row_exit_2(self, tmp_path, fixture_csv, capsys):
         out = one_row_class_cache(tmp_path, fixture_csv)

@@ -1,8 +1,18 @@
 """Tree/forest/importance behaviour against brute-force and synthetic oracles."""
 
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import time
+from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import flowsentinel
 from flowsentinel.errors import EmptyInputError, KTooLargeError
 from flowsentinel.features import (
     ForestConfig,
@@ -10,9 +20,10 @@ from flowsentinel.features import (
     compute_importances,
     fit_forest,
     fit_tree,
+    forest,
     select_top_k,
 )
-from flowsentinel.features.tree import tree_feature_decreases
+from flowsentinel.features.tree import grow_tree, tree_feature_decreases
 from flowsentinel.rng import Rng
 
 
@@ -86,6 +97,10 @@ class TestFitTree:
     def test_min_samples_leaf_below_one_rejected(self):
         with pytest.raises(ValueError):
             ForestConfig(min_samples_leaf=0)
+
+    def test_no_trees_rejected(self):
+        with pytest.raises(ValueError, match="n_trees"):
+            ForestConfig(n_trees=0)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_root_split_matches_brute_force(self, seed):
@@ -174,6 +189,129 @@ class TestFitForest:
         r1 = compute_importances(fit_forest(X, y, config), list("abcd"))
         r2 = compute_importances(fit_forest(X, y, config), list("abcd"))
         assert r1.ranking == r2.ranking
+
+
+def node_bits(tree) -> list:
+    """Every node of a tree in preorder, its floats as exact hex strings."""
+    nodes, stack = [], [tree]
+    while stack:
+        node = stack.pop()
+        nodes.append((node.n_samples, node.feature, node.threshold.hex(),
+                      node.impurity_decrease.hex()))
+        if not node.is_leaf:
+            stack += (node.right, node.left)
+    return nodes
+
+
+class TestPool:
+    """Trees grown by worker processes against trees grown in this process."""
+
+    CONFIG = ForestConfig(n_trees=6, max_depth=6, min_samples_leaf=3, seed=4)
+
+    @staticmethod
+    def data(target="float"):
+        rng = np.random.default_rng(21)
+        X = rng.normal(size=(400, 6))
+        if target == "integer":  # class indices, as select fits them
+            y = (X[:, 0] > 0) + 2.0 * (X[:, 1] > 0.5) + rng.integers(0, 2, 400)
+        else:
+            y = rng.normal(size=400) + X[:, 0] - X[:, 2] ** 2
+        return X, y
+
+    @staticmethod
+    def patch(monkeypatch, cpus, doomed=None, fail=None):
+        """Claim ``cpus`` usable CPUs; tree ``doomed`` calls ``fail`` instead of growing."""
+        seed = TestPool.CONFIG.seed
+        doomed_seed = None if doomed is None else Rng(seed).spawn(f"tree-{doomed}").seed
+
+        def grow(X, y, columns, rows, config, rng):
+            if rng.seed == doomed_seed:
+                fail()
+            tree = grow_tree(X, y, columns, rows, config, rng)
+            tree.pid = os.getpid()
+            return tree
+
+        monkeypatch.setattr(forest, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(forest, "grow_tree", grow)
+
+    @pytest.mark.parametrize("target", ["integer", "float"])
+    def test_one_cpu_matches_the_pool(self, monkeypatch, target):
+        X, y = self.data(target)
+        runs = {}
+        for cpus in (1, 2, 5):  # 5: more workers than this host may have cores
+            self.patch(monkeypatch, cpus)
+            runs[cpus] = fit_forest(X, y, self.CONFIG)
+        assert {tree.pid for tree in runs[1]} == {os.getpid()}
+        assert sum(len(node_bits(t)) for t in runs[1]) > 6 * 3  # the trees did split
+        names = list("abcdef")
+        serial = compute_importances(runs[1], names).ranking
+        for cpus in (2, 5):
+            assert os.getpid() not in {tree.pid for tree in runs[cpus]}
+            assert [node_bits(t) for t in runs[cpus]] == [node_bits(t) for t in runs[1]]
+            pooled = compute_importances(runs[cpus], names).ranking
+            assert [(k, v.hex()) for k, v in pooled] == [(k, v.hex()) for k, v in serial]
+        assert multiprocessing.active_children() == []
+
+    def test_worker_error_reaches_the_caller_with_its_type(self, monkeypatch):
+        def fail():
+            raise EmptyInputError("tree 2 has no rows")
+
+        self.patch(monkeypatch, 2, doomed=2, fail=fail)
+        with pytest.raises(EmptyInputError, match="tree 2 has no rows"):
+            fit_forest(*self.data(), self.CONFIG)
+        assert multiprocessing.active_children() == []
+
+    def test_dead_worker_breaks_the_pool_without_a_hang(self, monkeypatch):
+        self.patch(monkeypatch, 2, doomed=3, fail=lambda: os._exit(7))
+        start = time.monotonic()
+        with pytest.raises(BrokenProcessPool):
+            fit_forest(*self.data(), self.CONFIG)
+        assert time.monotonic() - start < 30
+        assert multiprocessing.active_children() == []
+
+    # a caller whose workers each note their pid in a directory, then stall
+    STALLED_CALLER = """if True:
+        import os, sys, time
+        import numpy as np
+        from flowsentinel.features import ForestConfig, forest
+
+        def stall(*args):
+            open(os.path.join(sys.argv[1], str(os.getpid())), "w").close()
+            time.sleep(120)
+
+        forest.usable_cpus, forest.grow_tree = (lambda: 2), stall
+        forest.fit_forest(np.zeros((10, 2)), np.arange(10.0), ForestConfig(n_trees=2))
+    """
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="the workers' parent-death signal")
+    def test_killed_caller_takes_its_workers_along(self, tmp_path):
+        def running(pid):
+            try:
+                stat = Path(f"/proc/{pid}/stat").read_text()
+            except FileNotFoundError:
+                return False
+            return stat.rsplit(")", 1)[1].split()[0] != "Z"  # a zombie has exited
+
+        src = str(Path(flowsentinel.__file__).resolve().parents[1])
+        caller = subprocess.Popen([sys.executable, "-c", self.STALLED_CALLER, str(tmp_path)],
+                                  env=dict(os.environ, PYTHONPATH=src))
+        workers = []
+        try:
+            deadline = time.monotonic() + 60
+            while len(workers) < 2 and time.monotonic() < deadline:
+                time.sleep(0.05)
+                workers = [int(path.name) for path in tmp_path.iterdir()]
+            assert len(workers) == 2
+            caller.kill()
+            caller.wait(timeout=30)
+            deadline = time.monotonic() + 10
+            while any(map(running, workers)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not any(map(running, workers))
+        finally:
+            caller.kill()
+            for pid in filter(running, workers):
+                os.kill(pid, signal.SIGKILL)
 
 
 class TestImportances:

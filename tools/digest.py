@@ -7,7 +7,9 @@ artefact and the exit code and stderr of every step. The matrix:
 * ``ingest`` in binary, grouped and multi mode over two files (``--data a b``),
   of a 30k-row file with 1% malformed rows at ``--subsample 0.1``, and of a
   file of edge-case cells, lines and line ends;
-* ``select --recompute-importance`` on the subsampled cache;
+* ``select --recompute-importance`` on the subsampled cache, then the same
+  command again with the child pinned to one CPU (step ``select-1cpu``, whose
+  ``importance.csv`` must hash the same as ``select``'s);
 * ``train`` (2 epochs), ``evaluate`` and ``predict`` for cnn and lstm in all
   three modes, predicting over 4,097 rows (more than one inference batch)
   and over one row;
@@ -26,7 +28,8 @@ also gives each tree's ``src/`` line count (the lines of its ``.py`` files).
 
 ``--against REV`` extracts REV with ``git archive`` into a temporary
 directory. ``--threads 1,2`` runs the matrix once under each
-``OPENBLAS_NUM_THREADS`` value.
+``OPENBLAS_NUM_THREADS`` value. The command also exits 1 when a tree's
+``select-1cpu`` ranking differs from its ``select`` ranking.
 """
 
 from __future__ import annotations
@@ -102,7 +105,8 @@ def make_inputs(inputs: Path) -> None:
 
 
 def matrix():
-    """(step, argv, artefacts the step writes), in run order."""
+    """(step, argv, artefacts the step writes), in run order. A step whose name
+    ends in ``-1cpu`` runs pinned to one CPU."""
     steps = []
     for mode in MODES:
         out = f"runs/{mode}"
@@ -115,9 +119,10 @@ def matrix():
          [f"runs/dirty/{name}" for name in CACHE]),
         ("ingest-edge", ["ingest", "--data", "inputs/edge.csv", "--mode", "multi", "--out",
                          "runs/edge"], [f"runs/edge/{name}" for name in CACHE]),
-        ("select", ["select", "--recompute-importance", "--seed", SEED, "--out", "runs/dirty"],
-         ["runs/dirty/features.txt", "runs/dirty/importance.csv"]),
     ]
+    select = ["select", "--recompute-importance", "--seed", SEED, "--out", "runs/dirty"]
+    steps += [(step, select, ["runs/dirty/features.txt", "runs/dirty/importance.csv"])
+              for step in ("select", "select-1cpu")]
     for mode in MODES:
         out = f"runs/{mode}"
         model = f"{out}/model.fsnn"
@@ -168,9 +173,11 @@ def run_matrix(src: Path, inputs: Path, work: Path, threads: str | None) -> dict
     if threads is not None:
         env["OPENBLAS_NUM_THREADS"] = threads
     artefacts, runs = {}, {}
+    one_cpu = {min(os.sched_getaffinity(0))}
     for step, argv, outputs in matrix():
+        pin = (lambda: os.sched_setaffinity(0, one_cpu)) if step.endswith("-1cpu") else None
         proc = subprocess.run([sys.executable, "-m", "flowsentinel.cli", *map(str, argv)],
-                              cwd=work, env=env, capture_output=True)
+                              cwd=work, env=env, capture_output=True, preexec_fn=pin)
         runs[step] = {"exit": proc.returncode,
                       "stderr": scrub(proc.stderr, "", work).decode(errors="replace")}
         for output in outputs:  # hashed now: a later step may overwrite the file
@@ -216,6 +223,12 @@ def main(argv=None) -> int:
             key = f"threads={threads or 'default'}"
             report[key] = {tree: run_matrix(src, tmp / "inputs", tmp / key / tree, threads)
                            for tree, src in trees.items()}
+            for tree, result in report[key].items():
+                ranked = {result["artefacts"].get(f"{step}/importance.csv")
+                          for step in ("select", "select-1cpu")}
+                if len(ranked) != 1:
+                    failed = True
+                    print(f"{key}: {tree} ranks differently on one CPU", file=sys.stderr)
             if args.against:
                 differ = differences(report[key]["this"], report[key]["against"])
                 report[key]["differ"] = differ
