@@ -43,9 +43,11 @@ import numpy as np
 
 from . import __version__
 from .data import (
+    WRITE_CHUNK_ROWS,
     ClassificationMode,
     apply_normalizer,
     build_vocabulary,
+    csv_cell,
     fit_normalizer,
     load_csv,
     map_labels,
@@ -439,15 +441,16 @@ def cmd_predict(config: RunConfig, model_path: str, input_path: str) -> int:
     X = apply_normalizer(X, model.normalizer).astype(np.float32)
     out = _out_dir(config)
     target = out / "predictions.csv"
+    names = [csv_cell(name) for name in model.class_names]
     with open(target, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row_id", "predicted_class", "confidence"])
+        csv.writer(fh).writerow(["row_id", "predicted_class", "confidence"])
         for start, probs in model.batches(X):
             classes, confidences = model.decide(probs)
-            writer.writerows(
-                [start + i, model.class_names[int(klass)], f"{conf:.6f}"]
-                for i, (klass, conf) in enumerate(zip(classes, confidences))
-            )
+            for at in range(0, len(classes), WRITE_CHUNK_ROWS):
+                stop = at + WRITE_CHUNK_ROWS
+                fh.writelines(["%d,%s,%.6f\r\n" % (start + i, names[klass], conf)
+                               for i, klass, conf in zip(range(at, stop), classes[at:stop].tolist(),
+                                                         confidences[at:stop].tolist())])
     _emit(f"wrote {target} ({len(X)} predictions)")
     return EXIT_OK
 

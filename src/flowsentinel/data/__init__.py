@@ -1,15 +1,17 @@
 """Flow data: one CSV reader (``read_flows``) for ingest and predict, the
-cleaning report, labeling, subsampling, splitting, scaling and caching."""
+cell quoting of the CSV writers (``csv_cell``), the cleaning report,
+labeling, subsampling, splitting, scaling and caching."""
 
 from . import schema
 from .cache import meta_path, read_cache, read_meta, write_cache
-from .ingest import IngestReport, load_csv, read_flows
+from .ingest import WRITE_CHUNK_ROWS, IngestReport, csv_cell, load_csv, read_flows
 from .labels import ClassificationMode, LabelVocabulary, build_vocabulary, map_labels
 from .normalize import FeatureStats, apply_normalizer, fit_normalizer
 from .splits import SplitIndices, stratified_split, subsample_indices
 from .synthetic import generate_fixture, write_fixture_csv
 
 __all__ = [
+    "WRITE_CHUNK_ROWS",
     "ClassificationMode",
     "FeatureStats",
     "IngestReport",
@@ -17,6 +19,7 @@ __all__ = [
     "SplitIndices",
     "apply_normalizer",
     "build_vocabulary",
+    "csv_cell",
     "fit_normalizer",
     "generate_fixture",
     "load_csv",

@@ -22,6 +22,7 @@ import numpy as np
 from ..features import canonical_top20
 from ..rng import Rng
 from . import schema
+from .ingest import WRITE_CHUNK_ROWS, csv_cell
 
 # Relative class weights (percent-ish). Floods dominate; rare families sit
 # near the floor that keeps ~20 rows per class at the 5,000-row default.
@@ -129,7 +130,10 @@ def _class_counts(rows: int) -> dict:
     # Force the exact row count by adjusting the most populous class.
     biggest = max(names, key=lambda n: counts[n])
     counts[biggest] += rows - sum(counts.values())
-    assert counts[biggest] > 0
+    if counts[biggest] < 1:
+        raise ValueError(f"rows={rows} is too small: the other {len(names) - 1} classes take "
+                         f"{rows - counts[biggest]} rows (their weighted shares, at least 2 each), "
+                         f"which leaves none for {biggest}")
     return counts
 
 
@@ -169,8 +173,11 @@ def generate_fixture(rows: int = 5000, seed: int = 0):
 def write_fixture_csv(path, rows: int = 5000, seed: int = 0) -> None:
     """Write the fixture as a schema-complete CSV with a label column."""
     X, labels = generate_fixture(rows=rows, seed=seed)
+    cells = {label: csv_cell(label) for label in set(labels)}
+    line = "%.9g," * X.shape[1] + "%s\r\n"  # as csv.writer writes f"{v:.9g}" cells
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(schema.FEATURE_COLUMNS) + [schema.LABEL_COLUMN])
-        for row, label in zip(X, labels):
-            writer.writerow([f"{v:.9g}" for v in row] + [label])
+        csv.writer(fh).writerow(list(schema.FEATURE_COLUMNS) + [schema.LABEL_COLUMN])
+        for start in range(0, rows, WRITE_CHUNK_ROWS):
+            stop = start + WRITE_CHUNK_ROWS
+            fh.writelines([line % (*values, cells[label])
+                           for values, label in zip(X[start:stop].tolist(), labels[start:stop])])

@@ -6,8 +6,9 @@ per feature, averaged over trees, then normalized to sum to 1.
 
 The trees grow in forked workers, one per usable CPU (at most one per tree),
 which share X and its sorted columns copy-on-write and send back only the
-trees. Each tree draws only from its own ``tree-{t}`` stream and they come
-back in tree order, so the importances are the same bits at any CPU count.
+trees; a forest smaller than ``POOL_MIN_WORK`` grows in the calling process.
+Each tree draws only from its own ``tree-{t}`` stream and they come back in
+tree order, so the importances are the same bits at any CPU count.
 """
 
 from __future__ import annotations
@@ -39,6 +40,12 @@ def usable_cpus() -> int:
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
+# rows x trees below which the trees grow in the calling process: on 2 CPUs, a
+# pool's start-up cost more than it saved up to ~4,000 (10 trees on 150 rows:
+# ~30 ms in-process, ~65 ms pooled) and less from ~5,000 (100 trees on 2,970
+# rows: 3.0 s in-process, 1.6 s pooled)
+POOL_MIN_WORK = 4_000
+
 _forest = None  # a worker's (X, y, columns, config), set by the pool's initializer
 
 
@@ -67,7 +74,8 @@ def fit_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig) -> list:
     """Fit ``config.n_trees`` trees on seeded bootstrap resamples, in tree order.
 
     The columns are sorted once, on the un-resampled matrix, for every tree.
-    With one usable CPU, or without ``fork``, the trees grow in this process.
+    With one usable CPU, without ``fork``, or below ``POOL_MIN_WORK`` rows x
+    trees, the trees grow in this process.
     """
     import multiprocessing  # here: the other commands need not load the pool's modules
     from concurrent.futures import ProcessPoolExecutor
@@ -75,7 +83,8 @@ def fit_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig) -> list:
     X, y = check_inputs(X, y, "fit_forest")
     forest = (X, y, sort_columns(X, y), config)
     workers = min(usable_cpus(), config.n_trees)
-    if workers == 1 or "fork" not in multiprocessing.get_all_start_methods():
+    if (workers == 1 or X.shape[0] * config.n_trees < POOL_MIN_WORK
+            or "fork" not in multiprocessing.get_all_start_methods()):
         return [_tree(t, forest) for t in range(config.n_trees)]
     # named, not the default: Python 3.14 no longer forks by default on Linux
     context = multiprocessing.get_context("fork")

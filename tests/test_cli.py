@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import io
 import json
 import multiprocessing
 import os
@@ -20,7 +21,10 @@ from flowsentinel.cli import main
 from flowsentinel.data import (
     ClassificationMode,
     FeatureStats,
+    apply_normalizer,
+    fit_normalizer,
     read_cache,
+    read_flows,
     schema,
     write_fixture_csv,
 )
@@ -422,6 +426,32 @@ class TestEvaluateAndPredict:
         assert code == 3
         assert "normalizer" in capsys.readouterr().err
         assert not (out / "predictions.csv").exists()
+
+    def test_predict_quotes_class_names_as_csv_writer_does(self, tmp_path, fixture_csv):
+        mode = ClassificationMode.GROUPED
+        model = build(ModelSpec("cnn", mode), seed=0)
+        model.feature_names = canonical_top20()
+        X, _, _ = read_flows(fixture_csv, model.feature_names)
+        model.normalizer = fit_normalizer(X)
+        # the untrained model predicts classes 2, 3 and 4 for this input
+        model.class_names = ["Spoof,ARP", '"', 'say "hi", ok', "line\nbreak", "cr\r", ",", " x", ""]
+        path = tmp_path / "tricky.fsnn"
+        save(model, path)
+        out = tmp_path / "pred"
+        assert run("predict", "--model", str(path), "--input", str(fixture_csv),
+                   "--out", str(out)) == 0
+
+        expected = io.StringIO()
+        writer = csv.writer(expected)
+        writer.writerow(["row_id", "predicted_class", "confidence"])
+        for start, probs in model.batches(apply_normalizer(X, model.normalizer).astype(np.float32)):
+            classes, confidences = model.decide(probs)
+            writer.writerows([start + i, model.class_names[int(klass)], f"{conf:.6f}"]
+                             for i, (klass, conf) in enumerate(zip(classes, confidences)))
+        got = (out / "predictions.csv").read_bytes()
+        assert got == expected.getvalue().encode("utf-8")
+        predicted = {row[1] for row in csv.reader(io.StringIO(got.decode(), newline=""))}
+        assert {'say "hi", ok', "line\nbreak", "cr\r"} < predicted
 
     @pytest.mark.parametrize("emptied", ["feature_names", "class_names"])
     def test_predict_model_without_its_lists_exit_3(self, tmp_path, fixture_csv, capsys,

@@ -1,5 +1,9 @@
 """Ingestion, vocabularies, subsampling, splits, normalization, cache format."""
 
+import csv
+import hashlib
+import io
+
 import numpy as np
 import pytest
 
@@ -7,6 +11,7 @@ from flowsentinel.data import (
     ClassificationMode,
     apply_normalizer,
     build_vocabulary,
+    csv_cell,
     fit_normalizer,
     generate_fixture,
     load_csv,
@@ -438,3 +443,27 @@ class TestSyntheticFixture:
     def test_all_values_finite(self):
         X, _ = generate_fixture(rows=500, seed=2)
         assert np.all(np.isfinite(X))
+
+    # the sha256 that write_fixture_csv gave when it ran csv.writer over one
+    # f"{v:.9g}" per cell; the fixture is every benchmark's and digest's input
+    @pytest.mark.parametrize("rows, seed, digest", [
+        (500, 3, "64bc947b9e70cff183645e26c33dfb6561d07e288c7d50b0cc594795bf90557e"),
+        (5000, 0, "d96394b9d341df6d07d1fe336c15250363e2556df24a070d643ab95b98025c52"),
+    ])
+    def test_csv_bytes_are_pinned(self, tmp_path, rows, seed, digest):
+        path = tmp_path / "fixture.csv"
+        write_fixture_csv(path, rows=rows, seed=seed)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("rows", [150, 199])
+    def test_too_few_rows_raise_value_error(self, rows):
+        with pytest.raises(ValueError, match=f"rows={rows} is too small"):
+            generate_fixture(rows=rows)
+
+
+@pytest.mark.parametrize("text", ["BenignTraffic", "", " ", "a,b", 'say "hi"', '"', "a\nb",
+                                  "a\rb", "ü"])
+def test_csv_cell_is_what_csv_writer_writes(text):
+    buf = io.StringIO()
+    csv.writer(buf).writerow([1, text, 2])
+    assert buf.getvalue() == f"1,{csv_cell(text)},2\r\n"

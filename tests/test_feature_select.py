@@ -220,7 +220,8 @@ class TestPool:
 
     @staticmethod
     def patch(monkeypatch, cpus, doomed=None, fail=None):
-        """Claim ``cpus`` usable CPUs; tree ``doomed`` calls ``fail`` instead of growing."""
+        """Claim ``cpus`` usable CPUs and a pool for any forest; tree ``doomed``
+        calls ``fail`` instead of growing."""
         seed = TestPool.CONFIG.seed
         doomed_seed = None if doomed is None else Rng(seed).spawn(f"tree-{doomed}").seed
 
@@ -232,6 +233,7 @@ class TestPool:
             return tree
 
         monkeypatch.setattr(forest, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(forest, "POOL_MIN_WORK", 0)
         monkeypatch.setattr(forest, "grow_tree", grow)
 
     @pytest.mark.parametrize("target", ["integer", "float"])
@@ -250,6 +252,21 @@ class TestPool:
             assert [node_bits(t) for t in runs[cpus]] == [node_bits(t) for t in runs[1]]
             pooled = compute_importances(runs[cpus], names).ranking
             assert [(k, v.hex()) for k, v in pooled] == [(k, v.hex()) for k, v in serial]
+        assert multiprocessing.active_children() == []
+
+    def test_small_forest_grows_in_this_process(self, monkeypatch):
+        # the acceptance test's 10 trees on 150 rows grow here, select's 100 on
+        # the benchmark's 2,970-row cache in a pool
+        assert 150 * 10 < forest.POOL_MIN_WORK <= 2_970 * ForestConfig().n_trees
+        X, y = self.data()
+        self.patch(monkeypatch, 2)
+        pooled = fit_forest(X, y, self.CONFIG)
+        monkeypatch.setattr(forest, "POOL_MIN_WORK", len(X) * self.CONFIG.n_trees + 1)
+        small = fit_forest(X, y, self.CONFIG)
+        assert {tree.pid for tree in small} == {os.getpid()}
+        assert [node_bits(t) for t in small] == [node_bits(t) for t in pooled]
+        monkeypatch.setattr(forest, "POOL_MIN_WORK", len(X) * self.CONFIG.n_trees)
+        assert os.getpid() not in {tree.pid for tree in fit_forest(X, y, self.CONFIG)}
         assert multiprocessing.active_children() == []
 
     def test_worker_error_reaches_the_caller_with_its_type(self, monkeypatch):
@@ -279,7 +296,7 @@ class TestPool:
             open(os.path.join(sys.argv[1], str(os.getpid())), "w").close()
             time.sleep(120)
 
-        forest.usable_cpus, forest.grow_tree = (lambda: 2), stall
+        forest.usable_cpus, forest.grow_tree, forest.POOL_MIN_WORK = (lambda: 2), stall, 0
         forest.fit_forest(np.zeros((10, 2)), np.arange(10.0), ForestConfig(n_trees=2))
     """
 

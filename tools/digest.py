@@ -20,16 +20,20 @@ artefact and the exit code and stderr of every step. The matrix:
 Wall-clock fields are removed before hashing: the ``seconds`` column of
 ``history.csv``, and the run directory wherever it appears. Inputs are made
 once, by this tree's fixture generator, and shared by every run. The report
-also gives each tree's ``src/`` line count (the lines of its ``.py`` files).
+also gives each tree's ``src/`` line count (the lines of its ``.py`` files)
+and the sha256 of each fixture file (``inputs``).
 
     python tools/digest.py                          # this tree
     python tools/digest.py --against HEAD~1         # and REV's; exit 1 if any differ
     python tools/digest.py --against HEAD~1 --threads 1,2
 
 ``--against REV`` extracts REV with ``git archive`` into a temporary
-directory. ``--threads 1,2`` runs the matrix once under each
-``OPENBLAS_NUM_THREADS`` value. The command also exits 1 when a tree's
-``select-1cpu`` ranking differs from its ``select`` ranking.
+directory. It also writes the fixture files with REV's generator, in a child
+with REV's ``src`` on ``PYTHONPATH``, and lists each file whose sha256
+differs under ``differ`` as ``inputs/<name>``. ``--threads 1,2`` runs the
+matrix once under each ``OPENBLAS_NUM_THREADS`` value. The command also
+exits 1 when a tree's ``select-1cpu`` ranking differs from its ``select``
+ranking.
 """
 
 from __future__ import annotations
@@ -60,14 +64,22 @@ BAD_CELLS = {"nan": "nan", "inf": "inf", "n-a": "n/a", "empty": "", "hash": "2.0
              "overflow": "1e400", "short": None}
 EDGE_CELLS = ["1_000", "١٢", "\xa01.5", "2.0#x", "0x10", "1d5", "nan(1)", "-Infinity",
               "1e400", "", "   ", "1.5 2", "\x1c1", "nan", "-nan", " 2.5 ", '"1.5"']
+# the inputs the fixture generator writes: name -> (rows, seed)
+FIXTURES = {"flows.csv": (3000, SEED), "more.csv": (1000, SEED + 1), "new.csv": (4097, SEED + 2),
+            "big.csv": (30000, SEED + 3)}
+# a child's program: write the fixtures named in argv[2] (JSON) into directory argv[1]
+WRITE_FIXTURES = """if True:
+    import json, os, sys
+    from flowsentinel.data import write_fixture_csv
+    for name, (rows, seed) in json.loads(sys.argv[2]).items():
+        write_fixture_csv(os.path.join(sys.argv[1], name), rows=rows, seed=seed)
+"""
 
 
 def make_inputs(inputs: Path) -> None:
     inputs.mkdir()
-    write_fixture_csv(inputs / "flows.csv", rows=3000, seed=SEED)
-    write_fixture_csv(inputs / "more.csv", rows=1000, seed=SEED + 1)
-    write_fixture_csv(inputs / "new.csv", rows=4097, seed=SEED + 2)
-    write_fixture_csv(inputs / "big.csv", rows=30000, seed=SEED + 3)
+    for name, (rows, seed) in FIXTURES.items():
+        write_fixture_csv(inputs / name, rows=rows, seed=seed)
     header, *rows = (inputs / "flows.csv").read_text(encoding="utf-8").splitlines()
     (inputs / "one.csv").write_text(f"{header}\n{rows[0]}\n", encoding="utf-8")
 
@@ -162,6 +174,18 @@ def scrub(data: bytes, name: str, work: Path) -> bytes:
     return data
 
 
+def write_fixtures(src: Path, inputs: Path) -> subprocess.CompletedProcess:
+    """Write the ``FIXTURES`` files into ``inputs`` with source tree ``src``'s
+    generator, in a child."""
+    inputs.mkdir()
+    return subprocess.run([sys.executable, "-c", WRITE_FIXTURES, str(inputs), json.dumps(FIXTURES)],
+                          capture_output=True, env=dict(os.environ, PYTHONPATH=str(src)))
+
+
+def fixture_hashes(inputs: Path) -> dict:
+    return {name: hashlib.sha256((inputs / name).read_bytes()).hexdigest() for name in FIXTURES}
+
+
 def src_lines(src: Path) -> int:
     return sum(path.read_bytes().count(b"\n") for path in src.rglob("*.py"))
 
@@ -219,6 +243,19 @@ def main(argv=None) -> int:
         print("src/ lines: " + ", ".join(f"{tree} {n}" for tree, n in report["src_lines"].items()),
               file=sys.stderr)
         make_inputs(tmp / "inputs")
+        report["inputs"] = {"this": fixture_hashes(tmp / "inputs")}
+        inputs_differ = []
+        if args.against:
+            child = write_fixtures(trees["against"], tmp / "against-inputs")
+            if child.returncode:
+                print(f"error: {args.against}'s fixture generator: {child.stderr.decode().strip()}",
+                      file=sys.stderr)
+                return 2
+            theirs = report["inputs"]["against"] = fixture_hashes(tmp / "against-inputs")
+            inputs_differ = [f"inputs/{name}" for name, digest in report["inputs"]["this"].items()
+                             if theirs[name] != digest]
+            print(f"inputs: {len(FIXTURES)} fixture files, {len(inputs_differ)} differ from "
+                  f"{args.against}", file=sys.stderr)
         for threads in settings:
             key = f"threads={threads or 'default'}"
             report[key] = {tree: run_matrix(src, tmp / "inputs", tmp / key / tree, threads)
@@ -230,7 +267,7 @@ def main(argv=None) -> int:
                     failed = True
                     print(f"{key}: {tree} ranks differently on one CPU", file=sys.stderr)
             if args.against:
-                differ = differences(report[key]["this"], report[key]["against"])
+                differ = inputs_differ + differences(report[key]["this"], report[key]["against"])
                 report[key]["differ"] = differ
                 failed |= bool(differ)
                 print(f"{key}: {len(report[key]['this']['artefacts'])} artefacts, "
