@@ -24,6 +24,11 @@ from ..rng import Rng
 from . import schema
 from .ingest import WRITE_CHUNK_ROWS, csv_cell
 
+# The fewest rows generate_fixture accepts. Below it the 34 classes' rounded
+# shares, at least 2 rows each, can take more rows than there are (at 171 and
+# 199, and at every value up to 168); from 200 up they always fit.
+MIN_ROWS = 200
+
 # Relative class weights (percent-ish). Floods dominate; rare families sit
 # near the floor that keeps ~20 rows per class at the 5,000-row default.
 _CLASS_WEIGHTS = {
@@ -138,7 +143,12 @@ def _class_counts(rows: int) -> dict:
 
 
 def generate_fixture(rows: int = 5000, seed: int = 0):
-    """Returns (X [rows, 46] float64 in schema column order, labels list[str])."""
+    """Returns (X [rows, 46] float64 in schema column order, labels list[str]).
+
+    ``rows`` must be at least ``MIN_ROWS`` (200); fewer raise ``ValueError``.
+    """
+    if rows < MIN_ROWS:
+        raise ValueError(f"rows={rows} is too small: the fixture needs at least {MIN_ROWS} rows")
     class_names = schema.raw_labels()
     assert set(class_names) == set(_CLASS_WEIGHTS)
     signatures = class_signatures(class_names)

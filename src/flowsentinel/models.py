@@ -33,7 +33,6 @@ from .data.labels import ClassificationMode
 from .data.normalize import FeatureStats
 from .errors import CorruptModelError, InvalidSpecError, ShapeMismatchError
 from .nn import LSTM, Conv1D, Dense, Dropout, Flatten, MaxPool1D, ReLU, sigmoid, softmax
-from .nn.tensor import active_dtype
 from .rng import Rng
 
 MAGIC = b"FSNN"
@@ -131,8 +130,9 @@ class Model:
         return batch[:, :, None]  # 20 steps, one input dimension
 
     def forward(self, batch, training: bool = False) -> np.ndarray:
-        """Probabilities: [B, 1] in (0,1) for binary, softmax rows otherwise."""
-        h = self._frame(batch).astype(active_dtype(), copy=False)
+        """Probabilities: [B, 1] in (0,1) for binary, softmax rows otherwise,
+        in the dtype of the model's parameters."""
+        h = self._frame(batch).astype(self.layers[-1].weight.value.dtype, copy=False)
         for layer in self.layers:
             h = layer.forward(h, training=training)
         if self.spec.output_activation == "sigmoid":

@@ -1,4 +1,8 @@
-"""Minimal neural-network core: layers, losses, Adam, gradient checking."""
+"""Minimal neural-network core: float32 layers, losses and Adam.
+
+The finite-difference gradient oracle that checks them lives in
+``tests/conftest.py``.
+"""
 
 from .activations import (
     relu,
@@ -9,7 +13,6 @@ from .activations import (
     tanh_backward,
 )
 from .adam import Adam
-from .gradcheck import GradCheckReport, check_layer, gradient_check, numeric_gradient
 from .layers import (
     LSTM,
     Conv1D,
@@ -24,12 +27,10 @@ from .layers import (
 from .losses import (
     EPSILON,
     binary_cross_entropy,
-    binary_cross_entropy_grad,
     binary_logit_grad,
     sparse_categorical_cross_entropy,
     sparse_categorical_logit_grad,
 )
-from .tensor import active_dtype, precision
 
 __all__ = [
     "Adam",
@@ -38,20 +39,13 @@ __all__ = [
     "Dropout",
     "EPSILON",
     "Flatten",
-    "GradCheckReport",
     "LSTM",
     "Layer",
     "MaxPool1D",
     "Parameter",
     "ReLU",
-    "active_dtype",
     "binary_cross_entropy",
-    "binary_cross_entropy_grad",
     "binary_logit_grad",
-    "check_layer",
-    "gradient_check",
-    "numeric_gradient",
-    "precision",
     "relu",
     "sigmoid",
     "sigmoid_backward",

@@ -14,8 +14,9 @@ Conventions shared by every layer:
 * An inference forward (``training=False``, the default) keeps no cache and
   drops any earlier one, so it holds no input alive after it returns and a
   ``backward`` after it raises :class:`MissingCacheError`.
-* Weight init is Glorot-uniform, limit sqrt(6 / (fan_in + fan_out)); biases
-  start at zero except the LSTM forget gate, which starts at 1.
+* Parameters are float32. Weight init is Glorot-uniform, limit
+  sqrt(6 / (fan_in + fan_out)); biases start at zero except the LSTM forget
+  gate, which starts at 1.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from ..errors import (
 )
 from ..rng import Rng
 from . import activations as act
-from .tensor import active_dtype
 
 
 class Parameter:
@@ -48,7 +48,7 @@ class Parameter:
 
 def glorot_uniform(rng: Rng, shape, fan_in: int, fan_out: int) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(size=shape, low=-limit, high=limit).astype(active_dtype())
+    return rng.uniform(size=shape, low=-limit, high=limit).astype(np.float32)
 
 
 class Layer:
@@ -83,7 +83,7 @@ class Dense(Layer):
         self.weight = Parameter(
             f"{name}/W", glorot_uniform(rng, (out_features, in_features), in_features, out_features)
         )
-        self.bias = Parameter(f"{name}/b", np.zeros(out_features, dtype=active_dtype()))
+        self.bias = Parameter(f"{name}/b", np.zeros(out_features, dtype=np.float32))
 
     def parameters(self):
         return [self.weight, self.bias]
@@ -137,7 +137,7 @@ class Conv1D(Layer):
             f"{name}/W",
             glorot_uniform(rng, (out_channels, in_channels, kernel_size), fan_in, fan_out),
         )
-        self.bias = Parameter(f"{name}/b", np.zeros(out_channels, dtype=active_dtype()))
+        self.bias = Parameter(f"{name}/b", np.zeros(out_channels, dtype=np.float32))
 
     def parameters(self):
         return [self.weight, self.bias]
@@ -347,7 +347,7 @@ class LSTM(Layer):
         self.weight = Parameter(
             f"{name}/W", glorot_uniform(rng, (fan_in, fan_out), fan_in, fan_out)
         )
-        bias = np.zeros(4 * hidden, dtype=active_dtype())
+        bias = np.zeros(4 * hidden, dtype=np.float32)
         bias[hidden: 2 * hidden] = 1.0  # forget gate starts open
         self.bias = Parameter(f"{name}/b", bias)
 

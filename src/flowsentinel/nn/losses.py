@@ -2,12 +2,9 @@
 
 Both losses average over the batch. Probabilities are clamped to
 [EPSILON, 1 - EPSILON] before any log, so perfect predictions never produce
--ln 0. Gradients come in two flavours:
-
-* w.r.t. the probabilities (the literal derivative of the loss formula), and
-* the fused form w.r.t. the pre-activation logits, which is what the training
-  loop feeds backward: (p - y) / B for sigmoid + BCE, and
-  (probs - onehot(y)) / B for softmax + cross-entropy.
+-ln 0. Each loss has one gradient, the fused form w.r.t. the pre-activation
+logits that the training loop feeds backward: (p - y) / B for sigmoid + BCE,
+and (probs - onehot(y)) / B for softmax + cross-entropy.
 """
 
 from __future__ import annotations
@@ -34,17 +31,6 @@ def binary_cross_entropy(p, y) -> float:
     pc = _clamp(p)
     yf = y.astype(np.float64)
     return float(np.mean(-(yf * np.log(pc) + (1.0 - yf) * np.log(1.0 - pc))))
-
-
-def binary_cross_entropy_grad(p, y) -> np.ndarray:
-    """Gradient of the mean BCE w.r.t. the probabilities."""
-    p = np.atleast_1d(np.asarray(p, dtype=np.float64)).reshape(-1)
-    y = np.atleast_1d(np.asarray(y)).reshape(-1)
-    if not np.all(np.isin(y, (0, 1))):
-        raise InvalidLabelError("binary targets must be 0 or 1")
-    pc = _clamp(p)
-    yf = y.astype(np.float64)
-    return (-(yf / pc) + (1.0 - yf) / (1.0 - pc)) / p.size
 
 
 def binary_logit_grad(p: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -28,6 +28,36 @@ def max_rel_err(analytic, numeric):
     return float((np.abs(analytic - numeric) / denom).max())
 
 
+def as_float64(layer_or_model):
+    """Recast every parameter to float64 with a fresh zero gradient, in place.
+
+    The library builds float32 parameters only; central differences with
+    h = 1e-5 drown in float32 rounding, so the gradient checks run in float64.
+    """
+    for p in layer_or_model.parameters():
+        p.value = p.value.astype(np.float64)
+        p.grad = np.zeros_like(p.value)
+    return layer_or_model
+
+
+def check_layer(layer, x, h=1e-5):
+    """Largest relative error of the input and parameter gradients under the
+    loss sum(forward(x)). Every forward is a training one, since only that
+    keeps the cache ``backward`` needs."""
+    x = np.asarray(x, dtype=np.float64)
+
+    def loss():
+        return float(layer.forward(x, training=True).sum())
+
+    for p in layer.parameters():
+        p.grad.fill(0)
+    out = layer.forward(x, training=True)
+    worst = max_rel_err(layer.backward(np.ones_like(out)), central_difference(loss, x, h))
+    for p in layer.parameters():
+        worst = max(worst, max_rel_err(p.grad, central_difference(loss, p.value, h)))
+    return worst
+
+
 def brute_force_conv1d(x, w, b):
     """Cross-correlation by explicit loops over (out-channel, position, tap)."""
     c_out, c_in, k = w.shape

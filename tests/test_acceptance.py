@@ -52,10 +52,8 @@ from flowsentinel.nn import (
     MaxPool1D,
     Parameter,
     binary_cross_entropy,
-    binary_cross_entropy_grad,
-    check_layer,
-    gradient_check,
-    precision,
+    binary_logit_grad,
+    sigmoid,
     softmax,
     sparse_categorical_cross_entropy,
     sparse_categorical_logit_grad,
@@ -67,6 +65,8 @@ from flowsentinel.training import (
     metrics_from_confusion,
     train,
 )
+
+from conftest import as_float64, central_difference, check_layer, max_rel_err
 
 GRAD_TOL = 1e-4
 COMPOSITE_TOL = 1e-3
@@ -91,33 +91,32 @@ def announce(name: str, ok: bool, detail: str = "") -> None:
 def test_gradient_correctness_layers():
     started = time.perf_counter()
     worst = 0.0
-    with precision(np.float64):
-        rng = np.random.default_rng(7)
-        for case in range(20):
-            dense = Dense(int(rng.integers(1, 9)), int(rng.integers(1, 7)), Rng(case))
-            x = rng.normal(size=(int(rng.integers(1, 5)), dense.in_features))
-            worst = max(worst, check_layer(dense, x).max_rel_err)
-        for case in range(20):
-            c_in, c_out, k = int(rng.integers(1, 4)), int(rng.integers(1, 5)), int(rng.integers(1, 5))
-            conv = Conv1D(c_in, c_out, k, Rng(100 + case))
-            x = rng.normal(size=(int(rng.integers(1, 4)), c_in, k + int(rng.integers(0, 9))))
-            worst = max(worst, check_layer(conv, x).max_rel_err)
-        # the exact stack shapes used by the classifier
-        conv1 = Conv1D(1, 32, 3, Rng(900))
-        worst = max(worst, check_layer(conv1, rng.normal(size=(1, 1, 20))).max_rel_err)
-        conv2 = Conv1D(32, 64, 3, Rng(901))
-        worst = max(worst, check_layer(conv2, rng.normal(size=(1, 32, 9))).max_rel_err)
-        for case in range(20):
-            pool = MaxPool1D(2)
-            c = int(rng.integers(1, 4))
-            length = int(rng.integers(2, 11))
-            x = rng.permutation(c * length).astype(np.float64).reshape(1, c, length)
-            worst = max(worst, check_layer(pool, x).max_rel_err)
-        for case in range(20):
-            d, h = int(rng.integers(1, 4)), int(rng.integers(2, 5))
-            lstm = LSTM(d, h, Rng(200 + case), return_sequences=bool(case % 2))
-            x = rng.normal(size=(int(rng.integers(1, 3)), int(rng.integers(1, 5)), d))
-            worst = max(worst, check_layer(lstm, x, training=True).max_rel_err)
+    rng = np.random.default_rng(7)
+    for case in range(20):
+        dense = as_float64(Dense(int(rng.integers(1, 9)), int(rng.integers(1, 7)), Rng(case)))
+        x = rng.normal(size=(int(rng.integers(1, 5)), dense.in_features))
+        worst = max(worst, check_layer(dense, x))
+    for case in range(20):
+        c_in, c_out, k = int(rng.integers(1, 4)), int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        conv = as_float64(Conv1D(c_in, c_out, k, Rng(100 + case)))
+        x = rng.normal(size=(int(rng.integers(1, 4)), c_in, k + int(rng.integers(0, 9))))
+        worst = max(worst, check_layer(conv, x))
+    # the exact stack shapes used by the classifier
+    conv1 = as_float64(Conv1D(1, 32, 3, Rng(900)))
+    worst = max(worst, check_layer(conv1, rng.normal(size=(1, 1, 20))))
+    conv2 = as_float64(Conv1D(32, 64, 3, Rng(901)))
+    worst = max(worst, check_layer(conv2, rng.normal(size=(1, 32, 9))))
+    for case in range(20):
+        pool = MaxPool1D(2)
+        c = int(rng.integers(1, 4))
+        length = int(rng.integers(2, 11))
+        x = rng.permutation(c * length).astype(np.float64).reshape(1, c, length)
+        worst = max(worst, check_layer(pool, x))
+    for case in range(20):
+        d, h = int(rng.integers(1, 4)), int(rng.integers(2, 5))
+        lstm = as_float64(LSTM(d, h, Rng(200 + case), return_sequences=bool(case % 2)))
+        x = rng.normal(size=(int(rng.integers(1, 3)), int(rng.integers(1, 5)), d))
+        worst = max(worst, check_layer(lstm, x))
     elapsed = time.perf_counter() - started
     announce(
         "gradients: dense/conv/pool/lstm vs finite differences",
@@ -131,14 +130,14 @@ def test_gradient_correctness_losses():
     worst = 0.0
     for case in range(20):
         n = int(rng.integers(2, 9))
-        p = rng.uniform(0.05, 0.95, size=n)
+        z = rng.normal(size=(n, 1))
         y = (rng.uniform(size=n) > 0.5).astype(int)
 
         def bce():
-            return binary_cross_entropy(p, y)
+            return binary_cross_entropy(sigmoid(z), y)
 
-        report = gradient_check(bce, {"p": p}, {"p": binary_cross_entropy_grad(p, y)})
-        worst = max(worst, report.max_rel_err)
+        grad = binary_logit_grad(sigmoid(z), y)
+        worst = max(worst, max_rel_err(grad, central_difference(bce, z)))
     for case in range(20):
         n, c = int(rng.integers(1, 6)), int(rng.integers(2, 9))
         z = rng.normal(size=(n, c))
@@ -148,8 +147,7 @@ def test_gradient_correctness_losses():
             return sparse_categorical_cross_entropy(softmax(z, axis=-1), y)
 
         grad = sparse_categorical_logit_grad(softmax(z, axis=-1), y)
-        report = gradient_check(sce, {"z": z}, {"z": grad})
-        worst = max(worst, report.max_rel_err)
+        worst = max(worst, max_rel_err(grad, central_difference(sce, z)))
     announce(
         "gradients: both losses vs finite differences",
         worst < GRAD_TOL,
@@ -158,28 +156,22 @@ def test_gradient_correctness_losses():
 
 
 def test_gradient_correctness_full_cnn_composite():
-    with precision(np.float64):
-        model = build(ModelSpec("cnn", ClassificationMode.BINARY), seed=5)
-        x = np.random.default_rng(3).uniform(0.05, 0.95, size=(1, 20))
-        y = np.array([1])
+    model = as_float64(build(ModelSpec("cnn", ClassificationMode.BINARY), seed=5))
+    x = np.random.default_rng(3).uniform(0.05, 0.95, size=(1, 20))
+    y = np.array([1])
 
-        def loss_fn() -> float:
-            probs = model.forward(x, training=False)
-            return binary_cross_entropy(probs[:, 0], y)
+    def loss_fn() -> float:
+        probs = model.forward(x, training=False)
+        return binary_cross_entropy(probs[:, 0], y)
 
-        for p in model.parameters():
-            p.grad.fill(0)
-        probs = model.forward(x, training=True)  # the CNN has no dropout
-        from flowsentinel.nn.losses import binary_logit_grad
-
-        model.backward_from_logits(binary_logit_grad(probs, y))
-        arrays = {p.name: p.value for p in model.parameters()}
-        analytic = {p.name: p.grad.copy() for p in model.parameters()}
-        report = gradient_check(loss_fn, arrays, analytic)
+    probs = model.forward(x, training=True)  # the CNN has no dropout
+    model.backward_from_logits(binary_logit_grad(probs, y))
+    params = model.parameters()
+    worst = max(max_rel_err(p.grad, central_difference(loss_fn, p.value)) for p in params)
     announce(
         "gradients: full CNN classifier forward+loss",
-        report.max_rel_err < COMPOSITE_TOL,
-        f"max rel err {report.max_rel_err:.2e} across {len(arrays)} parameter tensors",
+        worst < COMPOSITE_TOL,
+        f"max rel err {worst:.2e} across {len(params)} parameter tensors",
     )
 
 

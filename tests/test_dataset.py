@@ -455,10 +455,15 @@ class TestSyntheticFixture:
         write_fixture_csv(path, rows=rows, seed=seed)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
-    @pytest.mark.parametrize("rows", [150, 199])
+    @pytest.mark.parametrize("rows", [150, 170, 198, 199])
     def test_too_few_rows_raise_value_error(self, rows):
         with pytest.raises(ValueError, match=f"rows={rows} is too small"):
             generate_fixture(rows=rows)
+
+    def test_minimum_rows_cover_every_class(self):
+        X, labels = generate_fixture(rows=200)  # the documented minimum
+        assert X.shape == (200, len(schema.FEATURE_COLUMNS))
+        assert set(labels) == set(schema.raw_labels())
 
 
 @pytest.mark.parametrize("text", ["BenignTraffic", "", " ", "a,b", 'say "hi"', '"', "a\nb",

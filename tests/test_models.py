@@ -11,6 +11,8 @@ from flowsentinel.models import Model, ModelSpec, build, load, save
 from flowsentinel.nn import Conv1D, Dense, MaxPool1D
 from flowsentinel.rng import Rng
 
+from conftest import as_float64
+
 
 def spec_of(arch, mode):
     return ModelSpec(architecture=arch, mode=ClassificationMode(mode))
@@ -245,6 +247,17 @@ class TestSerialization:
             assert loaded.spec.architecture == arch
             assert loaded.spec.mode.value == mode
             assert loaded.rng_seed == 3
+
+    @pytest.mark.parametrize("arch", ["cnn", "lstm"])
+    def test_parameters_and_probabilities_are_float32(self, arch, tmp_path, np_rng):
+        model = build(spec_of(arch, "multi"), seed=2)
+        loaded, _ = self.roundtrip(model, tmp_path)
+        x = np_rng.uniform(size=(5, 20))  # float64 rows
+        for m in (model, loaded):
+            assert {p.value.dtype for p in m.parameters()} == {np.dtype(np.float32)}
+            assert m.forward(x).dtype == np.float32
+        # forward casts its input to the parameters' dtype, whatever that is
+        assert as_float64(loaded).forward(x).dtype == np.float64
 
     def test_predictions_survive_round_trip(self, tmp_path, np_rng):
         model = build(spec_of("lstm", "grouped"), seed=9)

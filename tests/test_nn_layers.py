@@ -9,10 +9,11 @@ from flowsentinel.errors import (
     MissingCacheError,
     ShapeMismatchError,
 )
-from flowsentinel.nn import Conv1D, Dense, Dropout, Flatten, MaxPool1D, ReLU, precision
+from flowsentinel.nn import Conv1D, Dense, Dropout, Flatten, MaxPool1D, ReLU
 from flowsentinel.rng import Rng
 
 from conftest import (
+    as_float64,
     brute_force_conv1d,
     brute_force_conv1d_backward,
     central_difference,
@@ -21,8 +22,7 @@ from conftest import (
 
 
 def make_conv(c_in, c_out, k, seed=0):
-    with precision(np.float64):
-        return Conv1D(c_in, c_out, k, Rng(seed))
+    return as_float64(Conv1D(c_in, c_out, k, Rng(seed)))
 
 
 def set_conv(layer, w, b):
@@ -137,8 +137,9 @@ class TestConv1DBackward:
     def test_model_conv1_shape_matches_loops(self, dtype, tol):
         # The CNN's second convolution: 32 -> 64 channels, kernel 3, length 9.
         rng = np.random.default_rng(7)
-        with precision(dtype):
-            conv = Conv1D(32, 64, 3, Rng(3))
+        conv = Conv1D(32, 64, 3, Rng(3))
+        if dtype is np.float64:
+            as_float64(conv)
         conv.bias.value[...] = rng.normal(size=64)
         # Non-contiguous views of both the input and the upstream gradient.
         x = rng.normal(size=(3, 9, 32)).astype(dtype).transpose(0, 2, 1)
@@ -228,52 +229,45 @@ class TestMaxPool1D:
 
 class TestDense:
     def test_identity_map(self):
-        with precision(np.float64):
-            layer = Dense(3, 3, Rng(0))
+        layer = as_float64(Dense(3, 3, Rng(0)))
         layer.weight.value[...] = np.eye(3)
         layer.bias.value[...] = 0.0
         x = np.array([1.5, -2.0, 0.25])
         assert np.allclose(layer.forward(one(x))[0], x)
 
     def test_zero_weights_bias_only(self):
-        with precision(np.float64):
-            layer = Dense(3, 2, Rng(0))
+        layer = as_float64(Dense(3, 2, Rng(0)))
         layer.weight.value[...] = 0.0
         layer.bias.value[...] = [1.0, 2.0]
         assert np.allclose(layer.forward(one([9.0, 9.0, 9.0]))[0], [1.0, 2.0])
 
     def test_hand_matrix_vector(self):
-        with precision(np.float64):
-            layer = Dense(2, 2, Rng(0))
+        layer = as_float64(Dense(2, 2, Rng(0)))
         layer.weight.value[...] = [[1.0, 2.0], [3.0, 4.0]]
         layer.bias.value[...] = 0.0
         assert np.allclose(layer.forward(one([1.0, 1.0]))[0], [3.0, 7.0])
 
     def test_backward_identity_weights(self):
-        with precision(np.float64):
-            layer = Dense(3, 3, Rng(0))
+        layer = as_float64(Dense(3, 3, Rng(0)))
         layer.weight.value[...] = np.eye(3)
         layer.forward(one([1.0, 2.0, 3.0]), training=True)
         g = np.array([0.1, 0.2, 0.3])
         assert np.allclose(layer.backward(one(g))[0], g)
 
     def test_backward_zero_grad(self):
-        with precision(np.float64):
-            layer = Dense(3, 2, Rng(1))
+        layer = as_float64(Dense(3, 2, Rng(1)))
         layer.forward(one(np.ones(3)), training=True)
         assert np.allclose(layer.backward(one(np.zeros(2))), 0)
 
     def test_shape_mismatch(self):
-        with precision(np.float64):
-            layer = Dense(3, 2, Rng(1))
+        layer = as_float64(Dense(3, 2, Rng(1)))
         with pytest.raises(ShapeMismatchError):
             layer.forward(one(np.ones(4)))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_finite_differences(self, seed):
         rng = np.random.default_rng(100 + seed)
-        with precision(np.float64):
-            layer = Dense(3, 4, Rng(seed))
+        layer = as_float64(Dense(3, 4, Rng(seed)))
         x = rng.normal(size=(5, 3))
 
         def loss():
@@ -366,18 +360,10 @@ class TestReLULayer:
         assert np.allclose(grad, [0, 0, 0, 1, 1])
 
 
-def in_float64(make):
-    """``make`` with float64 as the active dtype while it builds the layer."""
-    def build():
-        with precision(np.float64):
-            return make()
-    return build
-
-
 # One small float64 input per layer, in the layout the layer takes.
 CACHE_CASES = {
-    "Dense": (in_float64(lambda: Dense(3, 2, Rng(0))), (4, 3)),
-    "Conv1D": (in_float64(lambda: Conv1D(2, 3, 3, Rng(0))), (4, 2, 8)),
+    "Dense": (lambda: as_float64(Dense(3, 2, Rng(0))), (4, 3)),
+    "Conv1D": (lambda: as_float64(Conv1D(2, 3, 3, Rng(0))), (4, 2, 8)),
     "MaxPool1D": (lambda: MaxPool1D(2), (4, 2, 8)),
     "ReLU": (ReLU, (4, 5)),
     "Flatten": (Flatten, (4, 2, 3)),

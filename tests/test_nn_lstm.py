@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 
 from flowsentinel.errors import EmptySequenceError, MissingCacheError, ShapeMismatchError
-from flowsentinel.nn import LSTM, precision
+from flowsentinel.nn import LSTM
 from flowsentinel.rng import Rng
 
-from conftest import central_difference, max_rel_err, reference_lstm_step
+from conftest import as_float64, central_difference, max_rel_err, reference_lstm_step
 
 
 def make_lstm(d, h, return_sequences=True, seed=0):
-    with precision(np.float64):
-        return LSTM(d, h, Rng(seed), return_sequences=return_sequences)
+    return as_float64(LSTM(d, h, Rng(seed), return_sequences=return_sequences))
 
 
 class TestStep:
@@ -86,8 +85,7 @@ class TestForward:
 
     def test_float32_model_shape_matches_reference(self):
         # the model's second layer: 20 steps, width 64, a batch of 32
-        with precision(np.float32):
-            lstm = LSTM(64, 64, Rng(6), return_sequences=True)
+        lstm = LSTM(64, 64, Rng(6), return_sequences=True)
         x = np.random.default_rng(6).normal(size=(32, 20, 64)).astype(np.float32)
         out = lstm.forward(x)
         w = lstm.weight.value.astype(np.float64)
@@ -109,8 +107,9 @@ class TestForward:
     def test_training_flag_leaves_output_bitwise_equal(self, return_sequences):
         # training runs one input GEMM over all steps, inference one per step
         for dtype in (np.float32, np.float64):
-            with precision(dtype):
-                lstm = LSTM(3, 16, Rng(2), return_sequences=return_sequences)
+            lstm = LSTM(3, 16, Rng(2), return_sequences=return_sequences)
+            if dtype is np.float64:
+                as_float64(lstm)
             for batch in (1, 37, 4096):
                 x = np.random.default_rng(4).normal(size=(batch, 20, 3)).astype(dtype)
                 trained = np.array(lstm.forward(x, training=True))

@@ -20,8 +20,10 @@ artefact and the exit code and stderr of every step. The matrix:
 Wall-clock fields are removed before hashing: the ``seconds`` column of
 ``history.csv``, and the run directory wherever it appears. Inputs are made
 once, by this tree's fixture generator, and shared by every run. The report
-also gives each tree's ``src/`` line count (the lines of its ``.py`` files)
-and the sha256 of each fixture file (``inputs``).
+also gives each tree's ``src/`` and ``tests/`` line counts (``src_lines`` and
+``tests_lines``, the lines of their ``.py`` files), so a change can show that
+code was deleted and not moved into the tests, and the sha256 of each fixture
+file (``inputs``).
 
     python tools/digest.py                          # this tree
     python tools/digest.py --against HEAD~1         # and REV's; exit 1 if any differ
@@ -186,8 +188,8 @@ def fixture_hashes(inputs: Path) -> dict:
     return {name: hashlib.sha256((inputs / name).read_bytes()).hexdigest() for name in FIXTURES}
 
 
-def src_lines(src: Path) -> int:
-    return sum(path.read_bytes().count(b"\n") for path in src.rglob("*.py"))
+def py_lines(directory: Path) -> int:
+    return sum(path.read_bytes().count(b"\n") for path in directory.rglob("*.py"))
 
 
 def run_matrix(src: Path, inputs: Path, work: Path, threads: str | None) -> dict:
@@ -239,9 +241,11 @@ def main(argv=None) -> int:
             with tarfile.open(fileobj=BytesIO(git.stdout)) as tar:
                 tar.extractall(tmp / "against", filter="data")
             trees["against"] = tmp / "against" / "src"
-        report["src_lines"] = {tree: src_lines(src) for tree, src in trees.items()}
-        print("src/ lines: " + ", ".join(f"{tree} {n}" for tree, n in report["src_lines"].items()),
-              file=sys.stderr)
+        for part in ("src", "tests"):
+            lines = report[f"{part}_lines"] = {tree: py_lines(src.parent / part)
+                                               for tree, src in trees.items()}
+            print(f"{part}/ lines: " + ", ".join(f"{tree} {n}" for tree, n in lines.items()),
+                  file=sys.stderr)
         make_inputs(tmp / "inputs")
         report["inputs"] = {"this": fixture_hashes(tmp / "inputs")}
         inputs_differ = []
