@@ -224,7 +224,7 @@ def cmd_ingest(config: RunConfig) -> int:
     if dropped_unknown:
         report.drop("unknown_label", dropped_unknown)
         report.rows_retained -= dropped_unknown
-    X = X[kept].astype(np.float32)
+    X = X[kept]
     if config.subsample < 1.0 and y.size:
         from .rng import Rng
 

@@ -1,10 +1,12 @@
-"""Flow data: one CSV reader (``read_flows``) for ingest and predict, the
+"""Flow data: one CSV reader (``iter_flows``, block by block, and
+``read_flows``, its blocks joined) for ingest and predict, the
 cell quoting of the CSV writers (``csv_cell``), the cleaning report,
 labeling, subsampling, splitting, scaling and caching."""
 
 from . import schema
 from .cache import meta_path, read_cache, read_meta, write_cache
-from .ingest import WRITE_CHUNK_ROWS, IngestReport, csv_cell, load_csv, read_flows
+from .ingest import (WRITE_CHUNK_ROWS, IngestReport, csv_cell, iter_flows, load_csv,
+                     read_flows)
 from .labels import ClassificationMode, LabelVocabulary, build_vocabulary, map_labels
 from .normalize import FeatureStats, apply_normalizer, fit_normalizer
 from .splits import SplitIndices, stratified_split, subsample_indices
@@ -22,6 +24,7 @@ __all__ = [
     "csv_cell",
     "fit_normalizer",
     "generate_fixture",
+    "iter_flows",
     "load_csv",
     "map_labels",
     "meta_path",

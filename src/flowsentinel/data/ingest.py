@@ -1,6 +1,7 @@
-"""Flow-CSV reading: ``read_flows`` is the one reader for ``ingest`` (through
-``load_csv``, which drops and counts bad rows) and ``predict`` (which refuses
-its input at the first bad row); ``parse_value`` is the one rule for a cell.
+"""Flow-CSV reading: ``iter_flows`` is the one reader, a block at a time, for
+``ingest`` (through ``load_csv``, which drops and counts bad rows) and
+``predict`` (which joins the blocks with ``read_flows`` and refuses its input
+at the first bad row); ``parse_value`` is the one rule for a cell.
 
 Blocks of lines that numpy's C tokenizer parses whole are taken from it: it
 accepts a subset of what ``float()`` accepts, to the same bits. The blocks it
@@ -31,6 +32,9 @@ CHUNK_ROWS = 64  # lines parsed at once: a block numpy rejects is parsed again, 
 WRITE_CHUNK_ROWS = 256
 # ASCII separators numpy's tokenizer strips around a number and float() rejects
 _UNVOUCHED = "\x1c\x1d\x1e\x1f"
+# the smallest float64 that rounds to float32 inf (3.4028235677973366e38): a cell of
+# this magnitude or more is "inf", since the float32 cache and model input cannot hold it
+FLOAT32_OVERFLOW = 2.0**128 - 2.0**103
 
 
 @dataclass
@@ -69,7 +73,7 @@ def parse_value(text: str):
         return None, "non_numeric"
     if math.isnan(value):
         return None, "nan"
-    if math.isinf(value):
+    if abs(value) >= FLOAT32_OVERFLOW:
         return None, "inf"
     return value, None
 
@@ -102,17 +106,19 @@ def _decoded(fh, path):
         raise InputEncodingError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
-def read_flows(path, feature_columns, label_column=None):
-    """One flow CSV as ``(X, labels, bad)``, columns matched by header name.
+def iter_flows(path, feature_columns, label_column=None):
+    """Yield one flow CSV as ``(X, labels, bad)`` blocks of at most
+    ``CHUNK_ROWS`` rows, columns matched by header name.
 
     ``X`` is float64 with one row per non-blank data line (NaN where a cell
     did not parse); ``labels`` holds the stripped label cells, or is None
     without a label column. ``bad`` lists ``(row_id, column, reason)`` for
     each row not to use: ``empty_label`` first, else the ``parse_value``
-    reason of the first feature, in the given order, that is not a finite
-    number (a cell missing from a short row is ``non_numeric``). ``row_id``
-    counts non-blank data lines from 0. A missing column raises
-    MissingColumnError, and a file that is not UTF-8 InputEncodingError.
+    reason of the first feature, in the given order, that is not a number
+    float32 can hold (a cell missing from a short row is ``non_numeric``).
+    ``row_id`` counts non-blank data lines of the file from 0. A missing
+    column raises MissingColumnError, and a file that is not UTF-8
+    InputEncodingError.
     """
     features = list(feature_columns)
     with open(path, newline="", encoding="utf-8") as fh:
@@ -143,18 +149,16 @@ def read_flows(path, feature_columns, label_column=None):
                 return line.rsplit(",", len(header) - label_at)[label_at - len(header)].strip()
             return label_of(line.split(",", label_at + 1))
 
-        blocks, labels, bad = [], [], []
         done = 0
 
-        def add(block, block_labels, cells_of):  # cells_of(i): the block's row i as csv cells
+        def checked(block, block_labels, cells_of):  # cells_of(i): the block's row i as csv cells
             nonlocal done
-            suspect = ~np.isfinite(block).all(axis=1)
+            suspect = ~(np.abs(block) < FLOAT32_OVERFLOW).all(axis=1)  # NaN compares False
             if label_at is not None:
                 suspect |= np.array([not text for text in block_labels], dtype=bool)
-                labels.extend(block_labels)
-            bad.extend((done + i, *fault(cells_of(i))) for i in np.flatnonzero(suspect).tolist())
-            blocks.append(block)
+            bad = [(done + i, *fault(cells_of(i))) for i in np.flatnonzero(suspect).tolist()]
             done += len(block)
+            return block, block_labels, bad
 
         def per_cell(rows):
             block = np.empty((len(rows), len(at)))
@@ -163,47 +167,61 @@ def read_flows(path, feature_columns, label_column=None):
                     block[i] = pick(row)  # numpy converts each string with float()
                 except (IndexError, ValueError):
                     block[i] = np.nan
-            add(block, [label_of(row) for row in rows] if label_at is not None else None,
-                rows.__getitem__)
+            return checked(block, [label_of(row) for row in rows] if label_at is not None
+                           else None, rows.__getitem__)
 
         while block_lines := list(itertools.islice(lines, CHUNK_ROWS)):
             if any('"' in line for line in block_lines):  # a quoted cell may span lines
                 # csv.reader reads the rest of the file, and yields [] for a blank line
                 rows = filter(None, csv.reader(itertools.chain(block_lines, lines)))
                 while chunk := list(itertools.islice(rows, CHUNK_ROWS)):
-                    per_cell(chunk)
-                break
+                    yield per_cell(chunk)
+                return
             block_lines = [line for line in block_lines if line.rstrip("\r\n")]
             if block_lines and (block := _tokenized(block_lines, at)) is not None:
-                add(block, [label_in(line) for line in block_lines] if label_at is not None
-                    else None, lambda i: next(csv.reader([block_lines[i]])))
+                yield checked(block, [label_in(line) for line in block_lines]
+                              if label_at is not None else None,
+                              lambda i: next(csv.reader([block_lines[i]])))
             else:
-                per_cell(list(csv.reader(block_lines)))
-    X = np.concatenate(blocks) if blocks else np.empty((0, len(at)))
-    return X, (labels if label_at is not None else None), bad
+                yield per_cell(list(csv.reader(block_lines)))
+
+
+def read_flows(path, feature_columns, label_column=None):
+    """One flow CSV as ``(X, labels, bad)``: the blocks of ``iter_flows``
+    joined, ``X`` float64 and ``labels`` None without a label column."""
+    features = list(feature_columns)
+    blocks, labels, bad = [np.empty((0, len(features)))], [], []
+    for block, block_labels, block_bad in iter_flows(path, features, label_column):
+        blocks.append(block)
+        labels += block_labels or []
+        bad += block_bad
+    return np.concatenate(blocks), (labels if label_column is not None else None), bad
 
 
 def load_csv(paths, feature_columns=schema.FEATURE_COLUMNS, label_column=schema.LABEL_COLUMN):
     """Flow CSVs, read in the given order, as ``((X, labels), report)``.
 
-    Every row ``read_flows`` flags is dropped and counted by its reason; the
-    label histogram counts the rows kept, whatever their label.
+    Every row ``iter_flows`` flags is dropped and counted by its reason; the
+    label histogram counts the rows kept, whatever their label. ``X`` is
+    float32, the cache's dtype: each block's kept rows are cast as they are
+    read, so no float64 copy of the whole input is held.
     """
-    paths = list(paths)
+    paths, features = list(paths), list(feature_columns)
     if not paths:
         raise EmptyInputError("no input files")
     report = IngestReport(files=[str(path) for path in paths])
-    blocks, labels = [], []
+    blocks, labels = [np.empty((0, len(features)), np.float32)], []
     for path in paths:
-        X, file_labels, bad = read_flows(path, feature_columns, label_column)
-        keep = np.ones(len(X), dtype=bool)
-        for row_id, _, reason in bad:
-            keep[row_id] = False
-            report.drop(reason)
-        report.rows_read += len(X)
-        X = X[keep]  # the unfiltered rows are freed before the next file or the concatenation
-        blocks.append(X)
-        labels += itertools.compress(file_labels, keep)
+        first = 0  # the row id of the block's first row in its file
+        for X, block_labels, bad in iter_flows(path, features, label_column):
+            keep = np.ones(len(X), dtype=bool)
+            for row_id, _, reason in bad:
+                keep[row_id - first] = False
+                report.drop(reason)
+            first += len(X)
+            blocks.append(X[keep].astype(np.float32))
+            labels += itertools.compress(block_labels, keep)
+        report.rows_read += first
     report.rows_retained = len(labels)
     report.label_histogram = dict(Counter(labels))
     report.empty_input = report.rows_read == 0

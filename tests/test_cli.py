@@ -9,6 +9,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 import zlib
 from pathlib import Path
 
@@ -65,7 +66,7 @@ def cli_env():
 # predict input cells that stop predict, with the reason it names (None: a
 # row cut short before the cell)
 BAD_CELL_REASONS = {"nan": "nan", "inf": "inf", "n/a": "non_numeric", None: "non_numeric",
-                    "2.0#x": "non_numeric", "1e400": "inf"}
+                    "2.0#x": "non_numeric", "1e400": "inf", "1e300": "inf", "-3.5e38": "inf"}
 
 
 class TestIngest:
@@ -96,6 +97,23 @@ class TestIngest:
         X, y, _, meta, _ = read_cache(out / "dataset.fsds")
         assert X.shape[0] == ROWS - 5
         assert meta["mode"] == "multi"
+
+    def test_cell_float32_cannot_hold_dropped_without_warning(self, tmp_path, fixture_csv):
+        lines = fixture_csv.read_text().strip().split("\n")
+        at = lines[0].split(",").index("Duration")
+        cells = lines[4].split(",")
+        cells[at] = "1e300"
+        lines[4] = ",".join(cells)
+        data = tmp_path / "flows.csv"
+        data.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow in a cast to float32
+            assert run("ingest", "--data", str(data), "--out", str(out)) == 0
+        report = json.loads((out / "ingest_report.json").read_text())
+        assert report["dropped_by_reason"] == {"inf": 1}
+        X, _, _, _, _ = read_cache(out / "dataset.fsds")
+        assert X.shape[0] == ROWS - 1 and np.isfinite(X).all()
 
     def test_rerun_byte_identical(self, tmp_path, fixture_csv):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -568,7 +586,8 @@ class TestIngestAndPredictAgree:
     same column and reason."""
 
     @pytest.mark.parametrize("cell,expected", [
-        ("nan", "nan"), ("-Infinity", "inf"), ("inf", "inf"), ("n/a", "non_numeric"),
+        ("nan", "nan"), ("-Infinity", "inf"), ("inf", "inf"), ("1e300", "inf"),
+        ("-3.5e38", "inf"), ("3.4e38", None), ("n/a", "non_numeric"),
         ("", "non_numeric"), (" 1_0 ", None), (None, "non_numeric"),
     ])
     def test_cell(self, binary_model, tmp_path, fixture_csv, capsys, cell, expected):

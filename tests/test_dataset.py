@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from flowsentinel.data import (
     csv_cell,
     fit_normalizer,
     generate_fixture,
+    iter_flows,
     load_csv,
     map_labels,
     read_cache,
@@ -84,6 +86,31 @@ class TestLoadCsv:
         assert len(X) == len(labels) == 1
         assert report.dropped == {"inf": 2, "non_numeric": 1}
 
+    def test_cells_float32_cannot_hold_are_inf(self, tmp_path):
+        rows = [make_row(override={"Duration": "1e300"}), make_row(2.0),
+                make_row(override={"Rate": "-3.5e38"}), make_row(3.0)]
+        (X, labels), report = load_csv([write_rows(tmp_path / "d.csv", rows)])
+        assert report.dropped == {"inf": 2}
+        assert np.isfinite(X).all() and X[:, 0].tolist() == [2.0, 3.0]
+
+    @pytest.mark.parametrize("tokenizer", [True, False])
+    def test_float32_overflow_boundary(self, tmp_path, monkeypatch, tokenizer):
+        # 2**128 - 2**103 is the smallest float64 that rounds to float32 inf;
+        # the float64 below it rounds to float32's max and is kept
+        limit = 2.0**128 - 2.0**103
+        below = float(np.nextafter(limit, 0))
+        with np.errstate(over="ignore"):
+            as_f32 = np.array([limit, below]).astype(np.float32)
+        assert np.isinf(as_f32[0]) and as_f32[1] == np.finfo(np.float32).max
+        assert ingest.parse_value(repr(limit)) == (None, "inf")
+        assert ingest.parse_value(repr(-below)) == (-below, None)
+        if not tokenizer:
+            monkeypatch.setattr(ingest, "_tokenized", lambda lines, usecols: None)
+        rows = [make_row(override={"Max": repr(v)}) for v in (limit, below, -limit, -below)]
+        (X, _), report = load_csv([write_rows(tmp_path / "d.csv", rows)])
+        assert report.dropped == {"inf": 2}
+        assert cell(X, 0, "Max") == as_f32[1] and cell(X, 1, "Max") == -as_f32[1]
+
     def test_three_row_fixture_round_trip(self, tmp_path):
         rows = [
             make_row(override={"Srate": "10.5", "Rate": "20.25"}, label="DDoS-ICMP_Flood"),
@@ -92,7 +119,7 @@ class TestLoadCsv:
         ]
         p = write_rows(tmp_path / "d.csv", rows)
         (X, labels), report = load_csv([p])
-        assert X.shape == (3, len(FEATURES)) and X.dtype == np.float64
+        assert X.shape == (3, len(FEATURES)) and X.dtype == np.float32
         assert cell(X, 0, "Srate") == 10.5
         assert cell(X, 0, "Rate") == 20.25
         assert cell(X, 1, "Srate") == 0.125
@@ -133,6 +160,55 @@ class TestLoadCsv:
         (X, _), report = load_csv([a, b])
         assert X[:, FEATURES.index("Weight")].tolist() == [1.0, 2.0]
         assert report.files == [str(a), str(b)]
+
+    def test_bad_rows_across_blocks_and_files(self, tmp_path):
+        # bad rows on data lines 63-65 of each file (across the first block
+        # boundary) and in the second file's second block: iter_flows gives
+        # file-relative row ids, and load_csv keeps exactly read_flows' good rows
+        assert ingest.CHUNK_ROWS == 64
+        rows = 2 * ingest.CHUNK_ROWS + 10
+        paths = []
+        for k, extra in enumerate(([], [100])):
+            lines = [make_row(override={"Weight": str(1000 * k + i)}) for i in range(rows)]
+            lines[62] = make_row(override={"Rate": "nan"})
+            lines[63] = make_row(override={"Max": "x"})
+            lines[64] = make_row(label="")
+            for i in extra:
+                lines[i] = make_row(override={"Srate": "1e39"})
+            paths.append(write_rows(tmp_path / f"{k}.csv", lines))
+        blocks = [[(len(X), [row_id for row_id, _, _ in bad])
+                   for X, _, bad in iter_flows(p, FEATURES, schema.LABEL_COLUMN)] for p in paths]
+        assert blocks == [[(64, [62, 63]), (64, [64]), (10, [])],
+                          [(64, [62, 63]), (64, [64, 100]), (10, [])]]
+
+        (X, labels), report = load_csv(paths)
+        good_X, good_labels = [], []
+        for p in paths:
+            file_X, file_labels, bad = read_flows(p, FEATURES, schema.LABEL_COLUMN)
+            good = np.ones(len(file_X), dtype=bool)
+            good[[row_id for row_id, _, _ in bad]] = False
+            good_X.append(file_X[good].astype(np.float32))
+            good_labels += [label for label, g in zip(file_labels, good) if g]
+        assert X.tobytes() == np.concatenate(good_X).tobytes()
+        assert labels == good_labels
+        assert report.dropped == {"nan": 2, "non_numeric": 2, "empty_label": 2, "inf": 1}
+        assert cell(X, slice(None), "Weight").tolist() == (
+            [i for i in range(rows) if i not in (62, 63, 64)]
+            + [1000 + i for i in range(rows) if i not in (62, 63, 64, 100)])
+
+    def test_peak_memory_stays_below_the_float64_input(self, tmp_path):
+        # blocks are cast to float32 as they are read (tracemalloc sees
+        # numpy's buffers); 20,000 rows of 46 float64 columns are 7.4 MB
+        path = tmp_path / "flows.csv"
+        write_fixture_csv(path, rows=20_000, seed=1)
+        tracemalloc.start()
+        try:
+            (X, _), _ = load_csv([path])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert X.dtype == np.float32 and len(X) == 20_000
+        assert peak < 10e6, f"peak {peak / 1e6:.1f} MB"
 
     @pytest.mark.parametrize("chunk_rows", [1, 3, ingest.CHUNK_ROWS])
     def test_read_flows_names_the_first_bad_cell(self, tmp_path, monkeypatch, chunk_rows):

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from flowsentinel import models
 from flowsentinel.data import ClassificationMode, FeatureStats
 from flowsentinel.errors import CorruptModelError, InvalidSpecError, ShapeMismatchError
 from flowsentinel.models import Model, ModelSpec, build, load, save
@@ -191,6 +192,43 @@ class TestPredict:
             logits = layer.forward(logits)
         rescaled = np.argmax(3.0 * logits + 2.0, axis=1)
         assert np.array_equal(base, rescaled)
+
+
+class TestInferenceChunks:
+    """Inference runs ``INFERENCE_BATCH_ROWS`` rows per forward, so its memory
+    does not grow with the input, and the chunk size does not change a bit.
+
+    Known exceptions, measured on trained models over 4,000 rows and not
+    tested here: a 1-row chunk runs as GEMV and changes rows' bits in both
+    models, and so can a chunk whose size is not a multiple of 4 (LSTM: every
+    such size from 1 to 69, and 127, 129, 511 and 999; CNN: 3, 7, 31, 43 and
+    129), since BLAS computes a product's leftover rows with other kernels."""
+
+    @pytest.mark.parametrize("arch", ["cnn", "lstm"])
+    def test_probabilities_do_not_depend_on_the_chunk(self, arch, np_rng, monkeypatch):
+        model = build(spec_of(arch, "multi"), seed=8)
+        X = np_rng.uniform(size=(4000, 20)).astype(np.float32)
+
+        def probs(rows):
+            monkeypatch.setattr(models, "INFERENCE_BATCH_ROWS", rows)
+            return np.concatenate([p for _, p in model.batches(X)]).tobytes()
+
+        assert probs(512) == probs(1000) == probs(4096)
+
+    @pytest.mark.parametrize("arch,mode", [("cnn", "multi"), ("lstm", "binary")])
+    def test_predict_peak_memory_is_bounded(self, arch, mode, np_rng):
+        model = build(spec_of(arch, mode), seed=9)
+        peaks = []
+        for rows in (4_000, 40_000):
+            X = np_rng.uniform(size=(rows, 20)).astype(np.float32)
+            tracemalloc.start()  # numpy reports its buffers to tracemalloc
+            try:
+                model.predict(X)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 8e6, f"peak {peaks[0] / 1e6:.1f} MB at 4,000 rows"
+        assert peaks[1] < peaks[0] + 1e6, f"peaks {peaks[0] / 1e6:.1f}, {peaks[1] / 1e6:.1f} MB"
 
 
 class TestSerialization:
