@@ -13,7 +13,9 @@ Exit codes are a stable contract:
     1  configuration error (a config value of the wrong type or range, or a
        ``select --top-k`` above the cache's column count)
     2  missing input (file, cache, or model not found / empty, a file where a
-       directory is expected or the reverse, a class with < 2 rows to split)
+       directory is expected or the reverse, a class with < 2 rows to split,
+       or a ``select --recompute-importance`` cache whose target is constant,
+       so that no tree splits and no feature has any importance)
     3  schema error (missing column, an input CSV that is not UTF-8, corrupt
        cache or model file, a model whose feature or class list does not fit
        its spec, or a predict input row with a non-numeric, NaN or infinite
@@ -31,6 +33,7 @@ by stats fitted on the training rows.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -43,17 +46,16 @@ import numpy as np
 
 from . import __version__
 from .data import (
-    WRITE_CHUNK_ROWS,
     ClassificationMode,
     apply_normalizer,
     build_vocabulary,
     csv_cell,
     fit_normalizer,
+    iter_flows,
     load_csv,
     map_labels,
     meta_path,
     read_cache,
-    read_flows,
     read_meta,
     schema,
     stratified_split,
@@ -66,6 +68,7 @@ from .errors import (
     ConfigError,
     CorruptCacheError,
     CorruptModelError,
+    DegenerateImportanceError,
     EmptyInputError,
     InputEncodingError,
     InvalidRowError,
@@ -269,9 +272,14 @@ def cmd_select(config: RunConfig) -> int:
                 f"the reference pipeline",
                 file=sys.stderr,
             )
-        forest_config = ForestConfig(seed=config.seed)
-        trees = fit_forest(X.astype(np.float64), y.astype(np.float64), forest_config)
+        trees = fit_forest(X, y, ForestConfig(seed=config.seed))
         report = compute_importances(trees, names)
+        if report.degenerate:
+            raise DegenerateImportanceError(
+                f"no tree could split {cache_path}: its target is constant (or its rows too "
+                f"few or alike), so every importance is 0; run select without "
+                f"--recompute-importance for the canonical list"
+            )
         top = select_top_k(report, config.top_k)
         export_importance_csv(report, out / "importance.csv")
         _emit(f"wrote importance.csv ({len(report.ranking)} features ranked)")
@@ -331,8 +339,8 @@ def cmd_train(config: RunConfig) -> int:
         cache_path, feature_names, config.seed
     )
     stats = fit_normalizer(X_train)
-    X_train = apply_normalizer(X_train, stats).astype(np.float32)
-    X_test = apply_normalizer(X_test, stats).astype(np.float32)
+    X_train = apply_normalizer(X_train, stats)
+    X_test = apply_normalizer(X_test, stats)
     spec = ModelSpec(architecture=config.arch, mode=mode, input_features=len(feature_names))
     model = build(spec, seed=config.seed)  # the split seed, which evaluate reads back
     model.feature_names = list(feature_names)
@@ -420,7 +428,7 @@ def cmd_evaluate(config: RunConfig, model_path: str) -> int:
         cache_path, model.feature_names, model.rng_seed, model.cache_sha256
     )
     X_test = apply_normalizer(X_test, model.normalizer)
-    report = evaluate(model, X_test.astype(np.float32), y_test, class_names=model.class_names)
+    report = evaluate(model, X_test, y_test, class_names=model.class_names)
     (out / "metrics.json").write_text(report.to_json(), encoding="utf-8")
     (out / "metrics.txt").write_text(report.to_text() + "\n", encoding="utf-8")
     _emit(report.to_text())
@@ -432,13 +440,18 @@ def cmd_predict(config: RunConfig, model_path: str, input_path: str) -> int:
     source = Path(input_path)
     if not source.exists():
         raise FileNotFoundError(f"missing input {source}")
-    X, _, bad = read_flows(source, model.feature_names)
-    if bad:
-        row_id, column, reason = bad[0]
-        raise InvalidRowError(f"{source}: row_id {row_id}, column {column!r}: {reason}")
+    blocks = [np.empty((0, len(model.feature_names)))]
+    with contextlib.closing(iter_flows(source, model.feature_names)) as flows:
+        for block, _, bad in flows:  # in file order, so the first bad row stops the read
+            if bad:
+                row_id, column, reason = bad[0]
+                raise InvalidRowError(f"{source}: row_id {row_id}, column {column!r}: {reason}")
+            blocks.append(block)
+    X = np.concatenate(blocks)
+    del blocks  # so that inference does not hold the input twice
     if not len(X):
         raise EmptyInputError(f"no rows in {source}")
-    X = apply_normalizer(X, model.normalizer).astype(np.float32)
+    X = apply_normalizer(X, model.normalizer)
     out = _out_dir(config)
     target = out / "predictions.csv"
     names = [csv_cell(name) for name in model.class_names]
@@ -446,11 +459,8 @@ def cmd_predict(config: RunConfig, model_path: str, input_path: str) -> int:
         csv.writer(fh).writerow(["row_id", "predicted_class", "confidence"])
         for start, probs in model.batches(X):
             classes, confidences = model.decide(probs)
-            for at in range(0, len(classes), WRITE_CHUNK_ROWS):
-                stop = at + WRITE_CHUNK_ROWS
-                fh.writelines(["%d,%s,%.6f\r\n" % (start + i, names[klass], conf)
-                               for i, klass, conf in zip(range(at, stop), classes[at:stop].tolist(),
-                                                         confidences[at:stop].tolist())])
+            fh.writelines(["%d,%s,%.6f\r\n" % (i, names[klass], conf) for i, (klass, conf)
+                           in enumerate(zip(classes.tolist(), confidences.tolist()), start)])
     _emit(f"wrote {target} ({len(X)} predictions)")
     return EXIT_OK
 
@@ -539,7 +549,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (FileNotFoundError, IsADirectoryError, NotADirectoryError, EmptyInputError,
-            ClassTooSmallError) as exc:
+            ClassTooSmallError, DegenerateImportanceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING_INPUT
     except (MissingColumnError, InputEncodingError, InvalidRowError, CorruptCacheError,

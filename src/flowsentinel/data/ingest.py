@@ -1,15 +1,15 @@
 """Flow-CSV reading: ``iter_flows`` is the one reader, a block at a time, for
 ``ingest`` (through ``load_csv``, which drops and counts bad rows) and
-``predict`` (which joins the blocks with ``read_flows`` and refuses its input
-at the first bad row); ``parse_value`` is the one rule for a cell.
+``predict`` (which refuses its input at the first block with a bad row);
+``parse_value`` is the one rule for a cell.
 
 Blocks of lines that numpy's C tokenizer parses whole are taken from it: it
 accepts a subset of what ``float()`` accepts, to the same bits. The blocks it
 rejects, and the rest of a file from its first ``"`` on (a quoted cell may
 span lines), go through ``csv.reader`` and ``parse_value`` cell by cell.
 
-The CSV writers (the fixture, ``predictions.csv``) format ``WRITE_CHUNK_ROWS``
-rows at a time, one ``%`` string per row, and quote text with ``csv_cell``."""
+The CSV writers (the fixture, ``predictions.csv``) format one ``%`` string per
+row and quote text with ``csv_cell``."""
 
 from __future__ import annotations
 
@@ -27,9 +27,6 @@ from ..errors import EmptyInputError, InputEncodingError, MissingColumnError
 from . import schema
 
 CHUNK_ROWS = 64  # lines parsed at once: a block numpy rejects is parsed again, cell by cell
-# rows a CSV writer formats at once: the fixture writer's peak RSS stays below the
-# generator's at 256, and rose above it at 512 and 1,024 (30,000 rows)
-WRITE_CHUNK_ROWS = 256
 # ASCII separators numpy's tokenizer strips around a number and float() rejects
 _UNVOUCHED = "\x1c\x1d\x1e\x1f"
 # the smallest float64 that rounds to float32 inf (3.4028235677973366e38): a cell of
@@ -186,41 +183,31 @@ def iter_flows(path, feature_columns, label_column=None):
                 yield per_cell(list(csv.reader(block_lines)))
 
 
-def read_flows(path, feature_columns, label_column=None):
-    """One flow CSV as ``(X, labels, bad)``: the blocks of ``iter_flows``
-    joined, ``X`` float64 and ``labels`` None without a label column."""
-    features = list(feature_columns)
-    blocks, labels, bad = [np.empty((0, len(features)))], [], []
-    for block, block_labels, block_bad in iter_flows(path, features, label_column):
-        blocks.append(block)
-        labels += block_labels or []
-        bad += block_bad
-    return np.concatenate(blocks), (labels if label_column is not None else None), bad
-
-
-def load_csv(paths, feature_columns=schema.FEATURE_COLUMNS, label_column=schema.LABEL_COLUMN):
+def load_csv(paths):
     """Flow CSVs, read in the given order, as ``((X, labels), report)``.
 
     Every row ``iter_flows`` flags is dropped and counted by its reason; the
     label histogram counts the rows kept, whatever their label. ``X`` is
     float32, the cache's dtype: each block's kept rows are cast as they are
-    read, so no float64 copy of the whole input is held.
+    read, so no float64 copy of the whole input is held. Equal labels are one
+    ``str`` object, so the labels take memory per distinct label, not per row.
     """
-    paths, features = list(paths), list(feature_columns)
+    paths, features = list(paths), list(schema.FEATURE_COLUMNS)
     if not paths:
         raise EmptyInputError("no input files")
     report = IngestReport(files=[str(path) for path in paths])
-    blocks, labels = [np.empty((0, len(features)), np.float32)], []
+    blocks, labels, distinct = [np.empty((0, len(features)), np.float32)], [], {}
     for path in paths:
         first = 0  # the row id of the block's first row in its file
-        for X, block_labels, bad in iter_flows(path, features, label_column):
+        for X, block_labels, bad in iter_flows(path, features, schema.LABEL_COLUMN):
             keep = np.ones(len(X), dtype=bool)
             for row_id, _, reason in bad:
                 keep[row_id - first] = False
                 report.drop(reason)
             first += len(X)
             blocks.append(X[keep].astype(np.float32))
-            labels += itertools.compress(block_labels, keep)
+            labels += [distinct.setdefault(label, label)
+                       for label in itertools.compress(block_labels, keep)]
         report.rows_read += first
     report.rows_retained = len(labels)
     report.label_histogram = dict(Counter(labels))

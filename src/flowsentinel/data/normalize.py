@@ -31,16 +31,21 @@ class FeatureStats:
 
 
 def fit_normalizer(X_train) -> FeatureStats:
-    X_train = np.asarray(X_train, dtype=np.float64)
+    X_train = np.asarray(X_train)
     if X_train.ndim != 2 or X_train.shape[0] == 0:
         raise EmptyInputError("fit_normalizer requires a non-empty 2-D matrix")
-    return FeatureStats(minimum=X_train.min(axis=0), maximum=X_train.max(axis=0))
+    # a float32 column's extremes are float32 numbers, exact in float64
+    return FeatureStats(minimum=X_train.min(axis=0).astype(np.float64),
+                        maximum=X_train.max(axis=0).astype(np.float64))
 
 
 def apply_normalizer(X, stats: FeatureStats) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
+    """``X`` scaled by ``stats`` as the float32 model input; the arithmetic is
+    float64, in place on one copy of ``X``."""
+    out = np.array(X, dtype=np.float64)
     span = stats.maximum - stats.minimum
-    safe = np.where(span > 0, span, 1.0)
-    out = (X - stats.minimum) / safe
+    out -= stats.minimum
+    out /= np.where(span > 0, span, 1.0)
     out[:, span == 0] = 0.0  # constant features map to zero
-    return np.clip(out, 0.0, 1.0)
+    np.clip(out, 0.0, 1.0, out=out)
+    return out.astype(np.float32)

@@ -31,8 +31,6 @@ def subsample_indices(y, fraction: float, rng: Rng) -> np.ndarray:
     y = np.asarray(y)
     if y.size == 0:
         raise EmptyInputError("cannot subsample zero rows")
-    if fraction == 1.0:
-        return np.arange(y.size)
     keep = []
     for c in np.unique(y):
         rows = np.flatnonzero(y == c)

@@ -22,7 +22,11 @@ import numpy as np
 from ..features import canonical_top20
 from ..rng import Rng
 from . import schema
-from .ingest import WRITE_CHUNK_ROWS, csv_cell
+from .ingest import csv_cell
+
+# rows write_fixture_csv formats at once: its peak RSS stays below the
+# generator's at 256, and rose above it at 512 and 1,024 (30,000 rows)
+WRITE_CHUNK_ROWS = 256
 
 # The fewest rows generate_fixture accepts. Below it the 34 classes' rounded
 # shares, at least 2 rows each, can take more rows than there are (at 171 and

@@ -67,6 +67,10 @@ class ClassTooSmallError(FlowSentinelError):
     """A class has fewer than two rows, so it cannot be split."""
 
 
+class DegenerateImportanceError(FlowSentinelError):
+    """No tree of the importance forest could split, so no feature has any importance."""
+
+
 class KTooLargeError(FlowSentinelError):
     """Requested more top features than exist."""
 

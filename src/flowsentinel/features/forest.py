@@ -30,9 +30,6 @@ class ImportanceReport:
     ranking: list  # [(feature_name, importance)], descending
     degenerate: bool  # True when no tree ever split (all importances zero)
 
-    def total(self) -> float:
-        return float(sum(v for _, v in self.ranking))
-
 
 def usable_cpus() -> int:
     """The number of CPUs this process may run on."""

@@ -120,7 +120,7 @@ class Model:
     def bind_dropout_rng(self, rng: Rng) -> None:
         for layer in self.layers:
             if isinstance(layer, Dropout):
-                layer.bind_rng(rng)
+                layer.rng = rng
 
     def _frame(self, batch: np.ndarray) -> np.ndarray:
         batch = np.asarray(batch)

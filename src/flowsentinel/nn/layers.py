@@ -255,11 +255,6 @@ class Flatten(Layer):
         return grad_out.reshape(self._take_cache())
 
 
-# Dropout's cache for a training forward at rate 0: backward passes the
-# gradient through, and a backward without a forward still finds no cache.
-_PASS_THROUGH = object()
-
-
 class Dropout(Layer):
     """Inverted dropout: training zeroes with probability ``rate`` and scales
     survivors by 1/(1-rate); inference is the identity.
@@ -274,14 +269,11 @@ class Dropout(Layer):
         if not 0.0 <= rate < 1.0:
             raise InvalidRateError(f"dropout rate must be in [0, 1), got {rate}")
         self.rate = rate
-        self.rng = rng
-
-    def bind_rng(self, rng: Rng) -> None:
-        self.rng = rng
+        self.rng = rng  # Model.bind_dropout_rng sets it for training
 
     def forward(self, x, training=False):
-        if not training or self.rate == 0.0:
-            self._cache = _PASS_THROUGH if training else None
+        if not training:
+            self._cache = None
             return x
         if self.rng is None:
             raise InvalidRateError("dropout in training mode requires an Rng")
@@ -293,8 +285,7 @@ class Dropout(Layer):
         return x * mask
 
     def backward(self, grad_out):
-        mask = self._take_cache()
-        return grad_out if mask is _PASS_THROUGH else grad_out * mask
+        return grad_out * self._take_cache()
 
 
 class LSTM(Layer):
@@ -316,9 +307,9 @@ class LSTM(Layer):
     one GEMM, ``x[T*B, D] . W[:D] + b``, into a time-major [T, B, 4H] gate
     buffer; the row blocks ``W[:D]`` and ``W[D:]`` are views of ``W``. Each
     step then adds one ``h_{t-1} . W[D:]`` and activates its [B, 4H] slice in
-    place (:meth:`_cell`, which :meth:`step` runs too), writing ``c`` and
-    ``h`` into [T+1, B, H] buffers whose row 0 is the zero state. The
-    sequence output is a [B, T, H] view of the ``h`` buffer.
+    place (:meth:`_cell`), writing ``c`` and ``h`` into [T+1, B, H] buffers
+    whose row 0 is the zero state. The sequence output is a [B, T, H] view of
+    the ``h`` buffer.
 
     Only a training forward keeps the buffers for backward. An inference
     forward keeps nothing, so a backward after it raises
@@ -371,18 +362,6 @@ class LSTM(Layer):
         c_out += g
         act.tanh(c_out, out=tc_out)
         np.multiply(z[:, 3 * h:], tc_out, out=h_out)
-
-    def step(self, x_t: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray):
-        """One recurrence step on a [B, D] slice; returns (h_t, c_t, gates),
-        where gates [B, 4H] holds the activated (i, f, g, o)."""
-        h = self.hidden
-        if x_t.shape[1] != self.input_dim or h_prev.shape[1] != h or c_prev.shape[1] != h:
-            raise ShapeMismatchError("lstm step received inconsistent shapes")
-        gates = x_t @ self.weight.value[:self.input_dim] + self.bias.value
-        c_t = np.empty_like(c_prev, dtype=gates.dtype)
-        h_t = np.empty_like(c_t)
-        self._cell(gates, h_prev, c_prev, c_t, np.empty_like(c_t), h_t)
-        return h_t, c_t, gates
 
     def forward(self, x, training=False):
         b, t_steps, d = x.shape

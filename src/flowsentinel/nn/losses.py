@@ -42,8 +42,6 @@ def binary_logit_grad(p: np.ndarray, y: np.ndarray) -> np.ndarray:
 def sparse_categorical_cross_entropy(probs, y) -> float:
     """Mean of -ln probs[y] over the batch; probs rows come from a softmax."""
     probs = np.asarray(probs, dtype=np.float64)
-    if probs.ndim == 1:
-        probs = probs[None, :]
     y = np.atleast_1d(np.asarray(y)).reshape(-1)
     n, c = probs.shape
     if y.shape[0] != n:
@@ -56,10 +54,6 @@ def sparse_categorical_cross_entropy(probs, y) -> float:
 
 def sparse_categorical_logit_grad(probs: np.ndarray, y) -> np.ndarray:
     """Fused softmax+CE gradient w.r.t. the logits: (probs - onehot(y)) / B."""
-    probs = np.asarray(probs)
-    single = probs.ndim == 1
-    if single:
-        probs = probs[None, :]
     y = np.atleast_1d(np.asarray(y)).reshape(-1)
     n, c = probs.shape
     if np.any(y < 0) or np.any(y >= c):
@@ -67,4 +61,4 @@ def sparse_categorical_logit_grad(probs: np.ndarray, y) -> np.ndarray:
     grad = probs.copy()
     grad[np.arange(n), y] -= 1.0
     grad /= n
-    return grad[0] if single else grad
+    return grad

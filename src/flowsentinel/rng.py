@@ -92,29 +92,19 @@ class Rng:
         z += np.uint64(self.seed)
         return _mix64_vec(z)
 
-    def next_uint64(self) -> int:
-        self._counter += 1
-        return _mix64(self.seed + self._counter * _GAMMA)
-
-    def uniform(self, size=None, low: float = 0.0, high: float = 1.0):
-        """Uniform floats in [low, high); scalar when size is None."""
-        if size is None:
-            u = (self.next_uint64() >> 11) * 2.0**-53
-            return low + (high - low) * u
+    def uniform(self, size, low: float = 0.0, high: float = 1.0) -> np.ndarray:
+        """Uniform floats in [low, high) of shape ``size``."""
         shape = (size,) if np.isscalar(size) else tuple(size)
         n = int(np.prod(shape)) if shape else 1
         u = (self.raw(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
         return (low + (high - low) * u).reshape(shape)
 
-    def normal(self, size=None, mean: float = 0.0, std: float = 1.0):
+    def normal(self, size, mean: float = 0.0, std: float = 1.0) -> np.ndarray:
         """Gaussian draws via the Box-Muller transform (two uniforms each)."""
-        shape = () if size is None else ((size,) if np.isscalar(size) else tuple(size))
-        n = int(np.prod(shape)) if shape else 1
-        u1 = np.maximum(self.uniform(n), 2.0**-53)  # avoid log(0)
-        u2 = self.uniform(n)
+        u1 = np.maximum(self.uniform(size), 2.0**-53)  # avoid log(0)
+        u2 = self.uniform(size)
         z = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
-        out = mean + std * z
-        return float(out[0]) if size is None else out.reshape(shape)
+        return mean + std * z
 
     def permutation(self, n: int) -> np.ndarray:
         """Deterministic permutation of range(n).

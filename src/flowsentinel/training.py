@@ -75,10 +75,8 @@ def _batch_loss(model: Model, probs: np.ndarray, y: np.ndarray) -> float:
 
 def _logit_grad(model: Model, probs: np.ndarray, y: np.ndarray) -> np.ndarray:
     if model.spec.mode is ClassificationMode.BINARY:
-        grad = binary_logit_grad(probs, y)
-    else:
-        grad = sparse_categorical_logit_grad(probs, y)
-    return grad.astype(probs.dtype, copy=False)
+        return binary_logit_grad(probs, y)
+    return sparse_categorical_logit_grad(probs, y)
 
 
 def _batched_eval(model: Model, X: np.ndarray, y: np.ndarray):
@@ -270,7 +268,7 @@ def metrics_from_confusion(confusion: np.ndarray, class_names) -> MetricsReport:
 
 
 def evaluate(model: Model, X_test: np.ndarray, y_test: np.ndarray,
-             class_names=None) -> MetricsReport:
+             class_names) -> MetricsReport:
     """Confusion matrix plus accuracy / P / R / F1 on held-out rows."""
     X_test = np.asarray(X_test, dtype=np.float32)
     y_test = np.asarray(y_test, dtype=np.int64)
@@ -278,8 +276,6 @@ def evaluate(model: Model, X_test: np.ndarray, y_test: np.ndarray,
         raise EmptyInputError("empty test set")
     _check_mode(model, y_test)
     n_classes = model.spec.mode.class_count
-    if class_names is None:
-        class_names = [str(i) for i in range(n_classes)]
     confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
     np.add.at(confusion, (y_test, model.predict(X_test)), 1)
     return metrics_from_confusion(confusion, class_names)

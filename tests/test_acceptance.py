@@ -275,12 +275,12 @@ def _end_to_end(arch: str, mode: ClassificationMode, batch_size: int) -> float:
     y = np.array([vocab.raw_to_class[lab] for lab in labels])
     split = stratified_split(y, 0.8, seed=0)
     stats = fit_normalizer(Xc[split.train])
-    X_train = apply_normalizer(Xc[split.train], stats).astype(np.float32)
-    X_test = apply_normalizer(Xc[split.test], stats).astype(np.float32)
+    X_train = apply_normalizer(Xc[split.train], stats)
+    X_test = apply_normalizer(Xc[split.test], stats)
     model = build(ModelSpec(arch, mode), seed=0)
     train(model, X_train, y[split.train], epochs=20, batch_size=batch_size,
           learning_rate=DEFAULT_LEARNING_RATES[arch])
-    return evaluate(model, X_test, y[split.test]).accuracy
+    return evaluate(model, X_test, y[split.test], vocab.classes).accuracy
 
 
 @pytest.mark.parametrize(
@@ -330,7 +330,8 @@ def test_real_corpus_reproduction(arch, mode):
 
     data_dir = Path(os.environ["FLOWSENTINEL_CICIOT_DIR"])
     (X, labels), _ = load_csv(sorted(data_dir.glob("*.csv")))
-    kept, y, _ = map_labels(labels, build_vocabulary(ClassificationMode(mode)))
+    vocab = build_vocabulary(ClassificationMode(mode))
+    kept, y, _ = map_labels(labels, vocab)
     cols = [schema.FEATURE_COLUMNS.index(f) for f in canonical_top20()]
     X = X[np.ix_(kept, cols)].astype(np.float32)
     keep = subsample_indices(y, 0.10, Rng(0).spawn("subsample"))
@@ -338,9 +339,10 @@ def test_real_corpus_reproduction(arch, mode):
     split = stratified_split(y, 0.8, seed=0)
     stats = fit_normalizer(X[split.train])
     model = build(ModelSpec(arch, ClassificationMode(mode)), seed=0)
-    train(model, apply_normalizer(X[split.train], stats).astype(np.float32), y[split.train],
+    train(model, apply_normalizer(X[split.train], stats), y[split.train],
           epochs=20, batch_size=256, learning_rate=DEFAULT_LEARNING_RATES[arch])
-    report = evaluate(model, apply_normalizer(X[split.test], stats).astype(np.float32), y[split.test])
+    report = evaluate(model, apply_normalizer(X[split.test], stats), y[split.test],
+                      vocab.classes)
     target = PUBLISHED_ACCURACY[(arch, mode)]
     announce(
         f"real corpus ({arch}/{mode}): accuracy within 1.0 point of {target}",
@@ -392,7 +394,7 @@ def test_feature_importance_sanity():
             fit_forest(X, y, ForestConfig(n_trees=8, max_depth=6, min_samples_leaf=5, seed=seed)),
             [f"f{i}" for i in range(6)],
         )
-        sums_ok &= abs(report.total() - 1.0) <= IMPORTANCE_TOL
+        sums_ok &= abs(sum(v for _, v in report.ranking) - 1.0) <= IMPORTANCE_TOL
 
     wins = 0
     for seed in range(100):

@@ -24,8 +24,8 @@ from flowsentinel.data import (
     FeatureStats,
     apply_normalizer,
     fit_normalizer,
+    iter_flows,
     read_cache,
-    read_flows,
     schema,
     write_fixture_csv,
 )
@@ -195,6 +195,21 @@ class TestSelect:
         assert err[-1] == "error: a tree without rows"
         assert not (workdir / "importance.csv").exists()
         assert multiprocessing.active_children() == []
+
+    def test_recompute_constant_target_exit_2_writes_nothing(self, tmp_path, fixture_csv,
+                                                             capsys):
+        # a cache of one class: no tree splits, so no ranking is written
+        header, *rows = fixture_csv.read_text().strip().split("\n")
+        label = rows[0].rsplit(",", 1)[1]
+        data = tmp_path / "one-class.csv"
+        data.write_text("\n".join([header] + [r for r in rows if r.endswith("," + label)]) + "\n")
+        out = tmp_path / "out"
+        assert run("ingest", "--data", str(data), "--mode", "multi", "--out", str(out)) == 0
+        assert run("select", "--recompute-importance", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "target is constant" in err and "without --recompute-importance" in err
+        assert not (out / "features.txt").exists()
+        assert not (out / "importance.csv").exists()
 
     @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda _: ())(0)) < 2,
                         reason="needs two usable CPUs")
@@ -418,9 +433,7 @@ class TestEvaluateAndPredict:
         header = rows[0].split(",")
         cols = [header.index(f) for f in model.feature_names]
         X = np.array([[float(r.split(",")[c]) for c in cols] for r in rows[1:21]])
-        from flowsentinel.data import apply_normalizer
-
-        Xn = apply_normalizer(X, model.normalizer).astype(np.float32)
+        Xn = apply_normalizer(X, model.normalizer)
         direct = [model.class_names[i] for i in model.predict(Xn)]
         assert got == direct
 
@@ -449,7 +462,7 @@ class TestEvaluateAndPredict:
         mode = ClassificationMode.GROUPED
         model = build(ModelSpec("cnn", mode), seed=0)
         model.feature_names = canonical_top20()
-        X, _, _ = read_flows(fixture_csv, model.feature_names)
+        X = np.concatenate([X for X, _, _ in iter_flows(fixture_csv, model.feature_names)])
         model.normalizer = fit_normalizer(X)
         # the untrained model predicts classes 2, 3 and 4 for this input
         model.class_names = ["Spoof,ARP", '"', 'say "hi", ok', "line\nbreak", "cr\r", ",", " x", ""]
@@ -462,7 +475,7 @@ class TestEvaluateAndPredict:
         expected = io.StringIO()
         writer = csv.writer(expected)
         writer.writerow(["row_id", "predicted_class", "confidence"])
-        for start, probs in model.batches(apply_normalizer(X, model.normalizer).astype(np.float32)):
+        for start, probs in model.batches(apply_normalizer(X, model.normalizer)):
             classes, confidences = model.decide(probs)
             writer.writerows([start + i, model.class_names[int(klass)], f"{conf:.6f}"]
                              for i, (klass, conf) in enumerate(zip(classes, confidences)))
@@ -553,6 +566,27 @@ class TestEvaluateAndPredict:
         assert code == 3
         err = capsys.readouterr().err
         assert f"row_id 2, column {column!r}: {BAD_CELL_REASONS[cell]}" in err
+        assert not (out / "predictions.csv").exists()
+
+    def test_predict_stops_reading_at_the_first_bad_row(self, trained, tmp_path, fixture_csv,
+                                                        capsys):
+        # a NaN on data row 3 and a byte that is not UTF-8 on line 3,000: predict
+        # refuses the NaN's block before its read reaches the byte
+        header, *rows = fixture_csv.read_text().strip().split("\n")
+        lines = [header] + rows * 5
+        at = header.split(",").index("Srate")
+        cells = lines[3].split(",")
+        cells[at] = "nan"
+        lines[3] = ",".join(cells)
+        data = [line.encode() for line in lines]
+        data[2999] += b"\xff"
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"\n".join(data) + b"\n")
+        out = tmp_path / "pred"
+        code = run("predict", "--model", str(trained / "model.fsnn"), "--input", str(bad),
+                   "--out", str(out))
+        assert code == 3
+        assert "row_id 2, column 'Srate': nan" in capsys.readouterr().err
         assert not (out / "predictions.csv").exists()
 
     def test_closed_stdout_no_traceback(self, trained):

@@ -19,7 +19,6 @@ from flowsentinel.data import (
     load_csv,
     map_labels,
     read_cache,
-    read_flows,
     schema,
     stratified_split,
     subsample_indices,
@@ -161,13 +160,20 @@ class TestLoadCsv:
         assert X[:, FEATURES.index("Weight")].tolist() == [1.0, 2.0]
         assert report.files == [str(a), str(b)]
 
+    def test_one_label_object_per_distinct_label(self, tmp_path):
+        path = tmp_path / "flows.csv"
+        write_fixture_csv(path, rows=2_000, seed=1)
+        (_, labels), report = load_csv([path, path])
+        assert len(labels) == 4_000
+        assert len({id(label) for label in labels}) == len(report.label_histogram) == 34
+
     def test_bad_rows_across_blocks_and_files(self, tmp_path):
         # bad rows on data lines 63-65 of each file (across the first block
         # boundary) and in the second file's second block: iter_flows gives
-        # file-relative row ids, and load_csv keeps exactly read_flows' good rows
+        # file-relative row ids, and load_csv keeps exactly the good rows
         assert ingest.CHUNK_ROWS == 64
         rows = 2 * ingest.CHUNK_ROWS + 10
-        paths = []
+        paths, good = [], []
         for k, extra in enumerate(([], [100])):
             lines = [make_row(override={"Weight": str(1000 * k + i)}) for i in range(rows)]
             lines[62] = make_row(override={"Rate": "nan"})
@@ -176,21 +182,17 @@ class TestLoadCsv:
             for i in extra:
                 lines[i] = make_row(override={"Srate": "1e39"})
             paths.append(write_rows(tmp_path / f"{k}.csv", lines))
+            good += [line.split(",") for i, line in enumerate(lines)
+                     if i not in (62, 63, 64, *extra)]
         blocks = [[(len(X), [row_id for row_id, _, _ in bad])
                    for X, _, bad in iter_flows(p, FEATURES, schema.LABEL_COLUMN)] for p in paths]
         assert blocks == [[(64, [62, 63]), (64, [64]), (10, [])],
                           [(64, [62, 63]), (64, [64, 100]), (10, [])]]
 
         (X, labels), report = load_csv(paths)
-        good_X, good_labels = [], []
-        for p in paths:
-            file_X, file_labels, bad = read_flows(p, FEATURES, schema.LABEL_COLUMN)
-            good = np.ones(len(file_X), dtype=bool)
-            good[[row_id for row_id, _, _ in bad]] = False
-            good_X.append(file_X[good].astype(np.float32))
-            good_labels += [label for label, g in zip(file_labels, good) if g]
-        assert X.tobytes() == np.concatenate(good_X).tobytes()
-        assert labels == good_labels
+        assert X.tobytes() == np.array([[float(v) for v in cells[:-1]] for cells in good],
+                                       dtype=np.float32).tobytes()
+        assert labels == [cells[-1] for cells in good]
         assert report.dropped == {"nan": 2, "non_numeric": 2, "empty_label": 2, "inf": 1}
         assert cell(X, slice(None), "Weight").tolist() == (
             [i for i in range(rows) if i not in (62, 63, 64)]
@@ -221,15 +223,18 @@ class TestLoadCsv:
             ",".join(make_row().split(",")[:3]),  # a short row
         ]
         p = write_rows(tmp_path / "d.csv", rows)
-        X, labels, bad = read_flows(p, ["Srate", "Rate", "Max"], schema.LABEL_COLUMN)
+        blocks = list(iter_flows(p, ["Srate", "Rate", "Max"], schema.LABEL_COLUMN))
+        X = np.concatenate([X for X, _, _ in blocks])
         assert X.shape == (4, 3)
         assert X[2].tolist() == [10.0, 1.0, 1.0]
-        assert labels == ["", "BenignTraffic", "XSS", ""]
-        assert bad == [(0, "label", "empty_label"), (1, "Rate", "nan"), (3, "label", "empty_label")]
-        X, labels, bad = read_flows(p, ["Max", "Rate"])
-        assert labels is None
-        assert bad == [(0, "Max", "non_numeric"), (1, "Max", "non_numeric"),
-                       (3, "Max", "non_numeric")]
+        assert [label for _, labels, _ in blocks for label in labels] == [
+            "", "BenignTraffic", "XSS", ""]
+        assert [row for _, _, bad in blocks for row in bad] == [
+            (0, "label", "empty_label"), (1, "Rate", "nan"), (3, "label", "empty_label")]
+        blocks = list(iter_flows(p, ["Max", "Rate"]))
+        assert all(labels is None for _, labels, _ in blocks)
+        assert [row for _, _, bad in blocks for row in bad] == [
+            (0, "Max", "non_numeric"), (1, "Max", "non_numeric"), (3, "Max", "non_numeric")]
 
 
 # Cells numpy's tokenizer reads as float() does, and cells it rejects, some
@@ -270,7 +275,8 @@ def edge_corpus(header, quoted):
                                     ["label", "Rate", "Max", "Srate"]])
 def test_read_flows_matches_the_per_cell_path(tmp_path, monkeypatch, chunk_rows, quoted, header):
     """Blocks numpy's tokenizer parses give the bits, labels and bad rows of
-    the per-cell path (``csv.reader`` and ``parse_value``) on every input."""
+    the per-cell path (``csv.reader`` and ``parse_value``) on every input,
+    block by block."""
     monkeypatch.setattr(ingest, "CHUNK_ROWS", chunk_rows)
     p = tmp_path / "edge.csv"
     p.write_bytes(edge_corpus(header, quoted).encode("utf-8"))
@@ -284,11 +290,13 @@ def test_read_flows_matches_the_per_cell_path(tmp_path, monkeypatch, chunk_rows,
     features = ["Max", "Rate", "Srate"]
     for label in ("label", None):
         monkeypatch.setattr(ingest, "_tokenized", spy)
-        fast = read_flows(p, features, label)
+        fast = list(iter_flows(p, features, label))
         monkeypatch.setattr(ingest, "_tokenized", lambda lines, usecols: None)
-        slow = read_flows(p, features, label)
-        assert fast[0].view(np.uint64).tolist() == slow[0].view(np.uint64).tolist()
-        assert fast[1] == slow[1] and fast[2] == slow[2]
+        slow = list(iter_flows(p, features, label))
+        assert len(fast) == len(slow)
+        for (X, labels, bad), (slow_X, slow_labels, slow_bad) in zip(fast, slow):
+            assert X.view(np.uint64).tolist() == slow_X.view(np.uint64).tolist()
+            assert labels == slow_labels and bad == slow_bad
         assert sum(parsed) > len(READ_CELLS) + 3  # the tokenizer read a whole block
         parsed.clear()
 

@@ -356,7 +356,7 @@ class TestImportances:
         y = X[:, 2] ** 2
         config = ForestConfig(n_trees=9, max_depth=5, min_samples_leaf=4, seed=5)
         report = compute_importances(fit_forest(X, y, config), list("wxyz"))
-        assert report.total() == pytest.approx(1.0, abs=1e-9)
+        assert sum(v for _, v in report.ranking) == pytest.approx(1.0, abs=1e-9)
         assert all(v >= 0 for _, v in report.ranking)
 
     def test_permutation_consistency(self):

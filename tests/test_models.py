@@ -151,6 +151,7 @@ class TestForward:
         # no dropout, so both forwards compute the same numbers; lstm1 reads
         # lstm0's time-major sequence through its 64-wide input GEMM
         model = build(ModelSpec("lstm", ClassificationMode.MULTI, dropout_rate=0.0), seed=6)
+        model.bind_dropout_rng(Rng(6))  # rate 0 draws a mask that keeps every unit
         x = np_rng.uniform(size=(rows, 20)).astype(np.float32)
         trained = model.forward(x, training=True)
         assert trained.tobytes() == model.forward(x, training=False).tobytes()

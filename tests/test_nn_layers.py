@@ -295,10 +295,11 @@ class TestFlatten:
 class TestDropout:
     def test_rate_zero_is_identity(self):
         layer = Dropout(0.0, Rng(0))
-        x = np.ones((4, 4), dtype=np.float32)
-        assert np.array_equal(layer.forward(x, training=True), x)
+        x = np.random.default_rng(0).normal(size=(4, 4)).astype(np.float32)
+        x[0, 0] = -0.0
+        assert layer.forward(x, training=True).tobytes() == x.tobytes()  # a mask of 1.0
         assert np.allclose(layer.backward(np.full((4, 4), 3.0)), 3.0)
-        with pytest.raises(MissingCacheError):  # the identity pass is consumed too
+        with pytest.raises(MissingCacheError):  # the mask is consumed
             layer.backward(np.ones((4, 4)))
         assert np.array_equal(layer.forward(x, training=False), x)
 

@@ -118,19 +118,19 @@ class TestBinaryCrossEntropy:
 
 class TestSparseCategoricalCrossEntropy:
     def test_onehot_prediction_near_zero(self):
-        probs = np.zeros(8)
-        probs[3] = 1.0
+        probs = np.zeros((1, 8))
+        probs[0, 3] = 1.0
         assert sparse_categorical_cross_entropy(probs, [3]) < 1e-6
 
     def test_uniform_is_ln_c(self):
-        probs = np.full(8, 1.0 / 8)
+        probs = np.full((1, 8), 1.0 / 8)
         assert sparse_categorical_cross_entropy(probs, [5]) == pytest.approx(math.log(8))
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexOutOfRangeError):
-            sparse_categorical_cross_entropy(np.full(4, 0.25), [4])
+            sparse_categorical_cross_entropy(np.full((1, 4), 0.25), [4])
         with pytest.raises(IndexOutOfRangeError):
-            sparse_categorical_logit_grad(np.full(4, 0.25), [-1])
+            sparse_categorical_logit_grad(np.full((1, 4), 0.25), [-1])
 
     def test_logit_grad_is_probs_minus_onehot(self, np_rng):
         z = np_rng.normal(size=(5, 8))

@@ -15,47 +15,56 @@ def make_lstm(d, h, return_sequences=True, seed=0):
 
 
 class TestStep:
+    """One recurrence step, read from a training forward's cache: the
+    activated gates [T, B, 4H] and the cell state [T+1, B, H] (row 0 is c_0)."""
+
     def test_all_zero_parameters(self):
         lstm = make_lstm(2, 3)
         lstm.weight.value[...] = 0.0
         lstm.bias.value[...] = 0.0
-        h, c, gates = lstm.step(np.ones((1, 2)), np.zeros((1, 3)), np.zeros((1, 3)))
-        i, f, g, o = np.split(gates, 4, axis=1)
+        h = lstm.forward(np.ones((1, 1, 2)), training=True)[:, 0]
+        _, gates, cs, _, _ = lstm._cache
+        i, f, g, o = np.split(gates[0], 4, axis=1)
         assert np.allclose(i, 0.5) and np.allclose(f, 0.5) and np.allclose(o, 0.5)
         assert np.allclose(g, 0.0)
-        assert np.allclose(c, 0.0)
+        assert np.allclose(cs[1], 0.0)
         assert np.allclose(h, 0.0)
 
     def test_zero_weights_carry_cell(self):
         lstm = make_lstm(2, 3)
         lstm.weight.value[...] = 0.0
         lstm.bias.value[...] = 0.0
-        c_prev = np.array([[0.4, -1.2, 2.0]])
-        h, c, _ = lstm.step(np.ones((1, 2)), np.zeros((1, 3)), c_prev)
-        assert np.allclose(c, 0.5 * c_prev)
+        lstm.weight.value[0, 6:9] = [0.4, -1.2, 2.0]  # x_0 drives the g block only
+        x = np.array([[[1.0, 0.0], [0.0, 0.0]]])  # x_1 = 0, so the second step's g is 0
+        h = lstm.forward(x, training=True)[:, 1]
+        _, _, cs, _, _ = lstm._cache
+        c_prev = cs[1]
+        assert np.allclose(c_prev, 0.5 * np.tanh([[0.4, -1.2, 2.0]]))
+        assert np.allclose(cs[2], 0.5 * c_prev)
         assert np.allclose(h, 0.5 * np.tanh(0.5 * c_prev))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_reference_step(self, seed, np_rng):
+        # the second step, from the nonzero state the first one left
         d, h = 3, 4
         lstm = make_lstm(d, h, seed=seed)
-        x = np_rng.normal(size=d)
-        h_prev = np_rng.normal(size=h)
-        c_prev = np_rng.normal(size=h)
-        got_h, got_c, _ = lstm.step(x[None, :], h_prev[None, :], c_prev[None, :])
-        ref_h, ref_c = reference_lstm_step(x, h_prev, c_prev, lstm.weight.value, lstm.bias.value)
-        assert np.allclose(got_h[0], ref_h, atol=1e-6)
-        assert np.allclose(got_c[0], ref_c, atol=1e-6)
+        x = np_rng.normal(size=(1, 2, d))
+        got_h = lstm.forward(x, training=True)[0, 1]
+        _, _, cs, _, hs = lstm._cache
+        ref_h, ref_c = reference_lstm_step(x[0, 1], hs[1, 0], cs[1, 0], lstm.weight.value,
+                                           lstm.bias.value)
+        assert np.allclose(got_h, ref_h, atol=1e-6)
+        assert np.allclose(cs[2, 0], ref_c, atol=1e-6)
 
     def test_hidden_state_bounded(self, np_rng):
         lstm = make_lstm(2, 8)
-        h, _, _ = lstm.step(np_rng.normal(size=(4, 2)) * 10, np.zeros((4, 8)), np.zeros((4, 8)))
+        h = lstm.forward(np_rng.normal(size=(4, 1, 2)) * 10)
         assert np.all(np.abs(h) <= 1.0)
 
     def test_shape_mismatch(self):
         lstm = make_lstm(2, 3)
         with pytest.raises(ShapeMismatchError):
-            lstm.step(np.ones((1, 5)), np.zeros((1, 3)), np.zeros((1, 3)))
+            lstm.forward(np.ones((1, 1, 5)))
 
 
 class TestForward:
@@ -63,8 +72,10 @@ class TestForward:
         lstm = make_lstm(2, 4, return_sequences=False)
         x = np_rng.normal(size=(3, 1, 2))
         out = lstm.forward(x)
-        h, _, _ = lstm.step(x[:, 0, :], np.zeros((3, 4)), np.zeros((3, 4)))
-        assert np.allclose(out, h)
+        for n in range(3):
+            h, _ = reference_lstm_step(x[n, 0], np.zeros(4), np.zeros(4), lstm.weight.value,
+                                       lstm.bias.value)
+            assert np.allclose(out[n], h)
 
     def test_zero_weights_zero_output(self, np_rng):
         lstm = make_lstm(2, 4)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from flowsentinel import models
-from flowsentinel.data import ClassificationMode
+from flowsentinel.data import ClassificationMode, build_vocabulary
 from flowsentinel.errors import EmptyInputError, ModeMismatchError
 from flowsentinel.models import Model, ModelSpec, build
 from flowsentinel.training import (
@@ -124,7 +124,7 @@ class TestMetrics:
             n_classes = mode.class_count
             X = np_rng.uniform(size=(50, 20)).astype(np.float32)
             y = np_rng.integers(0, n_classes, size=50)
-            report = evaluate(model, X, y)
+            report = evaluate(model, X, y, build_vocabulary(mode).classes)
             assert report.confusion.sum() == 50
             assert report.confusion.shape == (n_classes, n_classes)
 
@@ -132,14 +132,14 @@ class TestMetrics:
         model = build(ModelSpec("cnn", ClassificationMode.GROUPED), seed=1)
         X = np_rng.uniform(size=(64, 20)).astype(np.float32)
         y = np_rng.integers(0, 8, size=64)
-        report = evaluate(model, X, y)
+        report = evaluate(model, X, y, build_vocabulary(ClassificationMode.GROUPED).classes)
         direct = float((model.predict(X) == y).mean())
         assert report.accuracy == pytest.approx(direct)
 
     def test_empty_test_set_rejected(self):
         model = build(ModelSpec("cnn", ClassificationMode.BINARY), seed=0)
         with pytest.raises(EmptyInputError):
-            evaluate(model, np.zeros((0, 20)), np.zeros(0, dtype=int))
+            evaluate(model, np.zeros((0, 20)), np.zeros(0, dtype=int), ["Benign", "Attack"])
 
     def test_report_serializes(self):
         report = metrics_from_confusion(np.array([[40, 10], [5, 45]]), ["a", "b"])
@@ -162,7 +162,8 @@ def test_batch_boundaries_do_not_change_results(arch, mode, monkeypatch):
         model.layers[-1].bias.value -= np.log(p / (1.0 - p))
     pred = model.predict(X)
     assert len(np.unique(pred)) > 1
-    confusion = evaluate(model, X, y).confusion
+    classes = build_vocabulary(model.spec.mode).classes
+    confusion = evaluate(model, X, y, classes).confusion
     loss, acc = _batched_eval(model, X, y)
 
     rows = []
@@ -176,7 +177,7 @@ def test_batch_boundaries_do_not_change_results(arch, mode, monkeypatch):
     monkeypatch.setattr(models, "INFERENCE_BATCH_ROWS", 7)
     assert np.array_equal(model.predict(X), pred)
     assert rows == [7, 7, 6]
-    assert np.array_equal(evaluate(model, X, y).confusion, confusion)
+    assert np.array_equal(evaluate(model, X, y, classes).confusion, confusion)
     split_loss, split_acc = _batched_eval(model, X, y)
     assert split_acc == acc
     assert split_loss == pytest.approx(loss, abs=1e-6)
