@@ -16,10 +16,10 @@ Exit codes are a stable contract:
        directory is expected or the reverse, a class with < 2 rows to split,
        or a ``select --recompute-importance`` cache whose target is constant,
        so that no tree splits and no feature has any importance)
-    3  schema error (missing column, an input CSV that is not UTF-8, corrupt
-       cache or model file, a model whose feature or class list does not fit
-       its spec, or a predict input row with a non-numeric, NaN or infinite
-       feature)
+    3  schema error (missing column, an input CSV that is not UTF-8, a corrupt
+       cache or model file, a malformed model header or cache sidecar, a model
+       whose feature, class or normalizer list does not fit its spec, or a
+       predict input row with a non-numeric, NaN or infinite feature)
     4  numeric failure (non-finite loss or gradient)
     5  artifact mismatch: a classification mode that differs between
        artifacts, or an ``evaluate`` cache whose sha256 is not the one the
@@ -73,7 +73,6 @@ from .errors import (
     InputEncodingError,
     InvalidRowError,
     InvalidSpecError,
-    KTooLargeError,
     MissingColumnError,
     ModeMismatchError,
     NonFiniteGradientError,
@@ -85,7 +84,6 @@ from .features import (
     compute_importances,
     export_importance_csv,
     fit_forest,
-    select_top_k,
 )
 from .models import ModelSpec, build, load, save
 from .training import DEFAULT_LEARNING_RATES, evaluate, export_history, train
@@ -260,11 +258,9 @@ def cmd_select(config: RunConfig) -> int:
     features_path = out / "features.txt"
     if config.recompute_importance:
         cache_path = out / "dataset.fsds"
-        if not cache_path.exists():
-            raise FileNotFoundError(f"missing cache {cache_path}")
         X, y, names, meta, _ = read_cache(cache_path)
         if config.top_k > len(names):
-            raise KTooLargeError(f"top_k={config.top_k} exceeds the cache's {len(names)} columns")
+            raise ConfigError(f"top_k={config.top_k} exceeds the cache's {len(names)} columns")
         if meta and meta.get("mode") != "multi":
             print(
                 f"note: importance regression target uses the cache's "
@@ -280,7 +276,7 @@ def cmd_select(config: RunConfig) -> int:
                 f"few or alike), so every importance is 0; run select without "
                 f"--recompute-importance for the canonical list"
             )
-        top = select_top_k(report, config.top_k)
+        top = [name for name, _ in report.ranking[: config.top_k]]
         export_importance_csv(report, out / "importance.csv")
         _emit(f"wrote importance.csv ({len(report.ranking)} features ranked)")
     else:
@@ -334,7 +330,14 @@ def cmd_train(config: RunConfig) -> int:
                 f"cache was ingested in {cache_mode!r} mode but --mode is {config.mode!r}"
             )
         config.mode = cache_mode  # inherit the cache's regime when unspecified
-    mode = ClassificationMode(config.mode)
+    try:
+        mode = ClassificationMode(config.mode)
+    except ValueError:
+        raise CorruptCacheError(f"{meta_path(cache_path)}: unknown mode {config.mode!r}") from None
+    classes = meta.get("classes")
+    if not isinstance(classes, list) or len(classes) != mode.class_count:
+        raise CorruptCacheError(f"{meta_path(cache_path)}: 'classes' is not a list of "
+                                f"{mode.class_count} names, as {mode.value!r} mode has")
     (X_train, y_train), (X_test, y_test), cache_sha256 = _load_split(
         cache_path, feature_names, config.seed
     )
@@ -344,7 +347,7 @@ def cmd_train(config: RunConfig) -> int:
     spec = ModelSpec(architecture=config.arch, mode=mode, input_features=len(feature_names))
     model = build(spec, seed=config.seed)  # the split seed, which evaluate reads back
     model.feature_names = list(feature_names)
-    model.class_names = list(meta["classes"])
+    model.class_names = list(classes)
     model.normalizer = stats
     model.cache_sha256 = cache_sha256
 
@@ -393,8 +396,6 @@ def _load_model(model_path: str):
     schema error (exit 3).
     """
     path = Path(model_path)
-    if not path.exists():
-        raise FileNotFoundError(f"missing model {path}")
     model = load(path)
     if model.normalizer is None:
         raise CorruptModelError(f"{path}: model carries no normalizer")
@@ -412,8 +413,6 @@ def cmd_evaluate(config: RunConfig, model_path: str) -> int:
     out = _out_dir(config)
     model = _load_model(model_path)
     cache_path = out / "dataset.fsds"
-    if not cache_path.exists():
-        raise FileNotFoundError(f"missing cache {cache_path}")
     if "seed" in config.explicit_fields and config.seed != model.rng_seed:
         raise ConfigError(
             f"seed {config.seed} contradicts the split seed {model.rng_seed} recorded in "
@@ -438,20 +437,17 @@ def cmd_evaluate(config: RunConfig, model_path: str) -> int:
 def cmd_predict(config: RunConfig, model_path: str, input_path: str) -> int:
     model = _load_model(model_path)
     source = Path(input_path)
-    if not source.exists():
-        raise FileNotFoundError(f"missing input {source}")
-    blocks = [np.empty((0, len(model.feature_names)))]
+    blocks = [np.empty((0, len(model.feature_names)), dtype=np.float32)]
     with contextlib.closing(iter_flows(source, model.feature_names)) as flows:
         for block, _, bad in flows:  # in file order, so the first bad row stops the read
             if bad:
                 row_id, column, reason = bad[0]
                 raise InvalidRowError(f"{source}: row_id {row_id}, column {column!r}: {reason}")
-            blocks.append(block)
+            blocks.append(apply_normalizer(block, model.normalizer))  # held as float32
     X = np.concatenate(blocks)
     del blocks  # so that inference does not hold the input twice
     if not len(X):
         raise EmptyInputError(f"no rows in {source}")
-    X = apply_normalizer(X, model.normalizer)
     out = _out_dir(config)
     target = out / "predictions.csv"
     names = [csv_cell(name) for name in model.class_names]
@@ -466,10 +462,7 @@ def cmd_predict(config: RunConfig, model_path: str, input_path: str) -> int:
 
 
 def cmd_inspect(model_path: str) -> int:
-    path = Path(model_path)
-    if not path.exists():
-        raise FileNotFoundError(f"missing model {path}")
-    model = load(path)
+    model = load(model_path)
     info = {
         "spec": model.spec.to_dict(),
         "seed": model.rng_seed,
@@ -545,7 +538,7 @@ def main(argv=None) -> int:
         if args.command == "predict":
             return cmd_predict(config, args.model, args.input)
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, InvalidSpecError, KTooLargeError) as exc:
+    except (ConfigError, InvalidSpecError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (FileNotFoundError, IsADirectoryError, NotADirectoryError, EmptyInputError,

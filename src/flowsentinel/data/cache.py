@@ -36,7 +36,15 @@ def meta_path(cache_path) -> Path:
 def read_meta(cache_path) -> dict | None:
     """The cache's sidecar metadata, or None when it has no sidecar."""
     mp = meta_path(cache_path)
-    return json.loads(mp.read_text(encoding="utf-8")) if mp.exists() else None
+    if not mp.exists():
+        return None
+    try:
+        meta = json.loads(mp.read_text(encoding="utf-8"))
+    except ValueError as exc:  # json.JSONDecodeError or UnicodeDecodeError
+        raise CorruptCacheError(f"{mp}: not JSON ({exc})") from exc
+    if not isinstance(meta, dict):
+        raise CorruptCacheError(f"{mp}: not a JSON object")
+    return meta
 
 
 def write_cache(path, X, y, feature_names, meta: dict | None = None) -> None:

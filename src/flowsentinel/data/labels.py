@@ -17,18 +17,13 @@ class ClassificationMode(str, Enum):
 
     @property
     def class_count(self) -> int:
-        return {"binary": 2, "grouped": 8, "multi": 34}[self.value]
+        return len(build_vocabulary(self).classes)
 
 
 @dataclass(frozen=True)
 class LabelVocabulary:
-    mode: ClassificationMode
     classes: tuple  # class names, index order
     raw_to_class: dict  # raw label string -> class index
-
-    @property
-    def n_classes(self) -> int:
-        return len(self.classes)
 
 
 def build_vocabulary(mode: ClassificationMode) -> LabelVocabulary:
@@ -51,9 +46,7 @@ def build_vocabulary(mode: ClassificationMode) -> LabelVocabulary:
         classes = tuple(schema.raw_labels())
         index = {name: i for i, name in enumerate(classes)}
         raw_to_class = {raw: index[raw] for raw in fam}
-    vocab = LabelVocabulary(mode=mode, classes=classes, raw_to_class=raw_to_class)
-    assert vocab.n_classes == mode.class_count, "regime cardinality violated"
-    return vocab
+    return LabelVocabulary(classes=classes, raw_to_class=raw_to_class)
 
 
 def map_labels(labels, vocab: LabelVocabulary):

@@ -24,10 +24,13 @@ class FeatureStats:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FeatureStats":
-        return cls(
-            minimum=np.asarray(d["min"], dtype=np.float64),
-            maximum=np.asarray(d["max"], dtype=np.float64),
-        )
+        minimum = np.asarray(d["min"], dtype=np.float64)
+        maximum = np.asarray(d["max"], dtype=np.float64)
+        if minimum.shape != maximum.shape or not np.all(
+                np.isfinite(minimum) & np.isfinite(maximum) & (minimum <= maximum)):
+            raise ValueError("normalizer min and max must be equally long lists of finite "
+                             "numbers with min <= max")
+        return cls(minimum=minimum, maximum=maximum)
 
 
 def fit_normalizer(X_train) -> FeatureStats:

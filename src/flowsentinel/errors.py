@@ -71,10 +71,6 @@ class DegenerateImportanceError(FlowSentinelError):
     """No tree of the importance forest could split, so no feature has any importance."""
 
 
-class KTooLargeError(FlowSentinelError):
-    """Requested more top features than exist."""
-
-
 class InvalidSpecError(FlowSentinelError):
     """A model specification is internally inconsistent."""
 

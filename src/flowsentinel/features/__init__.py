@@ -7,7 +7,6 @@ from .forest import (
     compute_importances,
     export_importance_csv,
     fit_forest,
-    select_top_k,
 )
 from .tree import ForestConfig, TreeNode, fit_tree
 
@@ -20,7 +19,6 @@ __all__ = [
     "export_importance_csv",
     "fit_forest",
     "fit_tree",
-    "select_top_k",
 ]
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import EmptyInputError, KTooLargeError
+from ..errors import EmptyInputError
 from ..rng import Rng
 from .tree import ForestConfig, check_inputs, grow_tree, sort_columns, tree_feature_decreases
 
@@ -105,13 +105,6 @@ def compute_importances(trees: list, feature_names: list) -> ImportanceReport:
         totals = totals / grand
     ranking = sorted(zip(feature_names, totals.tolist()), key=lambda kv: (-kv[1], kv[0]))
     return ImportanceReport(ranking=ranking, degenerate=degenerate)
-
-
-def select_top_k(report: ImportanceReport, k: int) -> list:
-    """First k feature names by descending importance (ties lexicographic)."""
-    if k > len(report.ranking):
-        raise KTooLargeError(f"k={k} exceeds {len(report.ranking)} features")
-    return [name for name, _ in report.ranking[:k]]
 
 
 def export_importance_csv(report: ImportanceReport, path) -> None:

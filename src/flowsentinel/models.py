@@ -261,7 +261,12 @@ def load(path) -> Model:
         model.class_names = list(header.get("classes") or [])
         if header.get("normalizer"):
             model.normalizer = FeatureStats.from_dict(header["normalizer"])
+            if model.normalizer.minimum.shape != (spec.input_features,):
+                raise CorruptModelError(f"{path}: normalizer does not have "
+                                        f"{spec.input_features} features")
         model.cache_sha256 = header.get("cache_sha256")
+        if not isinstance(model.cache_sha256, (str, type(None))):
+            raise CorruptModelError(f"{path}: cache_sha256 {model.cache_sha256!r} is not a string")
         (n_params,) = struct.unpack_from("<I", payload, offset)
         offset += 4
         params = model.parameters()
@@ -286,6 +291,7 @@ def load(path) -> Model:
             p.value[...] = values.reshape(shape).astype(p.value.dtype)
         if offset != len(payload):
             raise CorruptModelError(f"{path}: {len(payload) - offset} trailing bytes")
-    except (struct.error, UnicodeDecodeError, KeyError, json.JSONDecodeError) as exc:
+    # ValueError covers json.JSONDecodeError and UnicodeDecodeError
+    except (struct.error, KeyError, TypeError, ValueError, InvalidSpecError) as exc:
         raise CorruptModelError(f"{path}: malformed payload ({exc})") from exc
     return model

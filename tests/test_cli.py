@@ -9,6 +9,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 import warnings
 import zlib
 from pathlib import Path
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 import flowsentinel
-from flowsentinel import cli, models
+from flowsentinel import cli, errors, models
 from flowsentinel.cli import main
 from flowsentinel.data import (
     ClassificationMode,
@@ -449,6 +450,23 @@ class TestEvaluateAndPredict:
         row_ids = [line.split(",")[0] for line in one_batch.decode().splitlines()[1:]]
         assert row_ids == [str(i) for i in range(ROWS)]
 
+    def test_predict_holds_its_input_as_float32_only(self, binary_model, tmp_path):
+        # the float32 blocks and their concatenation are twice the float32
+        # input; a float64 copy of the input would alone be twice it again
+        rows = 30_000
+        data = tmp_path / "flows.csv"
+        write_fixture_csv(data, rows=rows, seed=5)
+        tracemalloc.start()
+        try:
+            code = run("predict", "--model", str(binary_model), "--input", str(data),
+                       "--out", str(tmp_path / "pred"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        float32_input = rows * len(load(binary_model).feature_names) * 4
+        assert peak < 3 * float32_input, f"peak {peak / 1e6:.1f} MB"
+
     def test_predict_model_without_normalizer_exit_3(self, tmp_path, fixture_csv, capsys):
         path = tmp_path / "raw.fsnn"
         save(build(ModelSpec("cnn", ClassificationMode.BINARY), seed=0), path)
@@ -734,6 +752,98 @@ class TestNoTraceback:
             assert "unsupported version 1" in err
         assert not (out / "predictions.csv").exists() and not (out / "dataset.fsds").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ("select", "--recompute-importance"),
+        ("evaluate", "--model", "{model}"),
+        ("evaluate", "--model", "{missing}"),
+        ("predict", "--model", "{missing}", "--input", "{data}"),
+        ("predict", "--model", "{model}", "--input", "{missing}"),
+        ("inspect", "--model", "{missing}"),
+    ], ids=["select-cache", "evaluate-cache", "evaluate-model", "predict-model",
+            "predict-input", "inspect-model"])
+    def test_missing_file_exit_2_names_it(self, binary_model, tmp_path, fixture_csv, capsys,
+                                          argv):
+        # the reader of each file reports it missing; no command checks first
+        missing = tmp_path / "ghost"
+        expected = missing if "{missing}" in argv else tmp_path / "dataset.fsds"
+        fill = {"model": binary_model, "missing": missing, "data": fixture_csv}
+        argv = [arg.format(**fill) for arg in argv]
+        if argv[0] != "inspect":
+            argv += ["--out", str(tmp_path)]
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: [Errno 2] No such file or directory: '{expected}'\n"
+
+    @staticmethod
+    def edit_header(source, target, field, value):
+        """``source`` saved as ``target`` with one header field (a dotted path,
+        or None for the whole header) set to ``value``, under a valid CRC."""
+        payload = source.read_bytes()[4:-4]
+        (length,) = struct.unpack_from("<I", payload, 1)
+        header = json.loads(payload[5:5 + length])
+        if field is None:
+            header = value
+        else:
+            *parents, key = field.split(".")
+            node = header
+            for name in parents:
+                node = node[name]
+            node[key] = value
+        raw = json.dumps(header).encode("utf-8")
+        payload = payload[:1] + struct.pack("<I", len(raw)) + raw + payload[5 + length:]
+        target.write_bytes(b"FSNN" + payload + struct.pack("<I", zlib.crc32(payload)))
+
+    @pytest.mark.parametrize("field,value", [
+        ("normalizer", {"min": [0.0] * 19, "max": [1.0] * 19}),
+        ("normalizer.min", [float("nan")] * 20),
+        ("normalizer.max", [-1.0] * 20),  # below the minima
+        ("normalizer", "x"),
+        ("spec.mode", "weird"),
+        ("spec.architecture", "rnn"),
+        ("spec.input_features", 0),
+        ("spec.dropout_rate", "0.2"),
+        ("features", 5),
+        ("seed", "abc"),
+        ("cache_sha256", 5),
+        (None, [1, 2]),
+    ])
+    def test_malformed_model_header_exit_3(self, binary_model, tmp_path, fixture_csv, capsys,
+                                           field, value):
+        model = tmp_path / "edited.fsnn"
+        self.edit_header(binary_model, model, field, value)
+        out = tmp_path / "out"
+        assert run("predict", "--model", str(model), "--input", str(fixture_csv),
+                   "--out", str(out)) == 3
+        assert run("inspect", "--model", str(model)) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 2 and all(ln.startswith(f"error: {model}: ") for ln in lines)
+        assert not (out / "predictions.csv").exists()
+
+    @pytest.mark.parametrize("sidecar,commands", [
+        ("{not json", ("train", "select")),
+        (b'{"mode": "caf\xe9"}', ("train", "select")),  # a byte that is not UTF-8
+        ("[1, 2]", ("train", "select")),
+        ({"mode": "weird"}, ("train",)),
+        ({"mode": None}, ("train",)),  # no mode: the default mode's 34 classes
+        ({"classes": ["Benign", "Attack", "Other"]}, ("train",)),
+        ({"classes": None}, ("train",)),
+    ])
+    def test_malformed_sidecar_exit_3(self, workdir, capsys, sidecar, commands):
+        path = workdir / "dataset.fsds.meta.json"
+        if isinstance(sidecar, dict):  # edits of the ingested sidecar; None drops a key
+            meta = {**json.loads(path.read_text()), **sidecar}
+            sidecar = json.dumps({key: value for key, value in meta.items() if value is not None})
+        path.write_bytes(sidecar if isinstance(sidecar, bytes) else sidecar.encode())
+        for command in commands:
+            flags = ["--epochs", "1"] if command == "train" else ["--recompute-importance"]
+            assert run(command, *flags, "--out", str(workdir)) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == len(commands)
+        assert all(ln.startswith(f"error: {path}: ") for ln in lines)
+        for artefact in ("model.fsnn", "history.csv", "manifest.json", "features.txt",
+                         "importance.csv"):
+            assert not (workdir / artefact).exists()
+
     def test_not_utf8_in_a_process(self, binary_model, tmp_path, fixture_csv):
         data = self.not_utf8(tmp_path, fixture_csv)
         proc = subprocess.run(
@@ -743,6 +853,45 @@ class TestNoTraceback:
         )
         assert proc.returncode == 3
         assert proc.stderr == f"error: {data}: not UTF-8 text (invalid continuation byte)\n"
+
+
+class TestExitCodes:
+    """Every error class ``main`` can meet maps to its documented exit code."""
+
+    DOCUMENTED = {
+        errors.ConfigError: 1, errors.InvalidSpecError: 1,
+        FileNotFoundError: 2, IsADirectoryError: 2, NotADirectoryError: 2,
+        errors.EmptyInputError: 2, errors.ClassTooSmallError: 2,
+        errors.DegenerateImportanceError: 2,
+        errors.MissingColumnError: 3, errors.InputEncodingError: 3, errors.InvalidRowError: 3,
+        errors.CorruptCacheError: 3, errors.CorruptModelError: 3,
+        errors.NonFiniteLossError: 4, errors.NonFiniteGradientError: 4,
+        errors.ModeMismatchError: 5, errors.CacheMismatchError: 5,
+    }
+    # raised only by the layers on a programming error, never by a bad input
+    INTERNAL = {
+        errors.ShapeMismatchError, errors.MissingCacheError, errors.EmptySequenceError,
+        errors.InvalidRateError, errors.InvalidLabelError, errors.IndexOutOfRangeError,
+    }
+
+    def test_every_error_class_is_listed(self):
+        found, stack = set(), [errors.FlowSentinelError]
+        while stack:
+            for cls in stack.pop().__subclasses__():
+                found.add(cls)
+                stack.append(cls)
+        assert found - set(self.DOCUMENTED) - self.INTERNAL == set()
+        assert not self.INTERNAL & set(self.DOCUMENTED)
+
+    @pytest.mark.parametrize("error", list(DOCUMENTED), ids=lambda cls: cls.__name__)
+    def test_main_returns_the_documented_code(self, monkeypatch, capsys, error):
+        def fail(model_path):
+            raise error("bad")
+
+        monkeypatch.setattr(cli, "cmd_inspect", fail)
+        assert run("inspect", "--model", "m.fsnn") == self.DOCUMENTED[error]
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestInspectAndConfig:

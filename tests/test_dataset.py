@@ -32,6 +32,7 @@ from flowsentinel.errors import (
     MissingColumnError,
 )
 from flowsentinel.data import ingest
+from flowsentinel.models import ModelSpec, build
 from flowsentinel.rng import Rng
 
 HEADER = ",".join(list(schema.FEATURE_COLUMNS) + [schema.LABEL_COLUMN])
@@ -311,7 +312,7 @@ class TestVocabulary:
 
     def test_grouped_has_eight_classes(self):
         vocab = build_vocabulary(ClassificationMode.GROUPED)
-        assert vocab.n_classes == 8
+        assert len(vocab.classes) == 8
         assert set(vocab.classes) == {
             "Benign", "BruteForce", "DDoS", "DoS", "Mirai", "Recon", "Spoofing", "Web-based",
         }
@@ -322,10 +323,22 @@ class TestVocabulary:
 
     def test_multi_has_thirty_four_sorted_classes(self):
         vocab = build_vocabulary(ClassificationMode.MULTI)
-        assert vocab.n_classes == 34
+        assert len(vocab.classes) == 34
         assert vocab.classes == tuple(sorted(vocab.classes))
         for i, name in enumerate(vocab.classes):
             assert vocab.raw_to_class[name] == i
+
+    def test_class_counts_follow_the_family_table(self, monkeypatch):
+        # a family added to family_map.json is one more grouped class and head unit
+        table = dict(schema.family_map(), NewAttack="NewFamily")
+        monkeypatch.setattr(schema, "family_map", lambda: table)
+        vocab = build_vocabulary(ClassificationMode.GROUPED)
+        assert len(vocab.classes) == ClassificationMode.GROUPED.class_count == 9
+        assert vocab.raw_to_class["NewAttack"] == vocab.classes.index("NewFamily")
+        assert ClassificationMode.MULTI.class_count == 35
+        assert ClassificationMode.BINARY.class_count == 2
+        head = build(ModelSpec("cnn", ClassificationMode.GROUPED)).layers[-1]
+        assert head.bias.value.shape == (9,)
 
     def test_vocabulary_stable_across_calls(self):
         a = build_vocabulary(ClassificationMode.MULTI)

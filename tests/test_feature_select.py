@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import flowsentinel
-from flowsentinel.errors import EmptyInputError, KTooLargeError
+from flowsentinel.errors import EmptyInputError
 from flowsentinel.features import (
     ForestConfig,
     canonical_top20,
@@ -21,7 +21,6 @@ from flowsentinel.features import (
     fit_forest,
     fit_tree,
     forest,
-    select_top_k,
 )
 from flowsentinel.features.tree import grow_tree, tree_feature_decreases
 from flowsentinel.rng import Rng
@@ -385,7 +384,7 @@ class TestSelectTopK:
             ),
             ["a", "b", "c"],
         )
-        top = select_top_k(report, 3)
+        top = [name for name, _ in report.ranking[:3]]
         assert sorted(top) == ["a", "b", "c"]
         values = [dict(report.ranking)[name] for name in top]
         assert values == sorted(values, reverse=True)
@@ -396,12 +395,7 @@ class TestSelectTopK:
         y = (X[:, 0] > 0.5).astype(float)
         config = ForestConfig(n_trees=10, max_depth=6, min_samples_leaf=5, seed=2)
         report = compute_importances(fit_forest(X, y, config), ["f0", "f1", "f2", "f3"])
-        assert select_top_k(report, 1) == ["f0"]
-
-    def test_k_too_large(self):
-        report = ImportanceReportStub()
-        with pytest.raises(KTooLargeError):
-            select_top_k(report, 4)
+        assert report.ranking[0][0] == "f0"
 
     def test_canonical_list(self):
         top = canonical_top20()
@@ -410,7 +404,3 @@ class TestSelectTopK:
         assert top[1] == "Rate"
         assert top[-1] == "IAT"
         assert "Protocol Type" in top and "Header_Length" in top
-
-
-class ImportanceReportStub:
-    ranking = [("a", 0.5), ("b", 0.3), ("c", 0.2)]
