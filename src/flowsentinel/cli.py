@@ -334,10 +334,10 @@ def cmd_train(config: RunConfig) -> int:
         mode = ClassificationMode(config.mode)
     except ValueError:
         raise CorruptCacheError(f"{meta_path(cache_path)}: unknown mode {config.mode!r}") from None
-    classes = meta.get("classes")
-    if not isinstance(classes, list) or len(classes) != mode.class_count:
-        raise CorruptCacheError(f"{meta_path(cache_path)}: 'classes' is not a list of "
-                                f"{mode.class_count} names, as {mode.value!r} mode has")
+    classes = list(build_vocabulary(mode).classes)
+    if meta.get("classes") != classes:
+        raise CorruptCacheError(f"{meta_path(cache_path)}: 'classes' does not name the "
+                                f"{len(classes)} classes of {mode.value!r} mode in order")
     (X_train, y_train), (X_test, y_test), cache_sha256 = _load_split(
         cache_path, feature_names, config.seed
     )
@@ -347,7 +347,7 @@ def cmd_train(config: RunConfig) -> int:
     spec = ModelSpec(architecture=config.arch, mode=mode, input_features=len(feature_names))
     model = build(spec, seed=config.seed)  # the split seed, which evaluate reads back
     model.feature_names = list(feature_names)
-    model.class_names = list(classes)
+    model.class_names = classes
     model.normalizer = stats
     model.cache_sha256 = cache_sha256
 

@@ -259,6 +259,9 @@ def load(path) -> Model:
         model = build(spec, seed=header.get("seed", 0))
         model.feature_names = list(header.get("features") or [])
         model.class_names = list(header.get("classes") or [])
+        for key, names in (("features", model.feature_names), ("classes", model.class_names)):
+            if not all(isinstance(name, str) for name in names):
+                raise CorruptModelError(f"{path}: '{key}' holds a name that is not a string")
         if header.get("normalizer"):
             model.normalizer = FeatureStats.from_dict(header["normalizer"])
             if model.normalizer.minimum.shape != (spec.input_features,):

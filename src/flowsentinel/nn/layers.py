@@ -302,23 +302,18 @@ class LSTM(Layer):
     with h_0 = c_0 = 0. ``return_sequences`` selects the full [B, T, H]
     output or just the final hidden state [B, H].
 
-    The passes follow Appleyard et al. (2016). The input part of ``z`` does
-    not depend on ``h``, so a training forward computes it for every step in
-    one GEMM, ``x[T*B, D] . W[:D] + b``, into a time-major [T, B, 4H] gate
-    buffer; the row blocks ``W[:D]`` and ``W[D:]`` are views of ``W``. Each
-    step then adds one ``h_{t-1} . W[D:]`` and activates its [B, 4H] slice in
-    place (:meth:`_cell`), writing ``c`` and ``h`` into [T+1, B, H] buffers
-    whose row 0 is the zero state. The sequence output is a [B, T, H] view of
-    the ``h`` buffer.
-
-    Only a training forward keeps the buffers for backward. An inference
-    forward keeps nothing, so a backward after it raises
-    :class:`MissingCacheError`, and it holds one step at a time: each step
-    writes ``x_t . W[:D] + b`` into one reused [B, 4H] gate row, ``c`` lives
-    in two rows used in turn, and so does ``h`` unless ``return_sequences``
-    asks for all of it. The tests check that its output matches the training
-    forward's bit for bit. (A batch of one row keeps the single GEMM, whose
-    rows a one-row product would not match.)
+    Both modes run one loop over the steps. Step t writes ``x_t . W[:D]``
+    into its [B, 4H] gate row, adds ``b`` and ``h_{t-1} . W[D:]`` (the row
+    blocks ``W[:D]`` and ``W[D:]`` are views of ``W``), activates the row in
+    place and writes ``c_t``, ``tanh(c_t)`` and ``h_t`` into their state
+    rows. A training forward keeps every step for backward: a time-major
+    [T, B, 4H] gate buffer and [T+1, B, H] state buffers whose row 0 is the
+    zero state. An inference forward keeps no cache, so a backward after it
+    raises :class:`MissingCacheError`; it reuses one gate row and two rows of
+    each state in turn, and all of ``h`` only when ``return_sequences`` asks
+    for it. The sequence output is a [B, T, H] view of the ``h`` buffer. Both
+    modes run the same products, so their outputs match bit for bit; numpy
+    runs a one-row batch's products as GEMV.
 
     Backward is full BPTT. It computes the local derivative factors of
     every step at once, leaves each step one small GEMM, ``dz_t . W[D:]^T``,
@@ -345,24 +340,6 @@ class LSTM(Layer):
     def parameters(self):
         return [self.weight, self.bias]
 
-    def _cell(self, z, h_prev, c_prev, c_out, tc_out, h_out) -> None:
-        """One recurrence step in place.
-
-        ``z`` [B, 4H] holds ``x_t . W[:D] + b`` and leaves holding the
-        activated gates (i, f, g, o); ``c_out``, ``tanh(c_out)`` and ``h_out``
-        are written into the given [B, H] arrays.
-        """
-        h = self.hidden
-        z += h_prev @ self.weight.value[self.input_dim:]
-        g = act.tanh(z[:, 2 * h: 3 * h])
-        act.sigmoid(z, out=z)  # one call over the whole row; the g block is put back
-        z[:, 2 * h: 3 * h] = g
-        np.multiply(z[:, h: 2 * h], c_prev, out=c_out)
-        g *= z[:, :h]
-        c_out += g
-        act.tanh(c_out, out=tc_out)
-        np.multiply(z[:, 3 * h:], tc_out, out=h_out)
-
     def forward(self, x, training=False):
         b, t_steps, d = x.shape
         if t_steps < 1:
@@ -370,39 +347,37 @@ class LSTM(Layer):
         if d != self.input_dim:
             raise ShapeMismatchError(f"lstm expects input dim {self.input_dim}, got {d}")
         h = self.hidden
-        w_x, bias = self.weight.value[:d], self.bias.value
-        # numpy runs a one-row product as GEMV, whose sums may round unlike
-        # the GEMM's, so a one-row batch keeps the hoisted GEMM (its buffers
-        # are small)
-        hoisted = training or b == 1
-        if hoisted:
-            # a view when x is time-major in memory, as an LSTM's sequence output is
-            x_flat = x.transpose(1, 0, 2).reshape(t_steps * b, d)
-            z = x_flat @ w_x
-            z += bias
-            z = z.reshape(t_steps, b, 4 * h)
-            rows = t_steps + 1
-        else:
-            z = np.empty((1, b, 4 * h), dtype=np.result_type(x, w_x))
-            rows = 2
-        # State s of c, tanh(c) and h sits in row s % len(buffer): a buffer of
-        # T+1 rows keeps every step, one of two rows is reused in turn.
+        w_x, w_h, bias = self.weight.value[:d], self.weight.value[d:], self.bias.value
+        # Step t's gates sit in row t % len(z), and state s of c, tanh(c) and h
+        # in row s % len(buffer): training keeps every row, inference reuses
+        # one gate row and two state rows in turn.
+        rows = t_steps + 1 if training else 2
+        z = np.empty((rows - 1, b, 4 * h), dtype=np.result_type(x, w_x))
         cs = np.empty((rows, b, h), dtype=z.dtype)
         tcs = np.empty((rows - 1, b, h), dtype=z.dtype)
         hs = np.empty((t_steps + 1 if self.return_sequences else rows, b, h), dtype=z.dtype)
         cs[0] = 0
         hs[0] = 0
         for t in range(t_steps):
-            if not hoisted:
-                np.matmul(x[:, t], w_x, out=z[0])
-                z[0] += bias
-            self._cell(z[t % len(z)], hs[t % len(hs)], cs[t % rows], cs[(t + 1) % rows],
-                       tcs[t % len(tcs)], hs[(t + 1) % len(hs)])
-        self._cache = (x_flat, z, cs, tcs, hs) if training else None
+            z_t, tc_t = z[t % len(z)], tcs[t % len(tcs)]
+            c_prev, c_t = cs[t % rows], cs[(t + 1) % rows]
+            h_prev, h_t = hs[t % len(hs)], hs[(t + 1) % len(hs)]
+            np.dot(x[:, t], w_x, out=z_t)  # np.matmul runs lstm0's K = 1 product ~5x slower
+            z_t += bias
+            z_t += h_prev @ w_h
+            g = act.tanh(z_t[:, 2 * h: 3 * h])
+            act.sigmoid(z_t, out=z_t)  # one call over the whole row; the g block is put back
+            z_t[:, 2 * h: 3 * h] = g
+            np.multiply(z_t[:, h: 2 * h], c_prev, out=c_t)
+            g *= z_t[:, :h]
+            c_t += g
+            act.tanh(c_t, out=tc_t)
+            np.multiply(z_t[:, 3 * h:], tc_t, out=h_t)
+        self._cache = (x, z, cs, tcs, hs) if training else None
         return hs[1:].transpose(1, 0, 2) if self.return_sequences else hs[t_steps % len(hs)]
 
     def backward(self, grad_out):
-        x_flat, z, cs, tcs, hs = self._take_cache()
+        x, z, cs, tcs, hs = self._take_cache()
         t_steps, b, _ = z.shape
         h = self.hidden
         d = self.input_dim
@@ -444,6 +419,8 @@ class LSTM(Layer):
                 dh += grad_seq[t - 1]
 
         dz = dz.reshape(t_steps * b, 4 * h)
+        # a view when x is time-major in memory, as an LSTM's sequence output is
+        x_flat = x.transpose(1, 0, 2).reshape(t_steps * b, d)
         self.weight.grad[:d] += x_flat.T @ dz
         self.weight.grad[d:] += hs[:-1].reshape(t_steps * b, h).T @ dz
         self.bias.grad += dz.sum(axis=0)

@@ -806,6 +806,8 @@ class TestNoTraceback:
         ("seed", "abc"),
         ("cache_sha256", 5),
         (None, [1, 2]),
+        ("features", list(range(20))),
+        ("classes", [0, 1]),
     ])
     def test_malformed_model_header_exit_3(self, binary_model, tmp_path, fixture_csv, capsys,
                                            field, value):
@@ -827,6 +829,8 @@ class TestNoTraceback:
         ({"mode": None}, ("train",)),  # no mode: the default mode's 34 classes
         ({"classes": ["Benign", "Attack", "Other"]}, ("train",)),
         ({"classes": None}, ("train",)),
+        ({"classes": [1, 2]}, ("train",)),
+        ({"classes": ["Attack", "Benign"]}, ("train",)),  # binary's two names, out of order
     ])
     def test_malformed_sidecar_exit_3(self, workdir, capsys, sidecar, commands):
         path = workdir / "dataset.fsds.meta.json"

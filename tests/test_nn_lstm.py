@@ -1,5 +1,7 @@
 """LSTM step, sequence forward, and BPTT gradients."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -116,7 +118,7 @@ class TestForward:
 
     @pytest.mark.parametrize("return_sequences", [True, False])
     def test_training_flag_leaves_output_bitwise_equal(self, return_sequences):
-        # training runs one input GEMM over all steps, inference one per step
+        # both modes run the same products, one input product per step
         for dtype in (np.float32, np.float64):
             lstm = LSTM(3, 16, Rng(2), return_sequences=return_sequences)
             if dtype is np.float64:
@@ -127,6 +129,22 @@ class TestForward:
                 inferred = np.array(lstm.forward(x, training=False))
                 assert trained.dtype == inferred.dtype == dtype
                 assert trained.tobytes() == inferred.tobytes(), (dtype, batch)
+
+    @pytest.mark.parametrize("return_sequences", [True, False])
+    def test_inference_memory_stays_one_step_wide(self, return_sequences):
+        # the model's second layer over one 512-row inference chunk; a forward
+        # that kept every step's gates would hold a [T, B, 4H] buffer
+        t_steps, batch, hidden = 20, 512, 64
+        lstm = LSTM(64, hidden, Rng(3), return_sequences=return_sequences)
+        x = np.random.default_rng(3).normal(size=(batch, t_steps, 64)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            lstm.forward(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        gate_buffer = t_steps * batch * 4 * hidden * 4
+        assert peak < gate_buffer, f"peak {peak / 1e6:.1f} MB"
 
     def test_empty_sequence_rejected(self):
         lstm = make_lstm(2, 3)

@@ -1,8 +1,9 @@
 """Byte-identity digest of the pipeline's artefacts over a fixed, seeded matrix.
 
 Each step runs as its own ``python -m flowsentinel.cli`` child of a source
-tree, and the command prints JSON: per thread setting, the sha256 of every
-artefact and the exit code and stderr of every step. The matrix:
+tree (the ``probs`` steps as a ``python -c PROBABILITIES`` child), and the
+command prints JSON: per thread setting, the sha256 of every artefact and the
+exit code and stderr of every step. The matrix:
 
 * ``ingest`` in binary, grouped and multi mode over two files (``--data a b``),
   of a 30k-row file with 1% malformed rows at ``--subsample 0.1``, and of a
@@ -15,6 +16,10 @@ artefact and the exit code and stderr of every step. The matrix:
   over 513 rows (which end in a one-row chunk at 512 rows per chunk, and
   not at 4,096, so a chunk-size change can show; see ``FIXTURES``) and over
   one row;
+* ``probs`` for each trained model: the float32 bytes of the probabilities
+  that the tree's ``Model.batches`` returns over the scaled ``new``, ``mid``
+  and ``one`` inputs, one file each, so that a change of any bit of inference
+  shows, not only one that moves ``predictions.csv``'s six decimals;
 * ``predict`` on every bad-cell case, which must exit 3;
 * ``evaluate`` of the binary model against a cache of the same two files
   re-ingested at ``--subsample 0.5``, which must exit 5.
@@ -70,9 +75,10 @@ EDGE_CELLS = ["1_000", "١٢", "\xa01.5", "2.0#x", "0x10", "1d5", "nan(1)", "-In
               "1e400", "", "   ", "1.5 2", "\x1c1", "nan", "-nan", " 2.5 ", '"1.5"']
 # the inputs the fixture generator writes: name -> (rows, seed). mid.csv's last
 # row is alone in its 512-row chunk, and a one-row product can round unlike the
-# chunk's, but the six printed decimals rarely show it: of 60 seeds tried, the
-# last row's line changed with the chunk size for 4, among them SEED + 8 (the
-# grouped cnn model, at 1 and 2 BLAS threads)
+# chunk's; the ``probs`` artefacts show every such bit, while the six printed
+# decimals rarely do: of 60 seeds tried, the last row's line changed with the
+# chunk size for 4, among them SEED + 8 (the grouped cnn model, at 1 and 2 BLAS
+# threads)
 FIXTURES = {"flows.csv": (3000, SEED), "more.csv": (1000, SEED + 1), "new.csv": (4097, SEED + 2),
             "big.csv": (30000, SEED + 3), "mid.csv": (513, SEED + 8)}
 # a child's program: write the fixtures named in argv[2] (JSON) into directory argv[1]
@@ -81,6 +87,24 @@ WRITE_FIXTURES = """if True:
     from flowsentinel.data import write_fixture_csv
     for name, (rows, seed) in json.loads(sys.argv[2]).items():
         write_fixture_csv(os.path.join(sys.argv[1], name), rows=rows, seed=seed)
+"""
+PREDICTED = ("new", "mid", "one")
+# a child's program: write into directory argv[2], as <name>.f32, the float32
+# probabilities of model argv[1] over each input inputs/<name>.csv named after it
+PROBABILITIES = """if True:
+    import os, sys
+    import numpy as np
+    from flowsentinel.data import apply_normalizer, iter_flows
+    from flowsentinel.models import load
+    model = load(sys.argv[1])
+    os.makedirs(sys.argv[2], exist_ok=True)
+    for name in sys.argv[3:]:
+        path = os.path.join("inputs", name + ".csv")
+        X = np.concatenate([apply_normalizer(block, model.normalizer)
+                            for block, _, _ in iter_flows(path, model.feature_names)])
+        with open(os.path.join(sys.argv[2], name + ".f32"), "wb") as out:
+            for _, probs in model.batches(X):
+                out.write(probs.tobytes())
 """
 
 
@@ -126,7 +150,8 @@ def make_inputs(inputs: Path) -> None:
 
 def matrix():
     """(step, argv, artefacts the step writes), in run order. A step whose name
-    ends in ``-1cpu`` runs pinned to one CPU."""
+    ends in ``-1cpu`` runs pinned to one CPU; an argv that starts with ``-c``
+    is a Python program, any other one a CLI command."""
     steps = []
     for mode in MODES:
         out = f"runs/{mode}"
@@ -154,11 +179,14 @@ def matrix():
                 (f"evaluate-{arch}-{mode}", ["evaluate", "--model", model, "--out", out],
                  [f"{out}/metrics.json"]),
             ]
-            for name in ("new", "mid", "one"):
+            for name in PREDICTED:
                 pred = f"{out}/predict-{arch}-{name}"
                 steps.append((f"predict-{arch}-{mode}-{name}",
                               ["predict", "--model", model, "--input", f"inputs/{name}.csv",
                                "--out", pred], [f"{pred}/predictions.csv"]))
+            probs = f"{out}/probs-{arch}"
+            steps.append((f"probs-{arch}-{mode}", ["-c", PROBABILITIES, model, probs, *PREDICTED],
+                          [f"{probs}/{name}.f32" for name in PREDICTED]))
     for name in BAD_CELLS:
         pred = f"runs/multi/predict-bad-{name}"
         steps.append((f"predict-bad-{name}", ["predict", "--model", "runs/multi/model.fsnn",
@@ -208,7 +236,8 @@ def run_matrix(src: Path, inputs: Path, work: Path, threads: str | None) -> dict
     one_cpu = {min(os.sched_getaffinity(0))}
     for step, argv, outputs in matrix():
         pin = (lambda: os.sched_setaffinity(0, one_cpu)) if step.endswith("-1cpu") else None
-        proc = subprocess.run([sys.executable, "-m", "flowsentinel.cli", *map(str, argv)],
+        program = [] if argv[0] == "-c" else ["-m", "flowsentinel.cli"]
+        proc = subprocess.run([sys.executable, *program, *map(str, argv)],
                               cwd=work, env=env, capture_output=True, preexec_fn=pin)
         runs[step] = {"exit": proc.returncode,
                       "stderr": scrub(proc.stderr, "", work).decode(errors="replace")}
