@@ -280,10 +280,11 @@ def cmd_select(config: RunConfig) -> int:
         export_importance_csv(report, out / "importance.csv")
         _emit(f"wrote importance.csv ({len(report.ranking)} features ranked)")
     else:
-        top = canonical_top20()[: config.top_k] if config.top_k <= 20 else None
-        if top is None:
+        canonical = canonical_top20()
+        if config.top_k > len(canonical):
             raise ConfigError("canonical list has 20 features; use --recompute-importance "
                               "for larger top_k")
+        top = canonical[: config.top_k]
     features_path.write_text("".join(name + "\n" for name in top), encoding="utf-8")
     _emit(f"wrote {features_path} ({len(top)} features)")
     return EXIT_OK

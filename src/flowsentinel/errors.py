@@ -6,27 +6,11 @@ class FlowSentinelError(Exception):
 
 
 class ShapeMismatchError(FlowSentinelError):
-    """Array shapes are inconsistent with a layer or operation contract."""
+    """A batch given to a model is not [rows, input_features] (``Model._frame``)."""
 
 
 class MissingCacheError(FlowSentinelError):
     """backward() was called without a preceding forward() on the same layer."""
-
-
-class EmptySequenceError(FlowSentinelError):
-    """A recurrent layer received a zero-length sequence."""
-
-
-class InvalidRateError(FlowSentinelError):
-    """Dropout rate outside [0, 1)."""
-
-
-class InvalidLabelError(FlowSentinelError):
-    """A binary target was not 0 or 1."""
-
-
-class IndexOutOfRangeError(FlowSentinelError):
-    """A class index fell outside [0, n_classes)."""
 
 
 class NonFiniteGradientError(FlowSentinelError):

@@ -55,6 +55,10 @@ LSTM_UNITS = 64
 DEFAULT_DROPOUT = 0.2
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     architecture: str  # "cnn" | "lstm"
@@ -65,8 +69,8 @@ class ModelSpec:
     def __post_init__(self):
         if self.architecture not in ARCHITECTURES:
             raise InvalidSpecError(f"unknown architecture {self.architecture!r}")
-        if self.input_features < 1:
-            raise InvalidSpecError("input_features must be positive")
+        if not _is_int(self.input_features) or self.input_features < 1:
+            raise InvalidSpecError(f"input_features {self.input_features!r} is not a positive int")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise InvalidSpecError("dropout_rate must be in [0, 1)")
 
@@ -116,11 +120,6 @@ class Model:
 
     def parameter_count(self) -> int:
         return sum(p.value.size for p in self.parameters())
-
-    def bind_dropout_rng(self, rng: Rng) -> None:
-        for layer in self.layers:
-            if isinstance(layer, Dropout):
-                layer.rng = rng
 
     def _frame(self, batch: np.ndarray) -> np.ndarray:
         batch = np.asarray(batch)
@@ -175,7 +174,8 @@ class Model:
 
 
 def build(spec: ModelSpec, seed: int = 0) -> Model:
-    """Instantiate a model with Glorot-uniform weights, deterministic in seed."""
+    """Instantiate a model with Glorot-uniform weights, deterministic in seed;
+    the LSTM's dropout layers share one mask stream, ``Rng(seed).spawn("dropout")``."""
     rng = Rng(seed).spawn("init")
     if spec.architecture == "cnn":
         length = spec.input_features
@@ -197,11 +197,12 @@ def build(spec: ModelSpec, seed: int = 0) -> Model:
         layers.append(Flatten())
         layers.append(Dense(flatten_len, spec.output_units, rng.spawn("head"), name="head"))
     else:
+        masks = Rng(seed).spawn("dropout")
         layers = [
             LSTM(1, LSTM_UNITS, rng.spawn("lstm0"), return_sequences=True, name="lstm0"),
-            Dropout(spec.dropout_rate),
+            Dropout(spec.dropout_rate, masks),
             LSTM(LSTM_UNITS, LSTM_UNITS, rng.spawn("lstm1"), return_sequences=False, name="lstm1"),
-            Dropout(spec.dropout_rate),
+            Dropout(spec.dropout_rate, masks),
             Dense(LSTM_UNITS, spec.output_units, rng.spawn("head"), name="head"),
         ]
     return Model(spec=spec, layers=layers, rng_seed=seed)
@@ -256,7 +257,9 @@ def load(path) -> Model:
         header = json.loads(payload[offset:offset + header_len].decode("utf-8"))
         offset += header_len
         spec = ModelSpec.from_dict(header["spec"])
-        model = build(spec, seed=header.get("seed", 0))
+        if not _is_int(header["seed"]):
+            raise CorruptModelError(f"{path}: seed {header['seed']!r} is not an integer")
+        model = build(spec, seed=header["seed"])
         model.feature_names = list(header.get("features") or [])
         model.class_names = list(header.get("classes") or [])
         for key, names in (("features", model.feature_names), ("classes", model.class_names)):

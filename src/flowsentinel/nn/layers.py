@@ -3,9 +3,11 @@
 Conventions shared by every layer:
 
 * Input is always batched: dense input is ``[B, N]``, convolutional input
-  is ``[B, C, L]``, recurrent input is ``[B, T, D]``. Layers do not adapt
-  shapes; ``Model._frame`` is the one place that turns feature rows into
-  these layouts.
+  is ``[B, C, L]``, recurrent input is ``[B, T, D]``. Layers neither adapt
+  nor check shapes. ``Model._frame`` is the one place that turns feature
+  rows into these layouts and checks their width; ``build`` fixes every
+  parameter shape and refuses a conv or pool output that collapses below
+  one step, and ``backward`` receives the gradient of the layer above it.
 * A training forward (``training=True``) caches whatever ``backward``
   needs; ``backward`` consumes the cache, accumulates parameter gradients in
   place (``param.grad += ...``), returns the gradient w.r.t. the layer
@@ -27,12 +29,7 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ..errors import (
-    EmptySequenceError,
-    InvalidRateError,
-    MissingCacheError,
-    ShapeMismatchError,
-)
+from ..errors import MissingCacheError
 from ..rng import Rng
 from . import activations as act
 
@@ -89,17 +86,11 @@ class Dense(Layer):
         return [self.weight, self.bias]
 
     def forward(self, x, training=False):
-        if x.shape[1] != self.in_features:
-            raise ShapeMismatchError(f"dense expects {self.in_features} inputs, got {x.shape[1]}")
         self._cache = x if training else None
         return x @ self.weight.value.T + self.bias.value
 
     def backward(self, grad_out):
         x = self._take_cache()
-        if grad_out.shape != (x.shape[0], self.out_features):
-            raise ShapeMismatchError(
-                f"dense grad shape {grad_out.shape} != {(x.shape[0], self.out_features)}"
-            )
         self.weight.grad += grad_out.T @ x
         self.bias.grad += grad_out.sum(axis=0)
         return grad_out @ self.weight.value
@@ -126,8 +117,6 @@ class Conv1D(Layer):
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int, rng: Rng,
                  name: str = "conv"):
         super().__init__()
-        if kernel_size < 1:
-            raise ShapeMismatchError("kernel size must be >= 1")
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_size = kernel_size
@@ -153,11 +142,7 @@ class Conv1D(Layer):
         return windows.transpose(1, 3, 2, 0).reshape(c * self.kernel_size, t_out * b)
 
     def forward(self, x, training=False):
-        b, c_in, length = x.shape
-        if c_in != self.in_channels:
-            raise ShapeMismatchError(f"conv expects {self.in_channels} channels, got {c_in}")
-        if length < self.kernel_size:
-            raise ShapeMismatchError(f"input length {length} < kernel size {self.kernel_size}")
+        b, _, length = x.shape
         t_out = self.output_length(length)
         out = self.weight.value.reshape(self.out_channels, -1) @ self._patches(x)
         out += self.bias.value[:, None]
@@ -168,10 +153,6 @@ class Conv1D(Layer):
         x = self._take_cache()
         b, c_in, length = x.shape
         t_out = self.output_length(length)
-        if grad_out.shape != (b, self.out_channels, t_out):
-            raise ShapeMismatchError(
-                f"conv grad shape {grad_out.shape} != {(b, self.out_channels, t_out)}"
-            )
         g = grad_out.transpose(1, 2, 0).reshape(self.out_channels, t_out * b)
         self.weight.grad += (g @ self._patches(x).T).reshape(self.weight.value.shape)
         self.bias.grad += g.sum(axis=1)
@@ -194,8 +175,6 @@ class MaxPool1D(Layer):
 
     def __init__(self, pool_size: int = 2):
         super().__init__()
-        if pool_size < 1:
-            raise ShapeMismatchError("pool size must be >= 1")
         self.pool_size = pool_size
 
     def output_length(self, in_length: int) -> int:
@@ -206,17 +185,12 @@ class MaxPool1D(Layer):
         return [x[:, :, j:end:self.pool_size] for j in range(self.pool_size)]
 
     def forward(self, x, training=False):
-        length = x.shape[2]
-        if self.output_length(length) < 1:
-            raise ShapeMismatchError(f"input length {length} < pool size {self.pool_size}")
         out = functools.reduce(np.maximum, self._slices(x))
         self._cache = (x, out) if training else None
         return out
 
     def backward(self, grad_out):
         x, out = self._take_cache()
-        if grad_out.shape != out.shape:
-            raise ShapeMismatchError(f"pool grad shape {grad_out.shape} != {out.shape}")
         # Elementwise ops over mixed memory layouts are slow at these short
         # rows, so bring the gradient to the layout of ``out`` (and of ``x``).
         g = np.empty_like(out, dtype=grad_out.dtype)
@@ -259,24 +233,23 @@ class Dropout(Layer):
     """Inverted dropout: training zeroes with probability ``rate`` and scales
     survivors by 1/(1-rate); inference is the identity.
 
+    ``rng`` is the model's mask stream: ``build`` gives both of a model's
+    dropout layers one ``Rng``, which they draw from in turn.
+
     A unit survives when its uniform draw ``u = (raw >> 11) * 2**-53`` is
     ``>= rate``. ``rate * 2**53`` is exact in float64, so the mask compares
     the integers ``raw >> 11 >= ceil(rate * 2**53)`` and makes no floats.
     """
 
-    def __init__(self, rate: float, rng: Rng | None = None):
+    def __init__(self, rate: float, rng: Rng):
         super().__init__()
-        if not 0.0 <= rate < 1.0:
-            raise InvalidRateError(f"dropout rate must be in [0, 1), got {rate}")
         self.rate = rate
-        self.rng = rng  # Model.bind_dropout_rng sets it for training
+        self.rng = rng
 
     def forward(self, x, training=False):
         if not training:
             self._cache = None
             return x
-        if self.rng is None:
-            raise InvalidRateError("dropout in training mode requires an Rng")
         threshold = np.uint64(math.ceil(self.rate * 2.0**53))
         keep = (self.rng.raw(x.size) >> np.uint64(11)).reshape(x.shape) >= threshold
         scale = 1.0 / (1.0 - self.rate)
@@ -342,10 +315,6 @@ class LSTM(Layer):
 
     def forward(self, x, training=False):
         b, t_steps, d = x.shape
-        if t_steps < 1:
-            raise EmptySequenceError("lstm requires at least one time step")
-        if d != self.input_dim:
-            raise ShapeMismatchError(f"lstm expects input dim {self.input_dim}, got {d}")
         h = self.hidden
         w_x, w_h, bias = self.weight.value[:d], self.weight.value[d:], self.bias.value
         # Step t's gates sit in row t % len(z), and state s of c, tanh(c) and h
@@ -382,13 +351,9 @@ class LSTM(Layer):
         h = self.hidden
         d = self.input_dim
         if self.return_sequences:
-            if grad_out.shape != (b, t_steps, h):
-                raise ShapeMismatchError(f"lstm grad shape {grad_out.shape} != {(b, t_steps, h)}")
             grad_seq = grad_out.transpose(1, 0, 2)
             dh = grad_seq[-1]
         else:
-            if grad_out.shape != (b, h):
-                raise ShapeMismatchError(f"lstm grad shape {grad_out.shape} != {(b, h)}")
             dh = grad_out
 
         # Local factors of every step at once, written over the gates, so that

@@ -96,7 +96,9 @@ def train(model: Model, X: np.ndarray, y: np.ndarray, *, epochs: int, batch_size
 
     ``X`` is the normalized training matrix (the 80% side of the outer
     split); a further ``VALIDATION_FRACTION`` is carved out of it here,
-    stratified, and never trained on.
+    stratified, and never trained on. Dropout masks come from the model's
+    own stream (see ``models.build``), so a second call on the same model
+    continues that stream rather than restarting it.
     """
     X = np.asarray(X, dtype=np.float32)
     y = np.asarray(y, dtype=np.int64)
@@ -114,7 +116,6 @@ def train(model: Model, X: np.ndarray, y: np.ndarray, *, epochs: int, batch_size
     from .rng import Rng
 
     root = Rng(model.rng_seed)
-    model.bind_dropout_rng(root.spawn("dropout"))
     optimizer = Adam(model.parameters(), lr=learning_rate)
 
     history = TrainHistory()

@@ -35,6 +35,7 @@ from flowsentinel.features import canonical_top20, forest
 from flowsentinel.models import ModelSpec, build, load, save
 
 ROWS = 600  # small but every class keeps >= 2 rows
+DROP = object()  # an edit_header value that deletes the field
 
 
 @pytest.fixture(scope="module")
@@ -293,6 +294,23 @@ class TestTrain:
         assert code == 2
         assert str(features) in capsys.readouterr().err
         assert not (workdir / "model.fsnn").exists()
+
+    @pytest.mark.parametrize("arch,top_k,code", [
+        ("cnn", 1, 1),  # conv0's output: 1 - 3 + 1 = -1 steps
+        ("cnn", 9, 1),  # 9 -> 7 -> 3 -> 1, and pool1 leaves 0 steps
+        ("cnn", 10, 0),  # 10 -> 8 -> 4 -> 2 -> 1
+        ("lstm", 1, 0),  # a one-step sequence
+    ])
+    def test_top_k_trains_unless_the_cnn_collapses(self, workdir, capsys, arch, top_k,
+                                                     code):
+        # build is the one guard on every layer's input length
+        assert run("select", "--top-k", str(top_k), "--out", str(workdir)) == 0
+        capsys.readouterr()
+        assert run("train", "--arch", arch, "--epochs", "1", "--out", str(workdir)) == code
+        assert (workdir / "model.fsnn").exists() == (code == 0)
+        if code:
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "collapsed" in err and err.count("\n") == 1
 
     def test_missing_cache_exit_2(self, tmp_path):
         assert run("train", "--arch", "cnn", "--out", str(tmp_path / "void")) == 2
@@ -777,7 +795,8 @@ class TestNoTraceback:
     @staticmethod
     def edit_header(source, target, field, value):
         """``source`` saved as ``target`` with one header field (a dotted path,
-        or None for the whole header) set to ``value``, under a valid CRC."""
+        or None for the whole header) set to ``value``, or deleted when
+        ``value`` is ``DROP``, under a valid CRC."""
         payload = source.read_bytes()[4:-4]
         (length,) = struct.unpack_from("<I", payload, 1)
         header = json.loads(payload[5:5 + length])
@@ -788,7 +807,10 @@ class TestNoTraceback:
             node = header
             for name in parents:
                 node = node[name]
-            node[key] = value
+            if value is DROP:
+                del node[key]
+            else:
+                node[key] = value
         raw = json.dumps(header).encode("utf-8")
         payload = payload[:1] + struct.pack("<I", len(raw)) + raw + payload[5 + length:]
         target.write_bytes(b"FSNN" + payload + struct.pack("<I", zlib.crc32(payload)))
@@ -808,6 +830,9 @@ class TestNoTraceback:
         (None, [1, 2]),
         ("features", list(range(20))),
         ("classes", [0, 1]),
+        ("seed", 1.5),
+        ("seed", True),
+        ("seed", DROP),
     ])
     def test_malformed_model_header_exit_3(self, binary_model, tmp_path, fixture_csv, capsys,
                                            field, value):
@@ -872,11 +897,8 @@ class TestExitCodes:
         errors.NonFiniteLossError: 4, errors.NonFiniteGradientError: 4,
         errors.ModeMismatchError: 5, errors.CacheMismatchError: 5,
     }
-    # raised only by the layers on a programming error, never by a bad input
-    INTERNAL = {
-        errors.ShapeMismatchError, errors.MissingCacheError, errors.EmptySequenceError,
-        errors.InvalidRateError, errors.InvalidLabelError, errors.IndexOutOfRangeError,
-    }
+    # raised only on a programming error, never by a bad input
+    INTERNAL = {errors.ShapeMismatchError, errors.MissingCacheError}
 
     def test_every_error_class_is_listed(self):
         found, stack = set(), [errors.FlowSentinelError]

@@ -9,7 +9,7 @@ from flowsentinel import models
 from flowsentinel.data import ClassificationMode, FeatureStats
 from flowsentinel.errors import CorruptModelError, InvalidSpecError, ShapeMismatchError
 from flowsentinel.models import Model, ModelSpec, build, load, save
-from flowsentinel.nn import Conv1D, Dense, MaxPool1D
+from flowsentinel.nn import Conv1D, Dense, Dropout, MaxPool1D
 from flowsentinel.rng import Rng
 
 from conftest import as_float64
@@ -93,6 +93,17 @@ class TestBuild:
             ModelSpec(architecture="cnn", mode=ClassificationMode.BINARY, dropout_rate=1.0)
         with pytest.raises(InvalidSpecError):
             build(ModelSpec(architecture="cnn", mode=ClassificationMode.BINARY, input_features=4))
+        for width in (20.0, True):  # the width must be an int, not a float or a bool
+            with pytest.raises(InvalidSpecError):
+                ModelSpec(architecture="lstm", mode=ClassificationMode.BINARY, input_features=width)
+
+    def test_lstm_dropout_layers_share_one_unused_stream(self):
+        model = build(spec_of("lstm", "binary"), seed=9)
+        first, second = (layer for layer in model.layers if isinstance(layer, Dropout))
+        assert first.rng is second.rng
+        assert first.rng.seed == Rng(9).spawn("dropout").seed
+        # nothing drawn yet: the stream starts where a fresh spawn does
+        assert np.array_equal(first.rng.raw(8), Rng(9).spawn("dropout").raw(8))
 
 
 class TestForward:
@@ -134,7 +145,6 @@ class TestForward:
     def test_lstm_inference_forward_holds_one_step(self, np_rng):
         # lstm1 keeps one step of gates and state, not [T, B, 4H] and [T+1, B, H]
         model = build(spec_of("lstm", "binary"), seed=5)
-        model.bind_dropout_rng(Rng(5))
         x = np_rng.uniform(size=(4096, 20)).astype(np.float32)
         model.forward(x[:8], training=True)  # training caches for inference to drop
         tracemalloc.start()
@@ -151,7 +161,6 @@ class TestForward:
         # no dropout, so both forwards compute the same numbers; lstm1 reads
         # lstm0's time-major sequence through its 64-wide input GEMM
         model = build(ModelSpec("lstm", ClassificationMode.MULTI, dropout_rate=0.0), seed=6)
-        model.bind_dropout_rng(Rng(6))  # rate 0 draws a mask that keeps every unit
         x = np_rng.uniform(size=(rows, 20)).astype(np.float32)
         trained = model.forward(x, training=True)
         assert trained.tobytes() == model.forward(x, training=False).tobytes()

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from flowsentinel.errors import EmptySequenceError, MissingCacheError, ShapeMismatchError
+from flowsentinel.errors import MissingCacheError
 from flowsentinel.nn import LSTM
 from flowsentinel.rng import Rng
 
@@ -62,11 +62,6 @@ class TestStep:
         lstm = make_lstm(2, 8)
         h = lstm.forward(np_rng.normal(size=(4, 1, 2)) * 10)
         assert np.all(np.abs(h) <= 1.0)
-
-    def test_shape_mismatch(self):
-        lstm = make_lstm(2, 3)
-        with pytest.raises(ShapeMismatchError):
-            lstm.forward(np.ones((1, 1, 5)))
 
 
 class TestForward:
@@ -145,11 +140,6 @@ class TestForward:
             tracemalloc.stop()
         gate_buffer = t_steps * batch * 4 * hidden * 4
         assert peak < gate_buffer, f"peak {peak / 1e6:.1f} MB"
-
-    def test_empty_sequence_rejected(self):
-        lstm = make_lstm(2, 3)
-        with pytest.raises(EmptySequenceError):
-            lstm.forward(np.zeros((1, 0, 2)))
 
 
 class TestBackward:
