@@ -6,6 +6,7 @@ import io
 import json
 import multiprocessing
 import os
+import platform
 import struct
 import subprocess
 import sys
@@ -957,3 +958,43 @@ class TestInspectAndConfig:
         replayed = json.loads((workdir / "manifest.json").read_text())
         assert replayed["test_metrics"] == manifest["test_metrics"]
         assert hash((workdir / "model.fsnn").read_bytes()) == model_hash
+
+
+# a child's program: pin the thresholds, then print the minor page faults per
+# multi-mode LSTM train step at a batch of 32, over 20 steps after 10 warm-up steps
+TRAIN_STEP_FAULTS = """if True:
+    import resource
+    import numpy as np
+    from flowsentinel.cli import pin_malloc_thresholds
+    from flowsentinel.data import ClassificationMode
+    from flowsentinel.models import ModelSpec, build
+    from flowsentinel.nn.adam import Adam
+    from flowsentinel.nn.losses import sparse_categorical_logit_grad
+    pin_malloc_thresholds()
+    model = build(ModelSpec("lstm", ClassificationMode.MULTI), seed=0)
+    optimizer = Adam(model.parameters(), lr=1e-3)
+    rng = np.random.default_rng(0)
+    X = rng.random((32, 20), dtype=np.float32)
+    y = rng.integers(0, model.spec.output_units, 32)
+    def step():
+        optimizer.zero_grad()
+        probs = model.forward(X, training=True)
+        model.backward_from_logits(sparse_categorical_logit_grad(probs, y))
+        optimizer.step()
+    for _ in range(10):
+        step()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(20):
+        step()
+    print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the malloc thresholds are glibc's")
+def test_pinned_malloc_thresholds_keep_train_steps_off_fresh_pages():
+    # glibc's own rule hands each step's freed buffers back to the kernel, and
+    # the loop then faults about 900 pages per step in again
+    proc = subprocess.run([sys.executable, "-c", TRAIN_STEP_FAULTS], capture_output=True,
+                          text=True, env=cli_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 10

@@ -314,6 +314,23 @@ class TestDropout:
         assert np.array_equal(out != 0.0, u >= rate)
         assert np.array_equal(out != 0.0, [False, False, True, True] * 2)
 
+    @pytest.mark.parametrize("rate", [0.0, 0.2, 0.5, 1 - 2.0**-53])
+    def test_mask_matches_shifted_draws(self, rate):
+        # the mask compares the unshifted draws with T << 11; these draws sit
+        # either side of that bound, with the low 11 bits all set or all clear,
+        # and at both ends of the uint64 range
+        t = int(np.ceil(rate * 2.0**53))
+        edges = [0, 2**64 - 1] + [min(max((t << 11) + j, 0), 2**64 - 1)
+                                  for j in (-2049, -2048, -1, 0, 1, 2047, 2048)]
+        draws = np.concatenate([np.array(edges, dtype=np.uint64), Rng(5).raw(4096)])
+
+        class Draws:
+            def raw(self, n):
+                return draws[:n]
+
+        out = Dropout(rate, Draws()).forward(np.ones(draws.size), training=True)
+        assert np.array_equal(out != 0.0, (draws >> np.uint64(11)) >= np.uint64(t))
+
     def test_backward_uses_same_mask(self):
         layer = Dropout(0.5, Rng(7))
         x = np.ones(1000, dtype=np.float64)

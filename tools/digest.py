@@ -30,7 +30,13 @@ once, by this tree's fixture generator, and shared by every run. The report
 also gives each tree's ``src/`` and ``tests/`` line counts (``src_lines`` and
 ``tests_lines``, the lines of their ``.py`` files), so a change can show that
 code was deleted and not moved into the tests, and the sha256 of each fixture
-file (``inputs``).
+file (``inputs``). Under ``usage`` it records each step's peak RSS
+(``peak_rss_mb``) and minor page faults (``minflt``), from the child's own
+rusage (``os.wait4``), and it prints each tree's total faults over the
+``train-lstm-*`` steps on stderr. These are measurements, so they are never
+compared. Linux floors a child's peak RSS at this command's own peak, so this
+command makes the inputs in a child and stays at about the size of a numpy
+import, below every step's own peak.
 
     python tools/digest.py                          # this tree
     python tools/digest.py --against HEAD~1         # and REV's; exit 1 if any differ
@@ -87,6 +93,16 @@ WRITE_FIXTURES = """if True:
     from flowsentinel.data import write_fixture_csv
     for name, (rows, seed) in json.loads(sys.argv[2]).items():
         write_fixture_csv(os.path.join(sys.argv[1], name), rows=rows, seed=seed)
+"""
+# a child's program: make this tree's inputs in directory argv[1]. Reading and
+# damaging big.csv peaks at ~98 MB, and a child's peak RSS is floored by this
+# process's peak, so this process must not do it
+MAKE_INPUTS = """if True:
+    import sys
+    from pathlib import Path
+    sys.path.insert(0, sys.argv[2])
+    from digest import make_inputs
+    make_inputs(Path(sys.argv[1]))
 """
 PREDICTED = ("new", "mid", "one")
 # a child's program: write into directory argv[2], as <name>.f32, the float32
@@ -219,7 +235,16 @@ def write_fixtures(src: Path, inputs: Path) -> subprocess.CompletedProcess:
 
 
 def fixture_hashes(inputs: Path) -> dict:
-    return {name: hashlib.sha256((inputs / name).read_bytes()).hexdigest() for name in FIXTURES}
+    """The sha256 of each ``FIXTURES`` file, read in blocks: big.csv whole would
+    raise this process's peak RSS, and with it every later child's."""
+    hashes = {}
+    for name in FIXTURES:
+        digest = hashlib.sha256()
+        with open(inputs / name, "rb") as file:
+            for block in iter(lambda: file.read(1 << 20), b""):
+                digest.update(block)
+        hashes[name] = digest.hexdigest()
+    return hashes
 
 
 def py_lines(directory: Path) -> int:
@@ -232,21 +257,33 @@ def run_matrix(src: Path, inputs: Path, work: Path, threads: str | None) -> dict
     env = dict(os.environ, PYTHONPATH=str(src))
     if threads is not None:
         env["OPENBLAS_NUM_THREADS"] = threads
-    artefacts, runs = {}, {}
+    artefacts, runs, usage = {}, {}, {}
     one_cpu = {min(os.sched_getaffinity(0))}
     for step, argv, outputs in matrix():
         pin = (lambda: os.sched_setaffinity(0, one_cpu)) if step.endswith("-1cpu") else None
         program = [] if argv[0] == "-c" else ["-m", "flowsentinel.cli"]
-        proc = subprocess.run([sys.executable, *program, *map(str, argv)],
-                              cwd=work, env=env, capture_output=True, preexec_fn=pin)
-        runs[step] = {"exit": proc.returncode,
-                      "stderr": scrub(proc.stderr, "", work).decode(errors="replace")}
+        with tempfile.TemporaryFile() as stderr:
+            proc = subprocess.Popen([sys.executable, *program, *map(str, argv)], cwd=work,
+                                    env=env, stdout=subprocess.DEVNULL, stderr=stderr,
+                                    preexec_fn=pin)
+            try:
+                _, status, rusage = os.wait4(proc.pid, 0)  # the child's own rusage
+            except BaseException:
+                proc.kill()
+                proc.wait()
+                raise
+            proc.returncode = os.waitstatus_to_exitcode(status)
+            stderr.seek(0)
+            runs[step] = {"exit": proc.returncode,
+                          "stderr": scrub(stderr.read(), "", work).decode(errors="replace")}
+        usage[step] = {"peak_rss_mb": round(rusage.ru_maxrss / 1024, 1),
+                       "minflt": rusage.ru_minflt}
         for output in outputs:  # hashed now: a later step may overwrite the file
             path = work / output
             if path.exists():
                 artefacts[f"{step}/{path.name}"] = hashlib.sha256(
                     scrub(path.read_bytes(), output, work)).hexdigest()
-    return {"artefacts": artefacts, "runs": runs}
+    return {"artefacts": artefacts, "runs": runs, "usage": usage}
 
 
 def differences(this: dict, other: dict) -> list:
@@ -281,7 +318,11 @@ def main(argv=None) -> int:
                                                for tree, src in trees.items()}
             print(f"{part}/ lines: " + ", ".join(f"{tree} {n}" for tree, n in lines.items()),
                   file=sys.stderr)
-        make_inputs(tmp / "inputs")
+        child = subprocess.run([sys.executable, "-c", MAKE_INPUTS, str(tmp / "inputs"),
+                                str(ROOT / "tools")], capture_output=True)
+        if child.returncode:
+            print(f"error: making the inputs: {child.stderr.decode().strip()}", file=sys.stderr)
+            return 2
         report["inputs"] = {"this": fixture_hashes(tmp / "inputs")}
         inputs_differ = []
         if args.against:
@@ -300,6 +341,9 @@ def main(argv=None) -> int:
             report[key] = {tree: run_matrix(src, tmp / "inputs", tmp / key / tree, threads)
                            for tree, src in trees.items()}
             for tree, result in report[key].items():
+                faults = sum(usage["minflt"] for step, usage in result["usage"].items()
+                             if step.startswith("train-lstm-"))
+                print(f"{key}: {tree} train-lstm-* steps {faults} minor faults", file=sys.stderr)
                 ranked = {result["artefacts"].get(f"{step}/importance.csv")
                           for step in ("select", "select-1cpu")}
                 if len(ranked) != 1:
