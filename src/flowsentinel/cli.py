@@ -36,6 +36,7 @@ import argparse
 import contextlib
 import csv
 import ctypes
+import errno
 import json
 import math
 import os
@@ -64,22 +65,7 @@ from .data import (
     subsample_indices,
     write_cache,
 )
-from .errors import (
-    CacheMismatchError,
-    ClassTooSmallError,
-    ConfigError,
-    CorruptCacheError,
-    CorruptModelError,
-    DegenerateImportanceError,
-    EmptyInputError,
-    InputEncodingError,
-    InvalidRowError,
-    InvalidSpecError,
-    MissingColumnError,
-    ModeMismatchError,
-    NonFiniteGradientError,
-    NonFiniteLossError,
-)
+from .errors import ConfigError, FlowSentinelError, MismatchError, MissingInputError, SchemaError
 from .features import (
     ForestConfig,
     canonical_top20,
@@ -89,13 +75,6 @@ from .features import (
 )
 from .models import ModelSpec, build, load, save
 from .training import DEFAULT_LEARNING_RATES, evaluate, export_history, train
-
-EXIT_OK = 0
-EXIT_CONFIG = 1
-EXIT_MISSING_INPUT = 2
-EXIT_SCHEMA = 3
-EXIT_NUMERIC = 4
-EXIT_MISMATCH = 5
 
 # glibc's mallopt parameters, and its 64-bit ceiling for the mmap threshold
 # that it otherwise raises itself (DEFAULT_MMAP_THRESHOLD_MAX)
@@ -217,14 +196,14 @@ def _feature_list(out: Path) -> list:
         return canonical_top20()
     names = [ln.strip() for ln in path.read_text(encoding="utf-8").splitlines() if ln.strip()]
     if not names:
-        raise EmptyInputError(f"feature list {path} is empty")
+        raise MissingInputError(f"feature list {path} is empty")
     return names
 
 
 def cmd_ingest(config: RunConfig) -> int:
     paths = _collect_csvs(config.data)
     if not paths:
-        raise EmptyInputError("no input files")
+        raise MissingInputError("no input files")
     out = _out_dir(config)
     mode = ClassificationMode(config.mode)
     (X, labels), report = load_csv(paths)
@@ -258,7 +237,7 @@ def cmd_ingest(config: RunConfig) -> int:
         json.dumps(report.to_dict(), indent=2, sort_keys=True), encoding="utf-8"
     )
     _emit(f"wrote {cache_path} ({y.size} rows, mode={mode.value}) and ingest_report.json")
-    return EXIT_OK
+    return 0
 
 
 def cmd_select(config: RunConfig) -> int:
@@ -266,7 +245,8 @@ def cmd_select(config: RunConfig) -> int:
     features_path = out / "features.txt"
     if config.recompute_importance:
         cache_path = out / "dataset.fsds"
-        X, y, names, meta, _ = read_cache(cache_path)
+        X, y, names, _ = read_cache(cache_path)
+        meta = read_meta(cache_path)
         if config.top_k > len(names):
             raise ConfigError(f"top_k={config.top_k} exceeds the cache's {len(names)} columns")
         if meta and meta.get("mode") != "multi":
@@ -279,7 +259,7 @@ def cmd_select(config: RunConfig) -> int:
         trees = fit_forest(X, y, ForestConfig(seed=config.seed))
         report = compute_importances(trees, names)
         if report.degenerate:
-            raise DegenerateImportanceError(
+            raise MissingInputError(
                 f"no tree could split {cache_path}: its target is constant (or its rows too "
                 f"few or alike), so every importance is 0; run select without "
                 f"--recompute-importance for the canonical list"
@@ -295,7 +275,7 @@ def cmd_select(config: RunConfig) -> int:
         top = canonical[: config.top_k]
     features_path.write_text("".join(name + "\n" for name in top), encoding="utf-8")
     _emit(f"wrote {features_path} ({len(top)} features)")
-    return EXIT_OK
+    return 0
 
 
 def _load_split(cache_path: Path, feature_names: list, seed: int,
@@ -309,15 +289,15 @@ def _load_split(cache_path: Path, feature_names: list, seed: int,
     whose digest is not ``trained_on``, when given, is refused before the
     split is drawn.
     """
-    X, y, cache_columns, _, sha256 = read_cache(cache_path)
+    X, y, cache_columns, sha256 = read_cache(cache_path)
     if trained_on is not None and sha256 != trained_on:
-        raise CacheMismatchError(
+        raise MismatchError(
             f"{cache_path} (sha256 {sha256[:12]}) is not the cache the model was trained on "
             f"(sha256 {trained_on[:12]}); evaluate scores the rows that training held out"
         )
     missing = [name for name in feature_names if name not in cache_columns]
     if missing:
-        raise MissingColumnError(missing[0], str(cache_path))
+        raise SchemaError(f"missing column {missing[0]!r} in {cache_path}")
     X = X[:, [cache_columns.index(name) for name in feature_names]]
     split = stratified_split(y, seed=seed)
     return (X[split.train], y[split.train]), (X[split.test], y[split.test]), sha256
@@ -327,7 +307,7 @@ def cmd_train(config: RunConfig) -> int:
     out = _out_dir(config)
     cache_path = out / "dataset.fsds"
     if not cache_path.exists():
-        raise FileNotFoundError(f"missing cache {cache_path}")
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(cache_path))
     meta = read_meta(cache_path)
     if meta is None:  # the only record of the cache's mode and class names
         raise FileNotFoundError(f"missing cache sidecar {meta_path(cache_path)}")
@@ -335,18 +315,15 @@ def cmd_train(config: RunConfig) -> int:
     cache_mode = meta.get("mode")
     if cache_mode and cache_mode != config.mode:
         if "mode" in config.explicit_fields:
-            raise ModeMismatchError(
+            raise MismatchError(
                 f"cache was ingested in {cache_mode!r} mode but --mode is {config.mode!r}"
             )
         config.mode = cache_mode  # inherit the cache's regime when unspecified
-    try:
-        mode = ClassificationMode(config.mode)
-    except ValueError:
-        raise CorruptCacheError(f"{meta_path(cache_path)}: unknown mode {config.mode!r}") from None
+    mode = ClassificationMode(config.mode)
     classes = list(build_vocabulary(mode).classes)
     if meta.get("classes") != classes:
-        raise CorruptCacheError(f"{meta_path(cache_path)}: 'classes' does not name the "
-                                f"{len(classes)} classes of {mode.value!r} mode in order")
+        raise SchemaError(f"{meta_path(cache_path)}: 'classes' does not name the "
+                          f"{len(classes)} classes of {mode.value!r} mode in order")
     (X_train, y_train), (X_test, y_test), cache_sha256 = _load_split(
         cache_path, feature_names, config.seed
     )
@@ -394,7 +371,7 @@ def cmd_train(config: RunConfig) -> int:
         f"wrote {model_path}, history.csv, manifest.json "
         f"(test accuracy {report.accuracy:.4f})"
     )
-    return EXIT_OK
+    return 0
 
 
 def _load_model(model_path: str):
@@ -407,14 +384,14 @@ def _load_model(model_path: str):
     path = Path(model_path)
     model = load(path)
     if model.normalizer is None:
-        raise CorruptModelError(f"{path}: model carries no normalizer")
+        raise SchemaError(f"{path}: model carries no normalizer")
     spec = model.spec
     if len(model.feature_names) != spec.input_features:
-        raise CorruptModelError(f"{path}: model lists {len(model.feature_names)} features, "
-                                f"its spec takes {spec.input_features}")
+        raise SchemaError(f"{path}: model lists {len(model.feature_names)} features, "
+                          f"its spec takes {spec.input_features}")
     if len(model.class_names) != spec.mode.class_count:
-        raise CorruptModelError(f"{path}: model lists {len(model.class_names)} classes, "
-                                f"{spec.mode.value!r} mode has {spec.mode.class_count}")
+        raise SchemaError(f"{path}: model lists {len(model.class_names)} classes, "
+                          f"{spec.mode.value!r} mode has {spec.mode.class_count}")
     return model
 
 
@@ -429,9 +406,9 @@ def cmd_evaluate(config: RunConfig, model_path: str) -> int:
         )
     cache_mode = (read_meta(cache_path) or {}).get("mode")
     if cache_mode and cache_mode != model.spec.mode.value:
-        raise ModeMismatchError(f"model mode {model.spec.mode.value!r} != cache mode {cache_mode!r}")
+        raise MismatchError(f"model mode {model.spec.mode.value!r} != cache mode {cache_mode!r}")
     if model.cache_sha256 is None:
-        raise CacheMismatchError(f"{model_path} records no dataset cache digest; retrain it")
+        raise MismatchError(f"{model_path} records no dataset cache digest; retrain it")
     _, (X_test, y_test), _ = _load_split(
         cache_path, model.feature_names, model.rng_seed, model.cache_sha256
     )
@@ -440,7 +417,7 @@ def cmd_evaluate(config: RunConfig, model_path: str) -> int:
     (out / "metrics.json").write_text(report.to_json(), encoding="utf-8")
     (out / "metrics.txt").write_text(report.to_text() + "\n", encoding="utf-8")
     _emit(report.to_text())
-    return EXIT_OK
+    return 0
 
 
 def cmd_predict(config: RunConfig, model_path: str, input_path: str) -> int:
@@ -451,12 +428,12 @@ def cmd_predict(config: RunConfig, model_path: str, input_path: str) -> int:
         for block, _, bad in flows:  # in file order, so the first bad row stops the read
             if bad:
                 row_id, column, reason = bad[0]
-                raise InvalidRowError(f"{source}: row_id {row_id}, column {column!r}: {reason}")
+                raise SchemaError(f"{source}: row_id {row_id}, column {column!r}: {reason}")
             blocks.append(apply_normalizer(block, model.normalizer))  # held as float32
     X = np.concatenate(blocks)
     del blocks  # so that inference does not hold the input twice
     if not len(X):
-        raise EmptyInputError(f"no rows in {source}")
+        raise MissingInputError(f"no rows in {source}")
     out = _out_dir(config)
     target = out / "predictions.csv"
     names = [csv_cell(name) for name in model.class_names]
@@ -467,7 +444,7 @@ def cmd_predict(config: RunConfig, model_path: str, input_path: str) -> int:
             fh.writelines(["%d,%s,%.6f\r\n" % (i, names[klass], conf) for i, (klass, conf)
                            in enumerate(zip(classes.tolist(), confidences.tolist()), start)])
     _emit(f"wrote {target} ({len(X)} predictions)")
-    return EXIT_OK
+    return 0
 
 
 def cmd_inspect(model_path: str) -> int:
@@ -481,7 +458,7 @@ def cmd_inspect(model_path: str) -> int:
         "has_normalizer": model.normalizer is not None,
     }
     _emit(json.dumps(info, indent=2, sort_keys=True))
-    return EXIT_OK
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -570,23 +547,14 @@ def main(argv=None) -> int:
         if args.command == "predict":
             return cmd_predict(config, args.model, args.input)
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, InvalidSpecError) as exc:
+    except FlowSentinelError as exc:
+        if exc.exit_code is None:  # an internal error: a bug, not a bad input
+            raise
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (FileNotFoundError, IsADirectoryError, NotADirectoryError, EmptyInputError,
-            ClassTooSmallError, DegenerateImportanceError) as exc:
+        return exc.exit_code
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISSING_INPUT
-    except (MissingColumnError, InputEncodingError, InvalidRowError, CorruptCacheError,
-            CorruptModelError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
-    except (NonFiniteLossError, NonFiniteGradientError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except (ModeMismatchError, CacheMismatchError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
+        return 2
 
 
 if __name__ == "__main__":

@@ -23,7 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import CorruptCacheError
+from ..errors import SchemaError
+from .labels import ClassificationMode
 
 MAGIC = b"FSDS"
 VERSION = 1
@@ -34,16 +35,22 @@ def meta_path(cache_path) -> Path:
 
 
 def read_meta(cache_path) -> dict | None:
-    """The cache's sidecar metadata, or None when it has no sidecar."""
+    """The cache's sidecar metadata, or None when it has no sidecar.
+
+    A sidecar that is not a JSON object, or whose ``mode`` is not a
+    classification mode, raises SchemaError.
+    """
     mp = meta_path(cache_path)
     if not mp.exists():
         return None
     try:
         meta = json.loads(mp.read_text(encoding="utf-8"))
     except ValueError as exc:  # json.JSONDecodeError or UnicodeDecodeError
-        raise CorruptCacheError(f"{mp}: not JSON ({exc})") from exc
+        raise SchemaError(f"{mp}: not JSON ({exc})") from exc
     if not isinstance(meta, dict):
-        raise CorruptCacheError(f"{mp}: not a JSON object")
+        raise SchemaError(f"{mp}: not a JSON object")
+    if "mode" in meta and meta["mode"] not in [mode.value for mode in ClassificationMode]:
+        raise SchemaError(f"{mp}: unknown mode {meta['mode']!r}")
     return meta
 
 
@@ -71,14 +78,15 @@ def write_cache(path, X, y, feature_names, meta: dict | None = None) -> None:
 
 
 def read_cache(path):
-    """Returns (X float32 [rows, cols], y int64 [rows], feature_names, meta|None,
-    sha256): the file is read once, X is a read-only view of its bytes."""
+    """Returns (X float32 [rows, cols], y int64 [rows], feature_names, sha256):
+    the file is read once, X is a read-only view of its bytes.
+    ``read_meta`` reads the sidecar."""
     blob = Path(path).read_bytes()
     view = memoryview(blob)
     if len(blob) < 21 or bytes(view[:4]) != MAGIC:
-        raise CorruptCacheError(f"{path}: bad magic")
+        raise SchemaError(f"{path}: bad magic")
     if view[4] != VERSION:
-        raise CorruptCacheError(f"{path}: unsupported version {view[4]}")
+        raise SchemaError(f"{path}: unsupported version {view[4]}")
     rows, cols = struct.unpack_from("<QQ", blob, 5)
     offset = 21
     names = []
@@ -89,11 +97,11 @@ def read_cache(path):
             names.append(bytes(view[offset:offset + length]).decode("utf-8"))
             offset += length
     except struct.error as exc:
-        raise CorruptCacheError(f"{path}: truncated header") from exc
+        raise SchemaError(f"{path}: truncated header") from exc
     expected = offset + rows * cols * 4 + rows * 2
     if len(blob) != expected:
-        raise CorruptCacheError(f"{path}: expected {expected} bytes, found {len(blob)}")
+        raise SchemaError(f"{path}: expected {expected} bytes, found {len(blob)}")
     X = np.frombuffer(view, dtype="<f4", count=rows * cols, offset=offset).reshape(rows, cols)
     offset += rows * cols * 4
     y = np.frombuffer(view, dtype="<u2", count=rows, offset=offset).astype(np.int64)
-    return X, y, names, read_meta(path), hashlib.sha256(blob).hexdigest()
+    return X, y, names, hashlib.sha256(blob).hexdigest()

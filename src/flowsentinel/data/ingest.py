@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import EmptyInputError, InputEncodingError, MissingColumnError
+from ..errors import MissingInputError, SchemaError
 from . import schema
 
 CHUNK_ROWS = 64  # lines parsed at once: a block numpy rejects is parsed again, cell by cell
@@ -100,7 +100,7 @@ def _decoded(fh, path):
     try:
         yield from fh
     except UnicodeDecodeError as exc:
-        raise InputEncodingError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        raise SchemaError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def iter_flows(path, feature_columns, label_column=None):
@@ -114,8 +114,7 @@ def iter_flows(path, feature_columns, label_column=None):
     reason of the first feature, in the given order, that is not a number
     float32 can hold (a cell missing from a short row is ``non_numeric``).
     ``row_id`` counts non-blank data lines of the file from 0. A missing
-    column raises MissingColumnError, and a file that is not UTF-8
-    InputEncodingError.
+    column, or a file that is not UTF-8, raises SchemaError.
     """
     features = list(feature_columns)
     with open(path, newline="", encoding="utf-8") as fh:
@@ -124,7 +123,7 @@ def iter_flows(path, feature_columns, label_column=None):
         header = next(reader, [])
         for column in features + ([label_column] if label_column is not None else []):
             if column not in header:
-                raise MissingColumnError(column, str(path))
+                raise SchemaError(f"missing column {column!r} in {path}")
         at = [header.index(column) for column in features]
         pick = operator.itemgetter(*at)
         label_at = None if label_column is None else header.index(label_column)
@@ -194,7 +193,7 @@ def load_csv(paths):
     """
     paths, features = list(paths), list(schema.FEATURE_COLUMNS)
     if not paths:
-        raise EmptyInputError("no input files")
+        raise MissingInputError("no input files")
     report = IngestReport(files=[str(path) for path in paths])
     blocks, labels, distinct = [np.empty((0, len(features)), np.float32)], [], {}
     for path in paths:

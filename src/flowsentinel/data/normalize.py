@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import EmptyInputError
+from ..errors import MissingInputError
 
 
 @dataclass
@@ -36,7 +36,7 @@ class FeatureStats:
 def fit_normalizer(X_train) -> FeatureStats:
     X_train = np.asarray(X_train)
     if X_train.ndim != 2 or X_train.shape[0] == 0:
-        raise EmptyInputError("fit_normalizer requires a non-empty 2-D matrix")
+        raise MissingInputError("fit_normalizer requires a non-empty 2-D matrix")
     # a float32 column's extremes are float32 numbers, exact in float64
     return FeatureStats(minimum=X_train.min(axis=0).astype(np.float64),
                         maximum=X_train.max(axis=0).astype(np.float64))

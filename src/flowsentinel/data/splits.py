@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ClassTooSmallError, EmptyInputError
+from ..errors import MissingInputError
 from ..rng import Rng
 
 
@@ -30,7 +30,7 @@ def subsample_indices(y, fraction: float, rng: Rng) -> np.ndarray:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
     y = np.asarray(y)
     if y.size == 0:
-        raise EmptyInputError("cannot subsample zero rows")
+        raise MissingInputError("cannot subsample zero rows")
     keep = []
     for c in np.unique(y):
         rows = np.flatnonzero(y == c)
@@ -55,14 +55,14 @@ def stratified_split(y, fraction: float = 0.8, seed: int = 0) -> SplitIndices:
         raise ValueError(f"fraction must be in (0, 1), got {fraction}")
     y = np.asarray(y)
     if y.size == 0:
-        raise EmptyInputError("cannot split zero rows")
+        raise MissingInputError("cannot split zero rows")
     root = Rng(seed)
     train_parts = []
     test_parts = []
     for c in np.unique(y):
         rows = np.flatnonzero(y == c)
         if rows.size < 2:
-            raise ClassTooSmallError(f"class {c} has {rows.size} row(s); need at least 2")
+            raise MissingInputError(f"class {c} has {rows.size} row(s); need at least 2")
         order = root.spawn(f"class-{int(c)}").permutation(rows.size)
         shuffled = rows[order]
         n_train = min(max(_round_half_up(fraction * rows.size), 1), rows.size - 1)

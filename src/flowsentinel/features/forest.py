@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import EmptyInputError
+from ..errors import MissingInputError
 from ..rng import Rng
 from .tree import ForestConfig, check_inputs, grow_tree, sort_columns, tree_feature_decreases
 
@@ -93,7 +93,7 @@ def fit_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig) -> list:
 def compute_importances(trees: list, feature_names: list) -> ImportanceReport:
     """Average per-feature impurity decrease over trees, normalized to sum 1."""
     if not trees:
-        raise EmptyInputError("empty forest")
+        raise MissingInputError("empty forest")
     d = len(feature_names)
     totals = np.zeros(d, dtype=np.float64)
     for tree in trees:

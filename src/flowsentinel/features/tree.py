@@ -43,7 +43,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from ..errors import EmptyInputError
+from ..errors import MissingInputError
 from ..rng import Rng
 
 
@@ -107,13 +107,13 @@ def sort_columns(X: np.ndarray, y: np.ndarray) -> SortedColumns:
 
 
 def check_inputs(X, y, what: str):
-    """(X, y) as C-contiguous float64 arrays, or EmptyInputError."""
+    """(X, y) as C-contiguous float64 arrays, or MissingInputError."""
     X = np.ascontiguousarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
-        raise EmptyInputError(f"{what} requires a non-empty 2-D feature matrix")
+        raise MissingInputError(f"{what} requires a non-empty 2-D feature matrix")
     if y.shape[0] != X.shape[0]:
-        raise EmptyInputError("feature matrix and target length disagree")
+        raise MissingInputError("feature matrix and target length disagree")
     return X, y
 
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from .data.labels import ClassificationMode
 from .data.normalize import FeatureStats
-from .errors import CorruptModelError, InvalidSpecError, ShapeMismatchError
+from .errors import ConfigError, SchemaError, ShapeMismatchError
 from .nn import LSTM, Conv1D, Dense, Dropout, Flatten, MaxPool1D, ReLU, sigmoid, softmax
 from .rng import Rng
 
@@ -68,11 +68,11 @@ class ModelSpec:
 
     def __post_init__(self):
         if self.architecture not in ARCHITECTURES:
-            raise InvalidSpecError(f"unknown architecture {self.architecture!r}")
+            raise ConfigError(f"unknown architecture {self.architecture!r}")
         if not _is_int(self.input_features) or self.input_features < 1:
-            raise InvalidSpecError(f"input_features {self.input_features!r} is not a positive int")
+            raise ConfigError(f"input_features {self.input_features!r} is not a positive int")
         if not 0.0 <= self.dropout_rate < 1.0:
-            raise InvalidSpecError("dropout_rate must be in [0, 1)")
+            raise ConfigError("dropout_rate must be in [0, 1)")
 
     @property
     def output_units(self) -> int:
@@ -186,10 +186,10 @@ def build(spec: ModelSpec, seed: int = 0) -> Model:
             layers.extend([conv, ReLU(), MaxPool1D(CNN_POOL_SIZE)])
             length = conv.output_length(length)
             if length < 1:
-                raise InvalidSpecError(f"conv{i} output collapsed to {length}")
+                raise ConfigError(f"conv{i} output collapsed to {length}")
             length //= CNN_POOL_SIZE
             if length < 1:
-                raise InvalidSpecError(f"pool{i} output collapsed to {length}")
+                raise ConfigError(f"pool{i} output collapsed to {length}")
             in_channels = filters
         flatten_len = in_channels * length
         if spec.input_features == CNN_INPUT_LENGTH:
@@ -242,62 +242,63 @@ def save(model: Model, path) -> None:
 def load(path) -> Model:
     blob = Path(path).read_bytes()
     if len(blob) < 13 or blob[:4] != MAGIC:
-        raise CorruptModelError(f"{path}: bad magic")
+        raise SchemaError(f"{path}: bad magic")
     payload, (stored_crc,) = blob[4:-4], struct.unpack("<I", blob[-4:])
     if zlib.crc32(payload) != stored_crc:
-        raise CorruptModelError(f"{path}: checksum mismatch")
+        raise SchemaError(f"{path}: checksum mismatch")
     try:
         offset = 0
         (version,) = struct.unpack_from("<B", payload, offset)
         offset += 1
         if version != FORMAT_VERSION:
-            raise CorruptModelError(f"{path}: unsupported version {version}")
+            raise SchemaError(f"{path}: unsupported version {version}")
         (header_len,) = struct.unpack_from("<I", payload, offset)
         offset += 4
         header = json.loads(payload[offset:offset + header_len].decode("utf-8"))
         offset += header_len
         spec = ModelSpec.from_dict(header["spec"])
         if not _is_int(header["seed"]):
-            raise CorruptModelError(f"{path}: seed {header['seed']!r} is not an integer")
+            raise SchemaError(f"{path}: seed {header['seed']!r} is not an integer")
         model = build(spec, seed=header["seed"])
         model.feature_names = list(header.get("features") or [])
         model.class_names = list(header.get("classes") or [])
         for key, names in (("features", model.feature_names), ("classes", model.class_names)):
             if not all(isinstance(name, str) for name in names):
-                raise CorruptModelError(f"{path}: '{key}' holds a name that is not a string")
+                raise SchemaError(f"{path}: '{key}' holds a name that is not a string")
         if header.get("normalizer"):
             model.normalizer = FeatureStats.from_dict(header["normalizer"])
             if model.normalizer.minimum.shape != (spec.input_features,):
-                raise CorruptModelError(f"{path}: normalizer does not have "
-                                        f"{spec.input_features} features")
+                raise SchemaError(f"{path}: normalizer does not have "
+                                  f"{spec.input_features} features")
         model.cache_sha256 = header.get("cache_sha256")
         if not isinstance(model.cache_sha256, (str, type(None))):
-            raise CorruptModelError(f"{path}: cache_sha256 {model.cache_sha256!r} is not a string")
+            raise SchemaError(f"{path}: cache_sha256 {model.cache_sha256!r} is not a string")
         (n_params,) = struct.unpack_from("<I", payload, offset)
         offset += 4
         params = model.parameters()
         if n_params != len(params):
-            raise CorruptModelError(f"{path}: expected {len(params)} parameters, found {n_params}")
+            raise SchemaError(f"{path}: expected {len(params)} parameters, found {n_params}")
         for p in params:
             (name_len,) = struct.unpack_from("<H", payload, offset)
             offset += 2
             name = payload[offset:offset + name_len].decode("utf-8")
             offset += name_len
             if name != p.name:
-                raise CorruptModelError(f"{path}: parameter order mismatch at {name!r}")
+                raise SchemaError(f"{path}: parameter order mismatch at {name!r}")
             (ndim,) = struct.unpack_from("<B", payload, offset)
             offset += 1
             shape = struct.unpack_from(f"<{ndim}I", payload, offset)
             offset += 4 * ndim
             if shape != p.value.shape:
-                raise CorruptModelError(f"{path}: shape mismatch for {name!r}")
+                raise SchemaError(f"{path}: shape mismatch for {name!r}")
             count = int(np.prod(shape))
             values = np.frombuffer(payload, dtype="<f4", count=count, offset=offset)
             offset += 4 * count
             p.value[...] = values.reshape(shape).astype(p.value.dtype)
         if offset != len(payload):
-            raise CorruptModelError(f"{path}: {len(payload) - offset} trailing bytes")
-    # ValueError covers json.JSONDecodeError and UnicodeDecodeError
-    except (struct.error, KeyError, TypeError, ValueError, InvalidSpecError) as exc:
-        raise CorruptModelError(f"{path}: malformed payload ({exc})") from exc
+            raise SchemaError(f"{path}: {len(payload) - offset} trailing bytes")
+    # ValueError covers json.JSONDecodeError and UnicodeDecodeError; a header spec
+    # that ModelSpec or build refuses (ConfigError) is a corrupt file too
+    except (struct.error, KeyError, TypeError, ValueError, ConfigError) as exc:
+        raise SchemaError(f"{path}: malformed payload ({exc})") from exc
     return model

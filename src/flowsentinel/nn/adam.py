@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import NonFiniteGradientError
+from ..errors import NumericError
 
 BETA1 = 0.9
 BETA2 = 0.999
@@ -45,7 +45,7 @@ class Adam:
         if not np.isfinite(self.grad, out=self._finite).all():
             first = np.argmin(self._finite)  # the first non-finite entry
             p = self.parameters[np.searchsorted(self.offsets, first, side="right") - 1]
-            raise NonFiniteGradientError(f"non-finite gradient in {p.name}")
+            raise NumericError(f"non-finite gradient in {p.name}")
         self.t += 1
         g, m, v, a, b = self.grad, self.m, self.v, self._a, self._b
         m *= BETA1

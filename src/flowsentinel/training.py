@@ -18,11 +18,7 @@ import numpy as np
 
 from .data.labels import ClassificationMode
 from .data.splits import stratified_split
-from .errors import (
-    EmptyInputError,
-    ModeMismatchError,
-    NonFiniteLossError,
-)
+from .errors import MismatchError, MissingInputError, NumericError, ShapeMismatchError
 from .models import Model
 from .nn import Adam
 from .nn.losses import (
@@ -61,7 +57,7 @@ class TrainHistory:
 def _check_mode(model: Model, y: np.ndarray) -> None:
     n_classes = model.spec.mode.class_count
     if y.size and (y.min() < 0 or y.max() >= n_classes):
-        raise ModeMismatchError(
+        raise MismatchError(
             f"labels span [{y.min()}, {y.max()}] but model mode "
             f"{model.spec.mode.value!r} expects [0, {n_classes})"
         )
@@ -103,9 +99,9 @@ def train(model: Model, X: np.ndarray, y: np.ndarray, *, epochs: int, batch_size
     X = np.asarray(X, dtype=np.float32)
     y = np.asarray(y, dtype=np.int64)
     if X.shape[0] == 0:
-        raise EmptyInputError("no training rows")
+        raise MissingInputError("no training rows")
     if X.shape[0] != y.shape[0]:
-        raise ModeMismatchError("feature matrix and label vector row counts disagree")
+        raise ShapeMismatchError("feature matrix and label vector row counts disagree")
     _check_mode(model, y)
 
     carve = stratified_split(y, 1.0 - VALIDATION_FRACTION, seed=model.rng_seed)
@@ -132,7 +128,7 @@ def train(model: Model, X: np.ndarray, y: np.ndarray, *, epochs: int, batch_size
             probs = model.forward(xb, training=True)
             loss = _batch_loss(model, probs, yb)
             if not np.isfinite(loss):
-                raise NonFiniteLossError(
+                raise NumericError(
                     f"loss became non-finite in epoch {epoch + 1}; "
                     f"last good epoch: {epoch}"
                 )
@@ -238,7 +234,7 @@ def metrics_from_confusion(confusion: np.ndarray, class_names) -> MetricsReport:
         raise ValueError("confusion matrix must be square")
     total = confusion.sum()
     if total == 0:
-        raise EmptyInputError("empty confusion matrix")
+        raise MissingInputError("empty confusion matrix")
     tp = np.diag(confusion).astype(np.float64)
     predicted = confusion.sum(axis=0).astype(np.float64)
     actual = confusion.sum(axis=1).astype(np.float64)
@@ -274,7 +270,7 @@ def evaluate(model: Model, X_test: np.ndarray, y_test: np.ndarray,
     X_test = np.asarray(X_test, dtype=np.float32)
     y_test = np.asarray(y_test, dtype=np.int64)
     if X_test.shape[0] == 0:
-        raise EmptyInputError("empty test set")
+        raise MissingInputError("empty test set")
     _check_mode(model, y_test)
     n_classes = model.spec.mode.class_count
     confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
@@ -285,7 +281,7 @@ def evaluate(model: Model, X_test: np.ndarray, y_test: np.ndarray,
 def export_history(history: TrainHistory, path) -> None:
     """History CSV: epoch,train_loss,train_acc,val_loss,val_acc,seconds."""
     if not history.epochs:
-        raise EmptyInputError("history has no epochs")
+        raise MissingInputError("history has no epochs")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("epoch,train_loss,train_acc,val_loss,val_acc,seconds\n")
         for r in history.epochs:

@@ -30,12 +30,13 @@ from flowsentinel.data import (
     fit_normalizer,
     generate_fixture,
     read_cache,
+    read_meta,
     schema,
     stratified_split,
     subsample_indices,
     write_cache,
 )
-from flowsentinel.errors import CorruptCacheError, CorruptModelError
+from flowsentinel.errors import SchemaError
 from flowsentinel.features import (
     ForestConfig,
     canonical_top20,
@@ -482,20 +483,21 @@ def test_serialization_round_trips_and_rejection(tmp_path):
     y = rng.integers(0, 34, size=31)
     cache_path = tmp_path / "d.fsds"
     write_cache(cache_path, X, y, [f"f{i}" for i in range(7)], meta={"mode": "multi"})
-    X2, y2, names, meta, _ = read_cache(cache_path)
+    X2, y2, names, _ = read_cache(cache_path)
+    meta = read_meta(cache_path)
     cache_ok = np.array_equal(X, X2) and np.array_equal(y, y2) and meta["mode"] == "multi"
 
     model_path.write_bytes(model_path.read_bytes()[:-3])
     try:
         load(model_path)
         reject_model = False
-    except CorruptModelError:
+    except SchemaError:
         reject_model = True
     cache_path.write_bytes(b"JUNK" + cache_path.read_bytes()[4:])
     try:
         read_cache(cache_path)
         reject_cache = False
-    except CorruptCacheError:
+    except SchemaError:
         reject_cache = True
     announce(
         "serialization: bit-exact round trips, corrupt files rejected",

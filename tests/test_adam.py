@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from flowsentinel.data import ClassificationMode
-from flowsentinel.errors import NonFiniteGradientError
+from flowsentinel.errors import NumericError
 from flowsentinel.models import ModelSpec, build
 from flowsentinel.nn import Adam, Parameter
 
@@ -76,7 +76,7 @@ def test_non_finite_gradient_rejected():
     p = Parameter("w", np.array([1.0]))
     opt = Adam([p], lr=0.1)
     p.grad[...] = np.nan
-    with pytest.raises(NonFiniteGradientError):
+    with pytest.raises(NumericError):
         opt.step()
 
 
@@ -165,6 +165,6 @@ def test_non_finite_gradient_names_the_parameter_and_moves_nothing():
     opt.grad[...] = 0.25
     bad.grad[0, 0] = np.nan  # its first entry: the slot where it starts in the arena
     model.parameters()[3].grad[0] = np.inf  # a later bad one is not the one named
-    with pytest.raises(NonFiniteGradientError, match=f"in {bad.name}$"):
+    with pytest.raises(NumericError, match=f"in {bad.name}$"):
         opt.step()
     assert [a.tobytes() for a in (opt.value, opt.m, opt.v)] == state

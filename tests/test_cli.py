@@ -28,10 +28,11 @@ from flowsentinel.data import (
     fit_normalizer,
     iter_flows,
     read_cache,
+    read_meta,
     schema,
     write_fixture_csv,
 )
-from flowsentinel.errors import EmptyInputError
+from flowsentinel.errors import MissingInputError
 from flowsentinel.features import canonical_top20, forest
 from flowsentinel.models import ModelSpec, build, load, save
 
@@ -97,9 +98,9 @@ class TestIngest:
         report = json.loads((out / "ingest_report.json").read_text())
         assert report["rows_dropped"] == 5
         assert report["dropped_by_reason"]["nan"] == 5
-        X, y, _, meta, _ = read_cache(out / "dataset.fsds")
+        X, y, _, _ = read_cache(out / "dataset.fsds")
         assert X.shape[0] == ROWS - 5
-        assert meta["mode"] == "multi"
+        assert read_meta(out / "dataset.fsds")["mode"] == "multi"
 
     def test_cell_float32_cannot_hold_dropped_without_warning(self, tmp_path, fixture_csv):
         lines = fixture_csv.read_text().strip().split("\n")
@@ -115,7 +116,7 @@ class TestIngest:
             assert run("ingest", "--data", str(data), "--out", str(out)) == 0
         report = json.loads((out / "ingest_report.json").read_text())
         assert report["dropped_by_reason"] == {"inf": 1}
-        X, _, _, _, _ = read_cache(out / "dataset.fsds")
+        X, _, _, _ = read_cache(out / "dataset.fsds")
         assert X.shape[0] == ROWS - 1 and np.isfinite(X).all()
 
     def test_rerun_byte_identical(self, tmp_path, fixture_csv):
@@ -188,7 +189,7 @@ class TestSelect:
 
     def test_recompute_worker_error_exit_2_leaves_no_worker(self, workdir, monkeypatch, capsys):
         def grow(*args):
-            raise EmptyInputError("a tree without rows")
+            raise MissingInputError("a tree without rows")
 
         monkeypatch.setattr(forest, "usable_cpus", lambda: 2)  # a pool on any host
         monkeypatch.setattr(forest, "grow_tree", grow)
@@ -325,6 +326,19 @@ class TestTrain:
         assert capsys.readouterr().err == f"error: missing cache sidecar {sidecar}\n"
         for artefact in ("model.fsnn", "history.csv", "manifest.json"):
             assert not (workdir / artefact).exists()
+
+    def test_train_and_evaluate_read_the_sidecar_once(self, workdir, monkeypatch):
+        reads = []
+
+        def counted(cache_path):
+            reads.append(cache_path)
+            return read_meta(cache_path)
+
+        monkeypatch.setattr(cli, "read_meta", counted)
+        monkeypatch.setattr("flowsentinel.data.cache.read_meta", counted)
+        assert run("train", "--epochs", "1", "--out", str(workdir)) == 0
+        assert run("evaluate", "--model", str(workdir / "model.fsnn"), "--out", str(workdir)) == 0
+        assert reads == [workdir / "dataset.fsds"] * 2
 
     def test_class_with_one_row_exit_2(self, tmp_path, fixture_csv, capsys):
         out = one_row_class_cache(tmp_path, fixture_csv)
@@ -693,7 +707,7 @@ class TestIngestAndPredictAgree:
             assert not (pred / "predictions.csv").exists()
         else:
             assert code == 0
-            X, _, names, _, _ = read_cache(out / "dataset.fsds")
+            X, _, names, _ = read_cache(out / "dataset.fsds")
             assert X[2, names.index(column)] == float(cell)
             assert len((pred / "predictions.csv").read_text().strip().split("\n")) == 6
 
@@ -773,12 +787,13 @@ class TestNoTraceback:
 
     @pytest.mark.parametrize("argv", [
         ("select", "--recompute-importance"),
+        ("train",),
         ("evaluate", "--model", "{model}"),
         ("evaluate", "--model", "{missing}"),
         ("predict", "--model", "{missing}", "--input", "{data}"),
         ("predict", "--model", "{model}", "--input", "{missing}"),
         ("inspect", "--model", "{missing}"),
-    ], ids=["select-cache", "evaluate-cache", "evaluate-model", "predict-model",
+    ], ids=["select-cache", "train-cache", "evaluate-cache", "evaluate-model", "predict-model",
             "predict-input", "inspect-model"])
     def test_missing_file_exit_2_names_it(self, binary_model, tmp_path, fixture_csv, capsys,
                                           argv):
@@ -847,26 +862,29 @@ class TestNoTraceback:
         assert len(lines) == 2 and all(ln.startswith(f"error: {model}: ") for ln in lines)
         assert not (out / "predictions.csv").exists()
 
+    TRAIN, SELECT = ("train", "--epochs", "1"), ("select", "--recompute-importance")
+
     @pytest.mark.parametrize("sidecar,commands", [
-        ("{not json", ("train", "select")),
-        (b'{"mode": "caf\xe9"}', ("train", "select")),  # a byte that is not UTF-8
-        ("[1, 2]", ("train", "select")),
-        ({"mode": "weird"}, ("train",)),
-        ({"mode": None}, ("train",)),  # no mode: the default mode's 34 classes
-        ({"classes": ["Benign", "Attack", "Other"]}, ("train",)),
-        ({"classes": None}, ("train",)),
-        ({"classes": [1, 2]}, ("train",)),
-        ({"classes": ["Attack", "Benign"]}, ("train",)),  # binary's two names, out of order
+        ("{not json", (TRAIN, SELECT)),
+        (b'{"mode": "caf\xe9"}', (TRAIN, SELECT)),  # a byte that is not UTF-8
+        ("[1, 2]", (TRAIN, SELECT)),
+        ({"mode": "weird"}, (TRAIN, ("train", "--mode", "binary", "--epochs", "1"), SELECT,
+                             ("evaluate", "--model", "{model}"))),
+        ({"mode": None}, (TRAIN,)),  # no mode: the default mode's 34 classes
+        ({"classes": ["Benign", "Attack", "Other"]}, (TRAIN,)),
+        ({"classes": None}, (TRAIN,)),
+        ({"classes": [1, 2]}, (TRAIN,)),
+        ({"classes": ["Attack", "Benign"]}, (TRAIN,)),  # binary's two names, out of order
     ])
-    def test_malformed_sidecar_exit_3(self, workdir, capsys, sidecar, commands):
+    def test_malformed_sidecar_exit_3(self, workdir, binary_model, capsys, sidecar, commands):
         path = workdir / "dataset.fsds.meta.json"
         if isinstance(sidecar, dict):  # edits of the ingested sidecar; None drops a key
             meta = {**json.loads(path.read_text()), **sidecar}
             sidecar = json.dumps({key: value for key, value in meta.items() if value is not None})
         path.write_bytes(sidecar if isinstance(sidecar, bytes) else sidecar.encode())
         for command in commands:
-            flags = ["--epochs", "1"] if command == "train" else ["--recompute-importance"]
-            assert run(command, *flags, "--out", str(workdir)) == 3
+            argv = [arg.format(model=binary_model) for arg in command]
+            assert run(*argv, "--out", str(workdir)) == 3
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == len(commands)
         assert all(ln.startswith(f"error: {path}: ") for ln in lines)
@@ -886,20 +904,15 @@ class TestNoTraceback:
 
 
 class TestExitCodes:
-    """Every error class ``main`` can meet maps to its documented exit code."""
+    """Each error class carries its documented exit code, and ``main`` returns it."""
 
     DOCUMENTED = {
-        errors.ConfigError: 1, errors.InvalidSpecError: 1,
-        FileNotFoundError: 2, IsADirectoryError: 2, NotADirectoryError: 2,
-        errors.EmptyInputError: 2, errors.ClassTooSmallError: 2,
-        errors.DegenerateImportanceError: 2,
-        errors.MissingColumnError: 3, errors.InputEncodingError: 3, errors.InvalidRowError: 3,
-        errors.CorruptCacheError: 3, errors.CorruptModelError: 3,
-        errors.NonFiniteLossError: 4, errors.NonFiniteGradientError: 4,
-        errors.ModeMismatchError: 5, errors.CacheMismatchError: 5,
+        errors.ConfigError: 1, errors.MissingInputError: 2, errors.SchemaError: 3,
+        errors.NumericError: 4, errors.MismatchError: 5,
     }
+    OS_ERRORS = (FileNotFoundError, IsADirectoryError, NotADirectoryError)  # exit 2
     # raised only on a programming error, never by a bad input
-    INTERNAL = {errors.ShapeMismatchError, errors.MissingCacheError}
+    INTERNAL = (errors.ShapeMismatchError, errors.MissingCacheError)
 
     def test_every_error_class_is_listed(self):
         found, stack = set(), [errors.FlowSentinelError]
@@ -907,18 +920,27 @@ class TestExitCodes:
             for cls in stack.pop().__subclasses__():
                 found.add(cls)
                 stack.append(cls)
-        assert found - set(self.DOCUMENTED) - self.INTERNAL == set()
-        assert not self.INTERNAL & set(self.DOCUMENTED)
+        codes = {cls: cls.exit_code for cls in found}
+        assert codes == {**self.DOCUMENTED, **dict.fromkeys(self.INTERNAL)}
 
-    @pytest.mark.parametrize("error", list(DOCUMENTED), ids=lambda cls: cls.__name__)
-    def test_main_returns_the_documented_code(self, monkeypatch, capsys, error):
+    @staticmethod
+    def inspect_raising(monkeypatch, error):
         def fail(model_path):
             raise error("bad")
 
         monkeypatch.setattr(cli, "cmd_inspect", fail)
-        assert run("inspect", "--model", "m.fsnn") == self.DOCUMENTED[error]
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        return run("inspect", "--model", "m.fsnn")
+
+    @pytest.mark.parametrize("error", [*DOCUMENTED, *OS_ERRORS], ids=lambda cls: cls.__name__)
+    def test_main_returns_the_documented_code(self, monkeypatch, capsys, error):
+        assert self.inspect_raising(monkeypatch, error) == self.DOCUMENTED.get(error, 2)
+        assert capsys.readouterr().err == "error: bad\n"
+
+    @pytest.mark.parametrize("error", INTERNAL, ids=lambda cls: cls.__name__)
+    def test_internal_error_propagates(self, monkeypatch, capsys, error):
+        with pytest.raises(error, match="^bad$"):
+            self.inspect_raising(monkeypatch, error)
+        assert capsys.readouterr().err == ""
 
 
 class TestInspectAndConfig:

@@ -19,18 +19,14 @@ from flowsentinel.data import (
     load_csv,
     map_labels,
     read_cache,
+    read_meta,
     schema,
     stratified_split,
     subsample_indices,
     write_cache,
     write_fixture_csv,
 )
-from flowsentinel.errors import (
-    ClassTooSmallError,
-    CorruptCacheError,
-    EmptyInputError,
-    MissingColumnError,
-)
+from flowsentinel.errors import MissingInputError, SchemaError
 from flowsentinel.data import ingest
 from flowsentinel.models import ModelSpec, build
 from flowsentinel.rng import Rng
@@ -142,12 +138,12 @@ class TestLoadCsv:
         header = ",".join(cols + [schema.LABEL_COLUMN])
         p = tmp_path / "m.csv"
         p.write_text(header + "\n", encoding="utf-8")
-        with pytest.raises(MissingColumnError) as exc:
+        with pytest.raises(SchemaError) as exc:
             load_csv([p])
         assert "Srate" in str(exc.value)
 
     def test_no_paths_rejected(self):
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(MissingInputError):
             load_csv([])
 
     def test_missing_file_raises(self, tmp_path):
@@ -421,7 +417,7 @@ class TestStratifiedSplit:
         assert hash(a.test.tobytes()) == hash(b.test.tobytes())
 
     def test_class_too_small(self):
-        with pytest.raises(ClassTooSmallError):
+        with pytest.raises(MissingInputError):
             stratified_split(np.array([0, 0, 1]), 0.8, seed=0)
 
     def test_tiny_class_keeps_both_sides(self):
@@ -465,7 +461,7 @@ class TestNormalizer:
         assert out.min() >= 0.0 and out.max() <= 1.0
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(MissingInputError):
             fit_normalizer(np.zeros((0, 3)))
 
 
@@ -476,11 +472,11 @@ class TestCache:
         names = [f"f{i}" for i in range(5)]
         path = tmp_path / "d.fsds"
         write_cache(path, X, y, names, meta={"mode": "multi"})
-        X2, y2, names2, meta, _ = read_cache(path)
+        X2, y2, names2, _ = read_cache(path)
         assert np.array_equal(X, X2)
         assert np.array_equal(y, y2)
         assert names2 == names
-        assert meta == {"mode": "multi"}
+        assert read_meta(path) == {"mode": "multi"}
 
     def test_layout_starts_with_magic_and_version(self, tmp_path):
         path = tmp_path / "d.fsds"
@@ -495,13 +491,13 @@ class TestCache:
         path = tmp_path / "d.fsds"
         write_cache(path, np.ones((4, 3), dtype=np.float32), np.zeros(4, dtype=int), ["a", "b", "c"])
         path.write_bytes(path.read_bytes()[:-5])
-        with pytest.raises(CorruptCacheError):
+        with pytest.raises(SchemaError):
             read_cache(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "d.fsds"
         path.write_bytes(b"NOPE" + bytes(40))
-        with pytest.raises(CorruptCacheError):
+        with pytest.raises(SchemaError):
             read_cache(path)
 
     def test_deterministic_bytes(self, tmp_path):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import flowsentinel
-from flowsentinel.errors import EmptyInputError
+from flowsentinel.errors import MissingInputError
 from flowsentinel.features import (
     ForestConfig,
     canonical_top20,
@@ -90,7 +90,7 @@ class TestFitTree:
         assert tree.feature == Rng(0).spawn("node-0").choice(2, 2)[0]
 
     def test_empty_input_rejected(self):
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(MissingInputError):
             fit_tree(np.zeros((0, 3)), np.zeros(0), full_feature_config(), Rng(0))
 
     def test_min_samples_leaf_below_one_rejected(self):
@@ -270,10 +270,10 @@ class TestPool:
 
     def test_worker_error_reaches_the_caller_with_its_type(self, monkeypatch):
         def fail():
-            raise EmptyInputError("tree 2 has no rows")
+            raise MissingInputError("tree 2 has no rows")
 
         self.patch(monkeypatch, 2, doomed=2, fail=fail)
-        with pytest.raises(EmptyInputError, match="tree 2 has no rows"):
+        with pytest.raises(MissingInputError, match="tree 2 has no rows"):
             fit_forest(*self.data(), self.CONFIG)
         assert multiprocessing.active_children() == []
 

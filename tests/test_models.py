@@ -7,7 +7,7 @@ import pytest
 
 from flowsentinel import models
 from flowsentinel.data import ClassificationMode, FeatureStats
-from flowsentinel.errors import CorruptModelError, InvalidSpecError, ShapeMismatchError
+from flowsentinel.errors import ConfigError, SchemaError, ShapeMismatchError
 from flowsentinel.models import Model, ModelSpec, build, load, save
 from flowsentinel.nn import Conv1D, Dense, Dropout, MaxPool1D
 from flowsentinel.rng import Rng
@@ -87,14 +87,14 @@ class TestBuild:
         assert np.all(lstm0.bias.value[:h] == 0.0)
 
     def test_invalid_spec_rejected(self):
-        with pytest.raises(InvalidSpecError):
+        with pytest.raises(ConfigError):
             ModelSpec(architecture="mlp", mode=ClassificationMode.BINARY)
-        with pytest.raises(InvalidSpecError):
+        with pytest.raises(ConfigError):
             ModelSpec(architecture="cnn", mode=ClassificationMode.BINARY, dropout_rate=1.0)
-        with pytest.raises(InvalidSpecError):
+        with pytest.raises(ConfigError):
             build(ModelSpec(architecture="cnn", mode=ClassificationMode.BINARY, input_features=4))
         for width in (20.0, True):  # the width must be an int, not a float or a bool
-            with pytest.raises(InvalidSpecError):
+            with pytest.raises(ConfigError):
                 ModelSpec(architecture="lstm", mode=ClassificationMode.BINARY, input_features=width)
 
     def test_lstm_dropout_layers_share_one_unused_stream(self):
@@ -269,7 +269,7 @@ class TestSerialization:
         path = tmp_path / "model.fsnn"
         save(model, path)
         path.write_bytes(path.read_bytes()[:-9])
-        with pytest.raises(CorruptModelError):
+        with pytest.raises(SchemaError):
             load(path)
 
     def test_flipped_byte_rejected(self, tmp_path):
@@ -279,13 +279,13 @@ class TestSerialization:
         blob = bytearray(path.read_bytes())
         blob[100] ^= 0xFF
         path.write_bytes(bytes(blob))
-        with pytest.raises(CorruptModelError):
+        with pytest.raises(SchemaError):
             load(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "model.fsnn"
         path.write_bytes(b"XXXX" + bytes(64))
-        with pytest.raises(CorruptModelError):
+        with pytest.raises(SchemaError):
             load(path)
 
     def test_spec_fields_survive_across_architectures(self, tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 from flowsentinel import models
 from flowsentinel.data import ClassificationMode, build_vocabulary
-from flowsentinel.errors import EmptyInputError, ModeMismatchError
+from flowsentinel.errors import MismatchError, MissingInputError, ShapeMismatchError
 from flowsentinel.models import Model, ModelSpec, build
 from flowsentinel.training import (
     DEFAULT_LEARNING_RATES,
@@ -66,13 +66,20 @@ class TestTrain:
         X, _ = separable_binary()
         y_multi = np.arange(64) % 9  # labels outside binary range
         model = build(ModelSpec("cnn", ClassificationMode.BINARY), seed=0)
-        with pytest.raises(ModeMismatchError):
+        with pytest.raises(MismatchError):
             train(model, X, y_multi, epochs=1, batch_size=256,
+                  learning_rate=DEFAULT_LEARNING_RATES["cnn"])
+
+    def test_row_count_mismatch_is_a_shape_error(self):
+        X, y = separable_binary()
+        model = build(ModelSpec("cnn", ClassificationMode.BINARY), seed=0)
+        with pytest.raises(ShapeMismatchError):
+            train(model, X, y[:-1], epochs=1, batch_size=256,
                   learning_rate=DEFAULT_LEARNING_RATES["cnn"])
 
     def test_empty_training_set_rejected(self):
         model = build(ModelSpec("cnn", ClassificationMode.BINARY), seed=0)
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(MissingInputError):
             train(model, np.zeros((0, 20)), np.zeros(0, dtype=int), epochs=1, batch_size=256,
                   learning_rate=DEFAULT_LEARNING_RATES["cnn"])
 
@@ -138,7 +145,7 @@ class TestMetrics:
 
     def test_empty_test_set_rejected(self):
         model = build(ModelSpec("cnn", ClassificationMode.BINARY), seed=0)
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(MissingInputError):
             evaluate(model, np.zeros((0, 20)), np.zeros(0, dtype=int), ["Benign", "Attack"])
 
     def test_report_serializes(self):
@@ -212,5 +219,5 @@ class TestExportHistory:
     def test_empty_history_rejected(self, tmp_path):
         from flowsentinel.training import TrainHistory
 
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(MissingInputError):
             export_history(TrainHistory(), tmp_path / "x.csv")
