@@ -10,20 +10,20 @@ seed, feature list and class names from the model file alone.
 Exit codes are a stable contract:
 
     0  success
-    1  configuration error (a config value of the wrong type or range, or a
-       ``select --top-k`` above the cache's column count)
-    2  missing input (file, cache, or model not found / empty, a file where a
-       directory is expected or the reverse, a class with < 2 rows to split,
-       or a ``select --recompute-importance`` cache whose target is constant,
-       so that no tree splits and no feature has any importance)
+    1  configuration error (a flag or config value of the wrong type or range,
+       or a ``select --top-k`` above the cache's column count)
+    2  missing input (file, cache, cache sidecar or model not found / empty, a
+       file where a directory is expected or the reverse, a class with < 2
+       rows to split, or a ``select --recompute-importance`` cache whose
+       target is constant, so that no tree splits and no feature has any
+       importance)
     3  schema error (missing column, an input CSV that is not UTF-8, a corrupt
-       cache or model file, a malformed model header or cache sidecar, a model
-       whose feature, class or normalizer list does not fit its spec, or a
-       predict input row with a non-numeric, NaN or infinite feature)
+       cache or model file, a cache sidecar that ingest would not write, a
+       model header that train would not write, or a predict input row with
+       a non-numeric, NaN or infinite feature)
     4  numeric failure (non-finite loss or gradient)
     5  artifact mismatch: a classification mode that differs between
-       artifacts, or an ``evaluate`` cache whose sha256 is not the one the
-       model records (or a model that records none)
+       artifacts, or an ``evaluate`` cache other than the one the model records
 
 Every run splits one way: a seeded, stratified 80/20 train/test split, and a
 10% validation carve-out of the training side. Features are min-max scaled
@@ -36,7 +36,6 @@ import argparse
 import contextlib
 import csv
 import ctypes
-import errno
 import json
 import math
 import os
@@ -57,9 +56,7 @@ from .data import (
     iter_flows,
     load_csv,
     map_labels,
-    meta_path,
     read_cache,
-    read_meta,
     schema,
     stratified_split,
     subsample_indices,
@@ -211,7 +208,6 @@ def cmd_ingest(config: RunConfig) -> int:
     kept, y, dropped_unknown = map_labels(labels, vocab)
     if dropped_unknown:
         report.drop("unknown_label", dropped_unknown)
-        report.rows_retained -= dropped_unknown
     X = X[kept]
     if config.subsample < 1.0 and y.size:
         from .rng import Rng
@@ -245,14 +241,13 @@ def cmd_select(config: RunConfig) -> int:
     features_path = out / "features.txt"
     if config.recompute_importance:
         cache_path = out / "dataset.fsds"
-        X, y, names, _ = read_cache(cache_path)
-        meta = read_meta(cache_path)
+        X, y, names, _, meta = read_cache(cache_path)
         if config.top_k > len(names):
             raise ConfigError(f"top_k={config.top_k} exceeds the cache's {len(names)} columns")
-        if meta and meta.get("mode") != "multi":
+        if meta["mode"] != "multi":
             print(
                 f"note: importance regression target uses the cache's "
-                f"{meta.get('mode')!r} class indices; a multi-mode cache mirrors "
+                f"{meta['mode']!r} class indices; a multi-mode cache mirrors "
                 f"the reference pipeline",
                 file=sys.stderr,
             )
@@ -278,62 +273,44 @@ def cmd_select(config: RunConfig) -> int:
     return 0
 
 
-def _load_split(cache_path: Path, feature_names: list, seed: int,
-                trained_on: str | None = None):
-    """Read the cache once and draw a run's stratified train/test split.
-
-    Returns ``((X_train, y_train), (X_test, y_test), sha256)`` with the
-    ``feature_names`` columns in that order, unscaled, and the cache file's
-    digest. ``train`` and ``evaluate`` both split here, from the same seed,
-    so ``evaluate`` scores exactly the rows that training held out. A cache
-    whose digest is not ``trained_on``, when given, is refused before the
-    split is drawn.
-    """
-    X, y, cache_columns, sha256 = read_cache(cache_path)
-    if trained_on is not None and sha256 != trained_on:
-        raise MismatchError(
-            f"{cache_path} (sha256 {sha256[:12]}) is not the cache the model was trained on "
-            f"(sha256 {trained_on[:12]}); evaluate scores the rows that training held out"
-        )
+def _columns(X, cache_columns: list, feature_names: list, cache_path: Path):
+    """A copy of the ``feature_names`` columns of a cache's X, in that order."""
     missing = [name for name in feature_names if name not in cache_columns]
     if missing:
         raise SchemaError(f"missing column {missing[0]!r} in {cache_path}")
-    X = X[:, [cache_columns.index(name) for name in feature_names]]
+    return X[:, [cache_columns.index(name) for name in feature_names]]
+
+
+def _split(X, y, seed: int):
+    """A run's stratified train/test split, ``((X_train, y_train), (X_test, y_test))``.
+    ``train`` and ``evaluate`` both split here, from the same seed, so ``evaluate``
+    scores exactly the rows that training held out."""
     split = stratified_split(y, seed=seed)
-    return (X[split.train], y[split.train]), (X[split.test], y[split.test]), sha256
+    return (X[split.train], y[split.train]), (X[split.test], y[split.test])
 
 
 def cmd_train(config: RunConfig) -> int:
     out = _out_dir(config)
     cache_path = out / "dataset.fsds"
-    if not cache_path.exists():
-        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(cache_path))
-    meta = read_meta(cache_path)
-    if meta is None:  # the only record of the cache's mode and class names
-        raise FileNotFoundError(f"missing cache sidecar {meta_path(cache_path)}")
+    X, y, cache_columns, cache_sha256, meta = read_cache(cache_path)
     feature_names = _feature_list(out)
-    cache_mode = meta.get("mode")
-    if cache_mode and cache_mode != config.mode:
+    if meta["mode"] != config.mode:
         if "mode" in config.explicit_fields:
             raise MismatchError(
-                f"cache was ingested in {cache_mode!r} mode but --mode is {config.mode!r}"
+                f"cache was ingested in {meta['mode']!r} mode but --mode is {config.mode!r}"
             )
-        config.mode = cache_mode  # inherit the cache's regime when unspecified
+        config.mode = meta["mode"]  # inherit the cache's regime when unspecified
     mode = ClassificationMode(config.mode)
-    classes = list(build_vocabulary(mode).classes)
-    if meta.get("classes") != classes:
-        raise SchemaError(f"{meta_path(cache_path)}: 'classes' does not name the "
-                          f"{len(classes)} classes of {mode.value!r} mode in order")
-    (X_train, y_train), (X_test, y_test), cache_sha256 = _load_split(
-        cache_path, feature_names, config.seed
-    )
+    X = _columns(X, cache_columns, feature_names, cache_path)  # frees the cache's bytes
+    (X_train, y_train), (X_test, y_test) = _split(X, y, config.seed)
+    del X, y  # so that training holds the split only
     stats = fit_normalizer(X_train)
     X_train = apply_normalizer(X_train, stats)
     X_test = apply_normalizer(X_test, stats)
     spec = ModelSpec(architecture=config.arch, mode=mode, input_features=len(feature_names))
     model = build(spec, seed=config.seed)  # the split seed, which evaluate reads back
     model.feature_names = list(feature_names)
-    model.class_names = classes
+    model.class_names = meta["classes"]
     model.normalizer = stats
     model.cache_sha256 = cache_sha256
 
@@ -374,44 +351,26 @@ def cmd_train(config: RunConfig) -> int:
     return 0
 
 
-def _load_model(model_path: str):
-    """The model at ``model_path``, with the normalizer it was trained under.
-
-    A missing file is a missing input (exit 2); a corrupt file, one without a
-    normalizer, or one whose feature or class list does not fit its spec is a
-    schema error (exit 3).
-    """
-    path = Path(model_path)
-    model = load(path)
-    if model.normalizer is None:
-        raise SchemaError(f"{path}: model carries no normalizer")
-    spec = model.spec
-    if len(model.feature_names) != spec.input_features:
-        raise SchemaError(f"{path}: model lists {len(model.feature_names)} features, "
-                          f"its spec takes {spec.input_features}")
-    if len(model.class_names) != spec.mode.class_count:
-        raise SchemaError(f"{path}: model lists {len(model.class_names)} classes, "
-                          f"{spec.mode.value!r} mode has {spec.mode.class_count}")
-    return model
-
-
 def cmd_evaluate(config: RunConfig, model_path: str) -> int:
     out = _out_dir(config)
-    model = _load_model(model_path)
+    model = load(model_path)
     cache_path = out / "dataset.fsds"
     if "seed" in config.explicit_fields and config.seed != model.rng_seed:
         raise ConfigError(
             f"seed {config.seed} contradicts the split seed {model.rng_seed} recorded in "
             f"{model_path}; evaluate scores the rows that training held out"
         )
-    cache_mode = (read_meta(cache_path) or {}).get("mode")
-    if cache_mode and cache_mode != model.spec.mode.value:
-        raise MismatchError(f"model mode {model.spec.mode.value!r} != cache mode {cache_mode!r}")
-    if model.cache_sha256 is None:
-        raise MismatchError(f"{model_path} records no dataset cache digest; retrain it")
-    _, (X_test, y_test), _ = _load_split(
-        cache_path, model.feature_names, model.rng_seed, model.cache_sha256
-    )
+    X, y, cache_columns, sha256, meta = read_cache(cache_path)
+    if meta["mode"] != model.spec.mode.value:
+        raise MismatchError(f"model mode {model.spec.mode.value!r} != cache mode {meta['mode']!r}")
+    if sha256 != model.cache_sha256:
+        raise MismatchError(
+            f"{cache_path} (sha256 {sha256[:12]}) is not the cache the model was trained on "
+            f"(sha256 {model.cache_sha256[:12]}); evaluate scores the rows that training held out"
+        )
+    X = _columns(X, cache_columns, model.feature_names, cache_path)
+    _, (X_test, y_test) = _split(X, y, model.rng_seed)
+    del X, y
     X_test = apply_normalizer(X_test, model.normalizer)
     report = evaluate(model, X_test, y_test, class_names=model.class_names)
     (out / "metrics.json").write_text(report.to_json(), encoding="utf-8")
@@ -421,7 +380,7 @@ def cmd_evaluate(config: RunConfig, model_path: str) -> int:
 
 
 def cmd_predict(config: RunConfig, model_path: str, input_path: str) -> int:
-    model = _load_model(model_path)
+    model = load(model_path)
     source = Path(input_path)
     blocks = [np.empty((0, len(model.feature_names)), dtype=np.float32)]
     with contextlib.closing(iter_flows(source, model.feature_names)) as flows:
@@ -455,7 +414,6 @@ def cmd_inspect(model_path: str) -> int:
         "parameter_count": model.parameter_count(),
         "features": model.feature_names,
         "classes": model.class_names,
-        "has_normalizer": model.normalizer is not None,
     }
     _emit(json.dumps(info, indent=2, sort_keys=True))
     return 0
@@ -475,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ingest = sub.add_parser("ingest", help="parse CSVs into a dataset cache")
     common(p_ingest)
     p_ingest.add_argument("--data", nargs="+", default=None, help="CSV files or directories")
-    p_ingest.add_argument("--mode", choices=["binary", "grouped", "multi"], default=None)
+    p_ingest.add_argument("--mode", default=None)
     p_ingest.add_argument("--subsample", type=float, default=None)
 
     p_select = sub.add_parser("select", help="emit the feature list (canonical or recomputed)")
@@ -486,8 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="train a model on the cached dataset")
     common(p_train)
-    p_train.add_argument("--arch", choices=["cnn", "lstm"], default=None)
-    p_train.add_argument("--mode", choices=["binary", "grouped", "multi"], default=None)
+    p_train.add_argument("--arch", default=None)
+    p_train.add_argument("--mode", default=None)
     p_train.add_argument("--epochs", type=int, default=None)
     p_train.add_argument("--batch-size", dest="batch_size", type=int, default=None)
     p_train.add_argument("--lr", type=float, default=None)

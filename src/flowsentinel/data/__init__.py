@@ -3,7 +3,7 @@ predict, the cell quoting of the CSV writers (``csv_cell``), the cleaning
 report, labeling, subsampling, splitting, scaling and caching."""
 
 from . import schema
-from .cache import meta_path, read_cache, read_meta, write_cache
+from .cache import read_cache, write_cache
 from .ingest import IngestReport, csv_cell, iter_flows, load_csv
 from .labels import ClassificationMode, LabelVocabulary, build_vocabulary, map_labels
 from .normalize import FeatureStats, apply_normalizer, fit_normalizer
@@ -24,9 +24,7 @@ __all__ = [
     "iter_flows",
     "load_csv",
     "map_labels",
-    "meta_path",
     "read_cache",
-    "read_meta",
     "schema",
     "stratified_split",
     "subsample_indices",

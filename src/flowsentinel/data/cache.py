@@ -12,6 +12,7 @@ Layout, all integers little-endian:
 
 The sidecar ``<cache>.meta.json`` records what the binary layout cannot:
 classification mode, class names, label histogram, and ingest provenance.
+``read_cache`` reads and checks both files, so no other code checks either.
 """
 
 from __future__ import annotations
@@ -24,37 +25,13 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import SchemaError
-from .labels import ClassificationMode
+from .labels import ClassificationMode, build_vocabulary
 
 MAGIC = b"FSDS"
 VERSION = 1
 
 
-def meta_path(cache_path) -> Path:
-    return Path(str(cache_path) + ".meta.json")
-
-
-def read_meta(cache_path) -> dict | None:
-    """The cache's sidecar metadata, or None when it has no sidecar.
-
-    A sidecar that is not a JSON object, or whose ``mode`` is not a
-    classification mode, raises SchemaError.
-    """
-    mp = meta_path(cache_path)
-    if not mp.exists():
-        return None
-    try:
-        meta = json.loads(mp.read_text(encoding="utf-8"))
-    except ValueError as exc:  # json.JSONDecodeError or UnicodeDecodeError
-        raise SchemaError(f"{mp}: not JSON ({exc})") from exc
-    if not isinstance(meta, dict):
-        raise SchemaError(f"{mp}: not a JSON object")
-    if "mode" in meta and meta["mode"] not in [mode.value for mode in ClassificationMode]:
-        raise SchemaError(f"{mp}: unknown mode {meta['mode']!r}")
-    return meta
-
-
-def write_cache(path, X, y, feature_names, meta: dict | None = None) -> None:
+def write_cache(path, X, y, feature_names, meta: dict) -> None:
     X = np.ascontiguousarray(X, dtype=np.float32)
     y = np.ascontiguousarray(y)
     if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
@@ -73,14 +50,15 @@ def write_cache(path, X, y, feature_names, meta: dict | None = None) -> None:
             fh.write(raw)
         fh.write(X.astype("<f4", copy=False).tobytes())
         fh.write(y.astype("<u2").tobytes())
-    if meta is not None:
-        meta_path(path).write_text(json.dumps(meta, indent=2, sort_keys=True), encoding="utf-8")
+    Path(f"{path}.meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True), encoding="utf-8")
 
 
 def read_cache(path):
-    """Returns (X float32 [rows, cols], y int64 [rows], feature_names, sha256):
-    the file is read once, X is a read-only view of its bytes.
-    ``read_meta`` reads the sidecar."""
+    """Returns (X float32 [rows, cols], y int64 [rows], feature_names, sha256,
+    meta): the file is read once, X is a read-only view of its bytes, and
+    ``meta`` is its sidecar, a JSON object whose ``mode`` is a classification
+    mode and whose ``classes`` are that mode's class names in index order. A
+    missing sidecar raises FileNotFoundError; any other fault, SchemaError."""
     blob = Path(path).read_bytes()
     view = memoryview(blob)
     if len(blob) < 21 or bytes(view[:4]) != MAGIC:
@@ -104,4 +82,17 @@ def read_cache(path):
     X = np.frombuffer(view, dtype="<f4", count=rows * cols, offset=offset).reshape(rows, cols)
     offset += rows * cols * 4
     y = np.frombuffer(view, dtype="<u2", count=rows, offset=offset).astype(np.int64)
-    return X, y, names, hashlib.sha256(blob).hexdigest()
+    mp = Path(f"{path}.meta.json")
+    try:
+        meta = json.loads(mp.read_text(encoding="utf-8"))
+    except ValueError as exc:  # json.JSONDecodeError or UnicodeDecodeError
+        raise SchemaError(f"{mp}: not JSON ({exc})") from exc
+    if not isinstance(meta, dict):
+        raise SchemaError(f"{mp}: not a JSON object")
+    if meta.get("mode") not in [mode.value for mode in ClassificationMode]:
+        raise SchemaError(f"{mp}: unknown mode {meta.get('mode')!r}")
+    classes = list(build_vocabulary(ClassificationMode(meta["mode"])).classes)
+    if meta.get("classes") != classes:
+        raise SchemaError(f"{mp}: 'classes' does not name the "
+                          f"{len(classes)} classes of {meta['mode']!r} mode in order")
+    return X, y, names, hashlib.sha256(blob).hexdigest(), meta

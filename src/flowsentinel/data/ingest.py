@@ -37,11 +37,9 @@ FLOAT32_OVERFLOW = 2.0**128 - 2.0**103
 @dataclass
 class IngestReport:
     rows_read: int = 0
-    rows_retained: int = 0
     dropped: dict = field(default_factory=dict)  # reason -> count
     label_histogram: dict = field(default_factory=dict)
     files: list = field(default_factory=list)
-    empty_input: bool = False
 
     def drop(self, reason: str, count: int = 1) -> None:
         self.dropped[reason] = self.dropped.get(reason, 0) + count
@@ -49,6 +47,14 @@ class IngestReport:
     @property
     def rows_dropped(self) -> int:
         return sum(self.dropped.values())
+
+    @property
+    def rows_retained(self) -> int:
+        return self.rows_read - self.rows_dropped
+
+    @property
+    def empty_input(self) -> bool:
+        return self.rows_read == 0
 
     def to_dict(self) -> dict:
         return {
@@ -208,8 +214,6 @@ def load_csv(paths):
             labels += [distinct.setdefault(label, label)
                        for label in itertools.compress(block_labels, keep)]
         report.rows_read += first
-    report.rows_retained = len(labels)
     report.label_histogram = dict(Counter(labels))
-    report.empty_input = report.rows_read == 0
-    assert report.rows_retained + report.rows_dropped == report.rows_read
+    assert len(labels) == report.rows_retained
     return (np.concatenate(blocks), labels), report

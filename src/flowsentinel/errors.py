@@ -45,8 +45,9 @@ class MismatchError(FlowSentinelError):
 
 class ShapeMismatchError(FlowSentinelError):
     """Arrays that do not fit: a batch given to a model that is not
-    [rows, input_features] (``Model._frame``), or ``train``'s X and y of
-    different row counts."""
+    [rows, input_features] (``Model._frame``), or an X and y of different row
+    counts given to ``train`` or the forest (``check_inputs``), whose X must
+    also be 2-D."""
 
 
 class MissingCacheError(FlowSentinelError):

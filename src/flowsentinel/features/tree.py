@@ -43,7 +43,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from ..errors import MissingInputError
+from ..errors import MissingInputError, ShapeMismatchError
 from ..rng import Rng
 
 
@@ -107,13 +107,14 @@ def sort_columns(X: np.ndarray, y: np.ndarray) -> SortedColumns:
 
 
 def check_inputs(X, y, what: str):
-    """(X, y) as C-contiguous float64 arrays, or MissingInputError."""
+    """(X, y) as C-contiguous float64 arrays: MissingInputError when X has no
+    rows, ShapeMismatchError when X is not 2-D or y does not match its rows."""
     X = np.ascontiguousarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise MissingInputError(f"{what} requires a non-empty 2-D feature matrix")
-    if y.shape[0] != X.shape[0]:
-        raise MissingInputError("feature matrix and target length disagree")
+    if X.ndim != 2 or y.shape[:1] != X.shape[:1]:
+        raise ShapeMismatchError(f"{what}: X {X.shape} is not 2-D or y {y.shape} disagrees")
+    if X.shape[0] == 0:
+        raise MissingInputError(f"{what} requires a non-empty feature matrix")
     return X, y
 
 

@@ -240,6 +240,7 @@ def save(model: Model, path) -> None:
 
 
 def load(path) -> Model:
+    """The model in an FSNN file; a header that ``train`` would not write is a SchemaError."""
     blob = Path(path).read_bytes()
     if len(blob) < 13 or blob[:4] != MAGIC:
         raise SchemaError(f"{path}: bad magic")
@@ -260,18 +261,19 @@ def load(path) -> Model:
         if not _is_int(header["seed"]):
             raise SchemaError(f"{path}: seed {header['seed']!r} is not an integer")
         model = build(spec, seed=header["seed"])
-        model.feature_names = list(header.get("features") or [])
-        model.class_names = list(header.get("classes") or [])
-        for key, names in (("features", model.feature_names), ("classes", model.class_names)):
-            if not all(isinstance(name, str) for name in names):
-                raise SchemaError(f"{path}: '{key}' holds a name that is not a string")
-        if header.get("normalizer"):
-            model.normalizer = FeatureStats.from_dict(header["normalizer"])
-            if model.normalizer.minimum.shape != (spec.input_features,):
-                raise SchemaError(f"{path}: normalizer does not have "
-                                  f"{spec.input_features} features")
+        for key, count in (("features", spec.input_features), ("classes", spec.mode.class_count)):
+            names = header.get(key)
+            if not (isinstance(names, list) and len(names) == count
+                    and all(isinstance(name, str) for name in names)):
+                raise SchemaError(f"{path}: '{key}' is not a list of {count} names")
+        model.feature_names, model.class_names = header["features"], header["classes"]
+        if header.get("normalizer") is None:
+            raise SchemaError(f"{path}: model carries no normalizer")
+        model.normalizer = FeatureStats.from_dict(header["normalizer"])
+        if model.normalizer.minimum.shape != (spec.input_features,):
+            raise SchemaError(f"{path}: normalizer does not have {spec.input_features} features")
         model.cache_sha256 = header.get("cache_sha256")
-        if not isinstance(model.cache_sha256, (str, type(None))):
+        if not isinstance(model.cache_sha256, str):
             raise SchemaError(f"{path}: cache_sha256 {model.cache_sha256!r} is not a string")
         (n_params,) = struct.unpack_from("<I", payload, offset)
         offset += 4

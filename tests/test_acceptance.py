@@ -30,7 +30,6 @@ from flowsentinel.data import (
     fit_normalizer,
     generate_fixture,
     read_cache,
-    read_meta,
     schema,
     stratified_split,
     subsample_indices,
@@ -471,6 +470,8 @@ def test_serialization_round_trips_and_rejection(tmp_path):
     model = build(ModelSpec("lstm", ClassificationMode.GROUPED), seed=21)
     model.feature_names = canonical_top20()
     model.class_names = [f"c{i}" for i in range(8)]
+    model.normalizer = fit_normalizer(np.random.default_rng(1).normal(size=(5, 20)))
+    model.cache_sha256 = "0f" * 32
     model_path = tmp_path / "model.fsnn"
     save(model, model_path)
     loaded = load(model_path)
@@ -482,10 +483,10 @@ def test_serialization_round_trips_and_rejection(tmp_path):
     X = rng.normal(size=(31, 7)).astype(np.float32)
     y = rng.integers(0, 34, size=31)
     cache_path = tmp_path / "d.fsds"
-    write_cache(cache_path, X, y, [f"f{i}" for i in range(7)], meta={"mode": "multi"})
-    X2, y2, names, _ = read_cache(cache_path)
-    meta = read_meta(cache_path)
-    cache_ok = np.array_equal(X, X2) and np.array_equal(y, y2) and meta["mode"] == "multi"
+    meta = {"mode": "multi", "classes": list(build_vocabulary(ClassificationMode.MULTI).classes)}
+    write_cache(cache_path, X, y, [f"f{i}" for i in range(7)], meta)
+    X2, y2, names, _, meta2 = read_cache(cache_path)
+    cache_ok = np.array_equal(X, X2) and np.array_equal(y, y2) and meta2 == meta
 
     model_path.write_bytes(model_path.read_bytes()[:-3])
     try:

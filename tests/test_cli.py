@@ -23,12 +23,10 @@ from flowsentinel import cli, errors, models
 from flowsentinel.cli import main
 from flowsentinel.data import (
     ClassificationMode,
-    FeatureStats,
     apply_normalizer,
     fit_normalizer,
     iter_flows,
     read_cache,
-    read_meta,
     schema,
     write_fixture_csv,
 )
@@ -98,9 +96,9 @@ class TestIngest:
         report = json.loads((out / "ingest_report.json").read_text())
         assert report["rows_dropped"] == 5
         assert report["dropped_by_reason"]["nan"] == 5
-        X, y, _, _ = read_cache(out / "dataset.fsds")
+        X, y, _, _, meta = read_cache(out / "dataset.fsds")
         assert X.shape[0] == ROWS - 5
-        assert read_meta(out / "dataset.fsds")["mode"] == "multi"
+        assert meta["mode"] == "multi"
 
     def test_cell_float32_cannot_hold_dropped_without_warning(self, tmp_path, fixture_csv):
         lines = fixture_csv.read_text().strip().split("\n")
@@ -116,7 +114,7 @@ class TestIngest:
             assert run("ingest", "--data", str(data), "--out", str(out)) == 0
         report = json.loads((out / "ingest_report.json").read_text())
         assert report["dropped_by_reason"] == {"inf": 1}
-        X, _, _, _ = read_cache(out / "dataset.fsds")
+        X, _, _, _, _ = read_cache(out / "dataset.fsds")
         assert X.shape[0] == ROWS - 1 and np.isfinite(X).all()
 
     def test_rerun_byte_identical(self, tmp_path, fixture_csv):
@@ -317,28 +315,28 @@ class TestTrain:
     def test_missing_cache_exit_2(self, tmp_path):
         assert run("train", "--arch", "cnn", "--out", str(tmp_path / "void")) == 2
 
-    def test_missing_sidecar_exit_2_writes_nothing(self, workdir, capsys):
-        # without its sidecar a cache has no mode or class names to train under
-        sidecar = workdir / "dataset.fsds.meta.json"
-        sidecar.unlink()
+    def test_missing_sidecar_exit_2_writes_nothing(self, workdir):
+        # without its sidecar a cache has no mode or class names to train under;
+        # test_missing_file_exit_2_names_it checks the message
+        (workdir / "dataset.fsds.meta.json").unlink()
         code = run("train", "--arch", "cnn", "--epochs", "1", "--out", str(workdir))
         assert code == 2
-        assert capsys.readouterr().err == f"error: missing cache sidecar {sidecar}\n"
         for artefact in ("model.fsnn", "history.csv", "manifest.json"):
             assert not (workdir / artefact).exists()
 
     def test_train_and_evaluate_read_the_sidecar_once(self, workdir, monkeypatch):
-        reads = []
+        reads, read_text = [], Path.read_text
 
-        def counted(cache_path):
-            reads.append(cache_path)
-            return read_meta(cache_path)
+        def counted(path, *args, **kwargs):
+            reads.append(path)
+            return read_text(path, *args, **kwargs)
 
-        monkeypatch.setattr(cli, "read_meta", counted)
-        monkeypatch.setattr("flowsentinel.data.cache.read_meta", counted)
-        assert run("train", "--epochs", "1", "--out", str(workdir)) == 0
-        assert run("evaluate", "--model", str(workdir / "model.fsnn"), "--out", str(workdir)) == 0
-        assert reads == [workdir / "dataset.fsds"] * 2
+        monkeypatch.setattr(Path, "read_text", counted)
+        sidecar = workdir / "dataset.fsds.meta.json"
+        for argv in (("train", "--epochs", "1"), ("evaluate", "--model", str(workdir / "model.fsnn"))):
+            reads.clear()
+            assert run(*argv, "--out", str(workdir)) == 0
+            assert reads.count(sidecar) == 1
 
     def test_class_with_one_row_exit_2(self, tmp_path, fixture_csv, capsys):
         out = one_row_class_cache(tmp_path, fixture_csv)
@@ -500,15 +498,6 @@ class TestEvaluateAndPredict:
         float32_input = rows * len(load(binary_model).feature_names) * 4
         assert peak < 3 * float32_input, f"peak {peak / 1e6:.1f} MB"
 
-    def test_predict_model_without_normalizer_exit_3(self, tmp_path, fixture_csv, capsys):
-        path = tmp_path / "raw.fsnn"
-        save(build(ModelSpec("cnn", ClassificationMode.BINARY), seed=0), path)
-        out = tmp_path / "pred"
-        code = run("predict", "--model", str(path), "--input", str(fixture_csv), "--out", str(out))
-        assert code == 3
-        assert "normalizer" in capsys.readouterr().err
-        assert not (out / "predictions.csv").exists()
-
     def test_predict_quotes_class_names_as_csv_writer_does(self, tmp_path, fixture_csv):
         mode = ClassificationMode.GROUPED
         model = build(ModelSpec("cnn", mode), seed=0)
@@ -517,6 +506,7 @@ class TestEvaluateAndPredict:
         model.normalizer = fit_normalizer(X)
         # the untrained model predicts classes 2, 3 and 4 for this input
         model.class_names = ["Spoof,ARP", '"', 'say "hi", ok', "line\nbreak", "cr\r", ",", " x", ""]
+        model.cache_sha256 = "0f" * 32
         path = tmp_path / "tricky.fsnn"
         save(model, path)
         out = tmp_path / "pred"
@@ -534,22 +524,6 @@ class TestEvaluateAndPredict:
         assert got == expected.getvalue().encode("utf-8")
         predicted = {row[1] for row in csv.reader(io.StringIO(got.decode(), newline=""))}
         assert {'say "hi", ok', "line\nbreak", "cr\r"} < predicted
-
-    @pytest.mark.parametrize("emptied", ["feature_names", "class_names"])
-    def test_predict_model_without_its_lists_exit_3(self, tmp_path, fixture_csv, capsys,
-                                                    emptied):
-        model = build(ModelSpec("cnn", ClassificationMode.BINARY), seed=0)
-        model.normalizer = FeatureStats(minimum=np.zeros(20), maximum=np.ones(20))
-        model.feature_names = canonical_top20()
-        model.class_names = ["Benign", "Attack"]
-        setattr(model, emptied, [])
-        path = tmp_path / "bare.fsnn"
-        save(model, path)
-        out = tmp_path / "pred"
-        code = run("predict", "--model", str(path), "--input", str(fixture_csv), "--out", str(out))
-        assert code == 3
-        assert emptied.split("_")[0] in capsys.readouterr().err
-        assert not (out / "predictions.csv").exists()
 
     def test_evaluate_scores_the_training_split(self, tmp_path):
         # A 34-class, one-epoch model: accuracy differs between splits, so a
@@ -583,15 +557,6 @@ class TestEvaluateAndPredict:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "not the cache the model was trained on" in err
-        assert not (trained / "metrics.json").exists()
-
-    def test_evaluate_refuses_a_model_without_a_cache_digest(self, trained, capsys):
-        model = load(trained / "model.fsnn")
-        model.cache_sha256 = None
-        save(model, trained / "model.fsnn")
-        code = run("evaluate", "--model", str(trained / "model.fsnn"), "--out", str(trained))
-        assert code == 5
-        assert "records no dataset cache digest" in capsys.readouterr().err
         assert not (trained / "metrics.json").exists()
 
     @pytest.mark.parametrize("cell", list(BAD_CELL_REASONS))
@@ -707,7 +672,7 @@ class TestIngestAndPredictAgree:
             assert not (pred / "predictions.csv").exists()
         else:
             assert code == 0
-            X, _, names, _ = read_cache(out / "dataset.fsds")
+            X, _, names, _, _ = read_cache(out / "dataset.fsds")
             assert X[2, names.index(column)] == float(cell)
             assert len((pred / "predictions.csv").read_text().strip().split("\n")) == 6
 
@@ -750,6 +715,9 @@ class TestNoTraceback:
         ('ingest --config {"validation_fraction": 0.2}', 1),
         ('ingest --config {"scheme": "zscore"}', 1),
         ("predict --model a version-1 file", 3),
+        # flags that RunConfig.validate refuses, as it refuses the same config value
+        ("train --mode foo", 1),
+        ("train --arch rnn", 1),
     ])
     def test_exit_code(self, binary_model, tmp_path, fixture_csv, capsys, case, code):
         model, data, out, config = binary_model, fixture_csv, tmp_path / "out", None
@@ -772,6 +740,8 @@ class TestNoTraceback:
         if case.startswith("ingest"):
             # no --data with a config file, since the flag would override the file's value
             argv = ["ingest", "--config", str(config)] if config else ["ingest", "--data", str(data)]
+        elif case.startswith("train"):
+            argv = case.split()
         else:
             argv = ["predict", "--model", str(model), "--input", str(data)]
         assert run(*argv, "--out", str(out)) == code
@@ -783,23 +753,35 @@ class TestNoTraceback:
             assert "unknown config keys" in err
         if "version-1" in case:
             assert "unsupported version 1" in err
+        if case.startswith("train"):
+            assert repr(case.split()[-1]) in err
         assert not (out / "predictions.csv").exists() and not (out / "dataset.fsds").exists()
 
-    @pytest.mark.parametrize("argv", [
-        ("select", "--recompute-importance"),
-        ("train",),
-        ("evaluate", "--model", "{model}"),
-        ("evaluate", "--model", "{missing}"),
-        ("predict", "--model", "{missing}", "--input", "{data}"),
-        ("predict", "--model", "{model}", "--input", "{missing}"),
-        ("inspect", "--model", "{missing}"),
+    SIDECAR = "dataset.fsds.meta.json"
+
+    @pytest.mark.parametrize("argv,lost", [
+        (("select", "--recompute-importance"), "dataset.fsds"),
+        (("train",), "dataset.fsds"),
+        (("evaluate", "--model", "{model}"), "dataset.fsds"),
+        (("evaluate", "--model", "{missing}"), "ghost"),
+        (("predict", "--model", "{missing}", "--input", "{data}"), "ghost"),
+        (("predict", "--model", "{model}", "--input", "{missing}"), "ghost"),
+        (("inspect", "--model", "{missing}"), "ghost"),
+        (("select", "--recompute-importance"), SIDECAR),
+        (("train",), SIDECAR),
+        (("evaluate", "--model", "{model}"), SIDECAR),
     ], ids=["select-cache", "train-cache", "evaluate-cache", "evaluate-model", "predict-model",
-            "predict-input", "inspect-model"])
+            "predict-input", "inspect-model", "select-sidecar", "train-sidecar",
+            "evaluate-sidecar"])
     def test_missing_file_exit_2_names_it(self, binary_model, tmp_path, fixture_csv, capsys,
-                                          argv):
+                                          argv, lost):
         # the reader of each file reports it missing; no command checks first
-        missing = tmp_path / "ghost"
-        expected = missing if "{missing}" in argv else tmp_path / "dataset.fsds"
+        missing = expected = tmp_path / lost
+        if lost == self.SIDECAR:  # a cache that lost its sidecar
+            assert run("ingest", "--data", str(fixture_csv), "--mode", "binary",
+                       "--out", str(tmp_path)) == 0
+            expected.unlink()
+            capsys.readouterr()
         fill = {"model": binary_model, "missing": missing, "data": fixture_csv}
         argv = [arg.format(**fill) for arg in argv]
         if argv[0] != "inspect":
@@ -849,6 +831,13 @@ class TestNoTraceback:
         ("seed", 1.5),
         ("seed", True),
         ("seed", DROP),
+        # a header that train would not write: each field dropped or null, and
+        # lists that do not fit the spec
+        *[(field, value) for field in ("normalizer", "features", "classes", "cache_sha256")
+          for value in (DROP, None)],
+        ("features", canonical_top20()[:19]),
+        ("classes", ["Benign"]),
+        ("classes", ["Benign", "Attack", "Other"]),
     ])
     def test_malformed_model_header_exit_3(self, binary_model, tmp_path, fixture_csv, capsys,
                                            field, value):
@@ -857,24 +846,29 @@ class TestNoTraceback:
         out = tmp_path / "out"
         assert run("predict", "--model", str(model), "--input", str(fixture_csv),
                    "--out", str(out)) == 3
+        assert run("evaluate", "--model", str(model), "--out", str(out)) == 3
         assert run("inspect", "--model", str(model)) == 3
         lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 2 and all(ln.startswith(f"error: {model}: ") for ln in lines)
-        assert not (out / "predictions.csv").exists()
+        assert len(lines) == 3 and all(ln.startswith(f"error: {model}: ") for ln in lines)
+        if value is DROP or value is None or field in ("features", "classes"):
+            assert all(field in ln for ln in lines)
+        assert not (out / "predictions.csv").exists() and not (out / "metrics.json").exists()
 
     TRAIN, SELECT = ("train", "--epochs", "1"), ("select", "--recompute-importance")
+    EVALUATE = ("evaluate", "--model", "{model}")
+    READERS = (TRAIN, SELECT, EVALUATE)  # every command that reads the cache
 
     @pytest.mark.parametrize("sidecar,commands", [
         ("{not json", (TRAIN, SELECT)),
         (b'{"mode": "caf\xe9"}', (TRAIN, SELECT)),  # a byte that is not UTF-8
         ("[1, 2]", (TRAIN, SELECT)),
         ({"mode": "weird"}, (TRAIN, ("train", "--mode", "binary", "--epochs", "1"), SELECT,
-                             ("evaluate", "--model", "{model}"))),
-        ({"mode": None}, (TRAIN,)),  # no mode: the default mode's 34 classes
-        ({"classes": ["Benign", "Attack", "Other"]}, (TRAIN,)),
-        ({"classes": None}, (TRAIN,)),
-        ({"classes": [1, 2]}, (TRAIN,)),
-        ({"classes": ["Attack", "Benign"]}, (TRAIN,)),  # binary's two names, out of order
+                             EVALUATE)),
+        ({"mode": None}, READERS),  # no mode
+        ({"classes": ["Benign", "Attack", "Other"]}, READERS),
+        ({"classes": None}, READERS),
+        ({"classes": [1, 2]}, READERS),
+        ({"classes": ["Attack", "Benign"]}, READERS),  # binary's two names, out of order
     ])
     def test_malformed_sidecar_exit_3(self, workdir, binary_model, capsys, sidecar, commands):
         path = workdir / "dataset.fsds.meta.json"
@@ -889,7 +883,7 @@ class TestNoTraceback:
         assert len(lines) == len(commands)
         assert all(ln.startswith(f"error: {path}: ") for ln in lines)
         for artefact in ("model.fsnn", "history.csv", "manifest.json", "features.txt",
-                         "importance.csv"):
+                         "importance.csv", "metrics.json"):
             assert not (workdir / artefact).exists()
 
     def test_not_utf8_in_a_process(self, binary_model, tmp_path, fixture_csv):

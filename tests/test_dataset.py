@@ -19,7 +19,6 @@ from flowsentinel.data import (
     load_csv,
     map_labels,
     read_cache,
-    read_meta,
     schema,
     stratified_split,
     subsample_indices,
@@ -32,6 +31,8 @@ from flowsentinel.models import ModelSpec, build
 from flowsentinel.rng import Rng
 
 HEADER = ",".join(list(schema.FEATURE_COLUMNS) + [schema.LABEL_COLUMN])
+# the sidecar of a multi-mode cache, as ingest writes it
+MULTI_META = {"mode": "multi", "classes": list(build_vocabulary(ClassificationMode.MULTI).classes)}
 
 
 def write_rows(path, rows):
@@ -471,16 +472,17 @@ class TestCache:
         y = np_rng.integers(0, 34, size=17)
         names = [f"f{i}" for i in range(5)]
         path = tmp_path / "d.fsds"
-        write_cache(path, X, y, names, meta={"mode": "multi"})
-        X2, y2, names2, _ = read_cache(path)
+        write_cache(path, X, y, names, MULTI_META)
+        X2, y2, names2, _, meta = read_cache(path)
         assert np.array_equal(X, X2)
         assert np.array_equal(y, y2)
         assert names2 == names
-        assert read_meta(path) == {"mode": "multi"}
+        assert meta == MULTI_META
 
     def test_layout_starts_with_magic_and_version(self, tmp_path):
         path = tmp_path / "d.fsds"
-        write_cache(path, np.zeros((2, 1), dtype=np.float32), np.zeros(2, dtype=int), ["a"])
+        write_cache(path, np.zeros((2, 1), dtype=np.float32), np.zeros(2, dtype=int), ["a"],
+                    MULTI_META)
         blob = path.read_bytes()
         assert blob[:4] == b"FSDS"
         assert blob[4] == 1
@@ -489,7 +491,8 @@ class TestCache:
 
     def test_truncated_rejected(self, tmp_path):
         path = tmp_path / "d.fsds"
-        write_cache(path, np.ones((4, 3), dtype=np.float32), np.zeros(4, dtype=int), ["a", "b", "c"])
+        write_cache(path, np.ones((4, 3), dtype=np.float32), np.zeros(4, dtype=int),
+                    ["a", "b", "c"], MULTI_META)
         path.write_bytes(path.read_bytes()[:-5])
         with pytest.raises(SchemaError):
             read_cache(path)
@@ -503,8 +506,8 @@ class TestCache:
     def test_deterministic_bytes(self, tmp_path):
         X = np.arange(12, dtype=np.float32).reshape(4, 3)
         y = np.array([0, 1, 2, 3])
-        write_cache(tmp_path / "a.fsds", X, y, ["x", "y", "z"])
-        write_cache(tmp_path / "b.fsds", X, y, ["x", "y", "z"])
+        write_cache(tmp_path / "a.fsds", X, y, ["x", "y", "z"], MULTI_META)
+        write_cache(tmp_path / "b.fsds", X, y, ["x", "y", "z"], MULTI_META)
         assert (tmp_path / "a.fsds").read_bytes() == (tmp_path / "b.fsds").read_bytes()
 
 

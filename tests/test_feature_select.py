@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import flowsentinel
-from flowsentinel.errors import MissingInputError
+from flowsentinel.errors import MissingInputError, ShapeMismatchError
 from flowsentinel.features import (
     ForestConfig,
     canonical_top20,
@@ -92,6 +92,13 @@ class TestFitTree:
     def test_empty_input_rejected(self):
         with pytest.raises(MissingInputError):
             fit_tree(np.zeros((0, 3)), np.zeros(0), full_feature_config(), Rng(0))
+
+    @pytest.mark.parametrize("X,y", [(np.zeros((10, 3)), np.zeros(9)), (np.zeros(10), np.zeros(10))],
+                             ids=["rows-disagree", "X-not-2d"])
+    def test_shape_fault_is_not_missing_input(self, X, y):
+        # arrays that do not fit are a caller's bug (no exit code), not an empty input
+        with pytest.raises(ShapeMismatchError):
+            fit_forest(X, y, ForestConfig(seed=0, n_trees=1))
 
     def test_min_samples_leaf_below_one_rejected(self):
         with pytest.raises(ValueError):

@@ -241,19 +241,24 @@ class TestInferenceChunks:
         assert peaks[1] < peaks[0] + 1e6, f"peaks {peaks[0] / 1e6:.1f}, {peaks[1] / 1e6:.1f} MB"
 
 
+def with_header(model):
+    """``model`` with the header fields that ``train`` fills in and ``load`` requires."""
+    model.feature_names = [f"f{i}" for i in range(20)]
+    model.class_names = [f"c{i}" for i in range(model.spec.mode.class_count)]
+    model.normalizer = FeatureStats(minimum=np.zeros(20), maximum=np.ones(20))
+    model.cache_sha256 = "0f" * 32
+    return model
+
+
 class TestSerialization:
     def roundtrip(self, model, tmp_path):
         path = tmp_path / "model.fsnn"
-        save(model, path)
+        save(with_header(model), path)
         return load(path), path
 
     @pytest.mark.parametrize("arch,mode", [("cnn", "binary"), ("lstm", "multi"), ("cnn", "grouped")])
     def test_bit_exact_round_trip(self, arch, mode, tmp_path):
         model = build(spec_of(arch, mode), seed=11)
-        model.feature_names = [f"f{i}" for i in range(20)]
-        model.class_names = [f"c{i}" for i in range(model.spec.output_units)]
-        model.normalizer = FeatureStats(minimum=np.zeros(20), maximum=np.ones(20))
-        model.cache_sha256 = "0f" * 32
         loaded, _ = self.roundtrip(model, tmp_path)
         assert loaded.spec == model.spec
         assert loaded.cache_sha256 == model.cache_sha256
@@ -267,7 +272,7 @@ class TestSerialization:
     def test_truncated_file_rejected(self, tmp_path):
         model = build(spec_of("cnn", "binary"), seed=0)
         path = tmp_path / "model.fsnn"
-        save(model, path)
+        save(with_header(model), path)
         path.write_bytes(path.read_bytes()[:-9])
         with pytest.raises(SchemaError):
             load(path)
@@ -275,7 +280,7 @@ class TestSerialization:
     def test_flipped_byte_rejected(self, tmp_path):
         model = build(spec_of("cnn", "binary"), seed=0)
         path = tmp_path / "model.fsnn"
-        save(model, path)
+        save(with_header(model), path)
         blob = bytearray(path.read_bytes())
         blob[100] ^= 0xFF
         path.write_bytes(bytes(blob))
