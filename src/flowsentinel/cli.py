@@ -18,9 +18,11 @@ Exit codes are a stable contract:
        target is constant, so that no tree splits and no feature has any
        importance)
     3  schema error (missing column, an input CSV that is not UTF-8, a corrupt
-       cache or model file, a cache sidecar that ingest would not write, a
-       model header that train would not write, or a predict input row with
-       a non-numeric, NaN or infinite feature)
+       cache or model file, a cache sidecar or cache contents that ingest
+       would not write (a class index outside the sidecar's classes, a NaN or
+       infinite feature), a model header that train would not write, a model
+       parameter that holds a NaN or infinity, or a predict input row with a
+       non-numeric, NaN or infinite feature)
     4  numeric failure (non-finite loss or gradient)
     5  artifact mismatch: a classification mode that differs between
        artifacts, or an ``evaluate`` cache other than the one the model records
@@ -71,7 +73,7 @@ from .features import (
     fit_forest,
 )
 from .models import ModelSpec, build, load, save
-from .training import DEFAULT_LEARNING_RATES, evaluate, export_history, train
+from .training import DEFAULT_LEARNING_RATES, evaluate, export_history, metrics_text, train
 
 # glibc's mallopt parameters, and its 64-bit ceiling for the mmap threshold
 # that it otherwise raises itself (DEFAULT_MMAP_THRESHOLD_MAX)
@@ -338,15 +340,15 @@ def cmd_train(config: RunConfig) -> int:
             "val_accuracy": history.final().val_acc,
         },
         "test_metrics": {
-            "accuracy": report.accuracy,
-            "macro_f1": report.macro_f1,
-            "weighted_f1": report.weighted_f1,
+            "accuracy": report["accuracy"],
+            "macro_f1": report["macro"]["f1"],
+            "weighted_f1": report["weighted"]["f1"],
         },
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8")
     _emit(
         f"wrote {model_path}, history.csv, manifest.json "
-        f"(test accuracy {report.accuracy:.4f})"
+        f"(test accuracy {report['accuracy']:.4f})"
     )
     return 0
 
@@ -373,9 +375,11 @@ def cmd_evaluate(config: RunConfig, model_path: str) -> int:
     del X, y
     X_test = apply_normalizer(X_test, model.normalizer)
     report = evaluate(model, X_test, y_test, class_names=model.class_names)
-    (out / "metrics.json").write_text(report.to_json(), encoding="utf-8")
-    (out / "metrics.txt").write_text(report.to_text() + "\n", encoding="utf-8")
-    _emit(report.to_text())
+    text = metrics_text(report)
+    (out / "metrics.json").write_text(json.dumps(report, indent=2, sort_keys=True),
+                                      encoding="utf-8")
+    (out / "metrics.txt").write_text(text + "\n", encoding="utf-8")
+    _emit(text)
     return 0
 
 

@@ -57,8 +57,10 @@ def read_cache(path):
     """Returns (X float32 [rows, cols], y int64 [rows], feature_names, sha256,
     meta): the file is read once, X is a read-only view of its bytes, and
     ``meta`` is its sidecar, a JSON object whose ``mode`` is a classification
-    mode and whose ``classes`` are that mode's class names in index order. A
-    missing sidecar raises FileNotFoundError; any other fault, SchemaError."""
+    mode and whose ``classes`` are that mode's class names in index order.
+    Every class index indexes ``classes`` and every feature value is finite,
+    as ``ingest`` writes them. A missing sidecar raises FileNotFoundError; any
+    other fault, SchemaError."""
     blob = Path(path).read_bytes()
     view = memoryview(blob)
     if len(blob) < 21 or bytes(view[:4]) != MAGIC:
@@ -95,4 +97,9 @@ def read_cache(path):
     if meta.get("classes") != classes:
         raise SchemaError(f"{mp}: 'classes' does not name the "
                           f"{len(classes)} classes of {meta['mode']!r} mode in order")
+    if y.size and y.max() >= len(classes):
+        raise SchemaError(f"{path}: class index {y.max()} is not an index into the "
+                          f"{len(classes)} classes of {meta['mode']!r} mode")
+    if not np.isfinite(X).all():
+        raise SchemaError(f"{path}: a feature value is NaN or infinite")
     return X, y, names, hashlib.sha256(blob).hexdigest(), meta

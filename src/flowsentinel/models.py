@@ -208,6 +208,15 @@ def build(spec: ModelSpec, seed: int = 0) -> Model:
     return Model(spec=spec, layers=layers, rng_seed=seed)
 
 
+def _record(p) -> bytes:
+    """A parameter's record header in an FSNN file: its name (uint16 length,
+    then UTF-8 bytes), its rank (uint8) and its dims (uint32 each); the
+    parameter's float32 values follow it."""
+    name = p.name.encode("utf-8")
+    return struct.pack(f"<H{len(name)}sB{p.value.ndim}I", len(name), name, p.value.ndim,
+                       *p.value.shape)
+
+
 def save(model: Model, path) -> None:
     """Write an FSNN model file (see module docstring for the layout)."""
     header = {
@@ -219,18 +228,11 @@ def save(model: Model, path) -> None:
         "cache_sha256": model.cache_sha256,
     }
     header_raw = json.dumps(header, sort_keys=True).encode("utf-8")
-    payload = bytearray()
-    payload += struct.pack("<B", FORMAT_VERSION)
-    payload += struct.pack("<I", len(header_raw))
-    payload += header_raw
+    payload = bytearray(struct.pack("<BI", FORMAT_VERSION, len(header_raw)) + header_raw)
     params = model.parameters()
     payload += struct.pack("<I", len(params))
     for p in params:
-        name_raw = p.name.encode("utf-8")
-        payload += struct.pack("<H", len(name_raw))
-        payload += name_raw
-        payload += struct.pack("<B", p.value.ndim)
-        payload += struct.pack(f"<{p.value.ndim}I", *p.value.shape)
+        payload += _record(p)
         payload += np.ascontiguousarray(p.value, dtype="<f4").tobytes()
     crc = zlib.crc32(bytes(payload))
     with open(path, "wb") as fh:
@@ -240,7 +242,8 @@ def save(model: Model, path) -> None:
 
 
 def load(path) -> Model:
-    """The model in an FSNN file; a header that ``train`` would not write is a SchemaError."""
+    """The model in an FSNN file; a header that ``train`` would not write, or a
+    parameter that holds a NaN or infinite value, is a SchemaError."""
     blob = Path(path).read_bytes()
     if len(blob) < 13 or blob[:4] != MAGIC:
         raise SchemaError(f"{path}: bad magic")
@@ -248,15 +251,11 @@ def load(path) -> Model:
     if zlib.crc32(payload) != stored_crc:
         raise SchemaError(f"{path}: checksum mismatch")
     try:
-        offset = 0
-        (version,) = struct.unpack_from("<B", payload, offset)
-        offset += 1
+        version, header_len = struct.unpack_from("<BI", payload)
         if version != FORMAT_VERSION:
             raise SchemaError(f"{path}: unsupported version {version}")
-        (header_len,) = struct.unpack_from("<I", payload, offset)
-        offset += 4
-        header = json.loads(payload[offset:offset + header_len].decode("utf-8"))
-        offset += header_len
+        offset = 5 + header_len  # past the version byte, the length and the header
+        header = json.loads(payload[5:offset].decode("utf-8"))
         spec = ModelSpec.from_dict(header["spec"])
         if not _is_int(header["seed"]):
             raise SchemaError(f"{path}: seed {header['seed']!r} is not an integer")
@@ -281,22 +280,16 @@ def load(path) -> Model:
         if n_params != len(params):
             raise SchemaError(f"{path}: expected {len(params)} parameters, found {n_params}")
         for p in params:
-            (name_len,) = struct.unpack_from("<H", payload, offset)
-            offset += 2
-            name = payload[offset:offset + name_len].decode("utf-8")
-            offset += name_len
-            if name != p.name:
-                raise SchemaError(f"{path}: parameter order mismatch at {name!r}")
-            (ndim,) = struct.unpack_from("<B", payload, offset)
-            offset += 1
-            shape = struct.unpack_from(f"<{ndim}I", payload, offset)
-            offset += 4 * ndim
-            if shape != p.value.shape:
-                raise SchemaError(f"{path}: shape mismatch for {name!r}")
-            count = int(np.prod(shape))
-            values = np.frombuffer(payload, dtype="<f4", count=count, offset=offset)
-            offset += 4 * count
-            p.value[...] = values.reshape(shape).astype(p.value.dtype)
+            record = _record(p)
+            if payload[offset:offset + len(record)] != record:
+                raise SchemaError(f"{path}: parameter record {p.name!r} does not match "
+                                  f"the {spec.architecture} model of its header")
+            offset += len(record)
+            values = np.frombuffer(payload, dtype="<f4", count=p.value.size, offset=offset)
+            offset += 4 * p.value.size
+            if not np.isfinite(values).all():
+                raise SchemaError(f"{path}: parameter {p.name!r} holds a NaN or infinite value")
+            p.value[...] = values.reshape(p.value.shape)
         if offset != len(payload):
             raise SchemaError(f"{path}: {len(payload) - offset} trailing bytes")
     # ValueError covers json.JSONDecodeError and UnicodeDecodeError; a header spec

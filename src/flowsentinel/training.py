@@ -10,7 +10,6 @@ count) reproduces the run bit-for-bit.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 
@@ -151,82 +150,12 @@ def train(model: Model, X: np.ndarray, y: np.ndarray, *, epochs: int, batch_size
     return history
 
 
-@dataclass
-class MetricsReport:
-    confusion: np.ndarray  # [C, C], rows = true class, cols = predicted
-    class_names: list
-    accuracy: float
-    precision: np.ndarray
-    recall: np.ndarray
-    f1: np.ndarray
-    support: np.ndarray
-    macro_precision: float
-    macro_recall: float
-    macro_f1: float
-    weighted_precision: float
-    weighted_recall: float
-    weighted_f1: float
-    undefined_precision: list  # classes never predicted (P forced to 0)
-    undefined_recall: list  # classes absent from the test set (R forced to 0)
+def metrics_from_confusion(confusion: np.ndarray, class_names) -> dict:
+    """The metrics.json document of a [C, C] confusion matrix (rows = truth).
 
-    def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "confusion": self.confusion.tolist(),
-            "classes": list(self.class_names),
-            "per_class": {
-                name: {
-                    "precision": float(self.precision[i]),
-                    "recall": float(self.recall[i]),
-                    "f1": float(self.f1[i]),
-                    "support": int(self.support[i]),
-                }
-                for i, name in enumerate(self.class_names)
-            },
-            "macro": {
-                "precision": self.macro_precision,
-                "recall": self.macro_recall,
-                "f1": self.macro_f1,
-            },
-            "weighted": {
-                "precision": self.weighted_precision,
-                "recall": self.weighted_recall,
-                "f1": self.weighted_f1,
-            },
-            "undefined_precision_classes": list(self.undefined_precision),
-            "undefined_recall_classes": list(self.undefined_recall),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    def to_text(self) -> str:
-        width = max([len(str(n)) for n in self.class_names] + [8])
-        lines = [
-            f"accuracy: {self.accuracy:.4f}   samples: {int(self.support.sum())}",
-            f"{'class'.ljust(width)}  precision  recall  f1      support",
-        ]
-        for i, name in enumerate(self.class_names):
-            lines.append(
-                f"{str(name).ljust(width)}  {self.precision[i]:.4f}     "
-                f"{self.recall[i]:.4f}  {self.f1[i]:.4f}  {int(self.support[i])}"
-            )
-        lines.append(
-            f"{'macro'.ljust(width)}  {self.macro_precision:.4f}     "
-            f"{self.macro_recall:.4f}  {self.macro_f1:.4f}  {int(self.support.sum())}"
-        )
-        lines.append(
-            f"{'weighted'.ljust(width)}  {self.weighted_precision:.4f}     "
-            f"{self.weighted_recall:.4f}  {self.weighted_f1:.4f}  {int(self.support.sum())}"
-        )
-        return "\n".join(lines)
-
-
-def metrics_from_confusion(confusion: np.ndarray, class_names) -> MetricsReport:
-    """All derived metrics from a [C, C] confusion matrix (rows = truth).
-
-    Undefined ratios (zero denominators) are reported as 0 and the class is
-    flagged, never NaN.
+    Precision, recall and F1 are reported per class, as their plain (macro)
+    mean and as their support-weighted mean. Undefined ratios (zero
+    denominators) are reported as 0 and the class is flagged, never NaN.
     """
     confusion = np.asarray(confusion, dtype=np.int64)
     c = confusion.shape[0]
@@ -238,35 +167,48 @@ def metrics_from_confusion(confusion: np.ndarray, class_names) -> MetricsReport:
     tp = np.diag(confusion).astype(np.float64)
     predicted = confusion.sum(axis=0).astype(np.float64)
     actual = confusion.sum(axis=1).astype(np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        precision = np.where(predicted > 0, tp / np.where(predicted > 0, predicted, 1), 0.0)
-        recall = np.where(actual > 0, tp / np.where(actual > 0, actual, 1), 0.0)
-        pr = precision + recall
-        f1 = np.where(pr > 0, 2.0 * precision * recall / np.where(pr > 0, pr, 1), 0.0)
-    support = actual.astype(np.int64)
+    precision = np.divide(tp, predicted, out=np.zeros(c), where=predicted > 0)
+    recall = np.divide(tp, actual, out=np.zeros(c), where=actual > 0)
+    pr = precision + recall
+    f1 = np.divide(2.0 * precision * recall, pr, out=np.zeros(c), where=pr > 0)
+    scores = {"precision": precision, "recall": recall, "f1": f1}
     weights = actual / total
-    return MetricsReport(
-        confusion=confusion,
-        class_names=list(class_names),
-        accuracy=float(tp.sum() / total),
-        precision=precision,
-        recall=recall,
-        f1=f1,
-        support=support,
-        macro_precision=float(precision.mean()),
-        macro_recall=float(recall.mean()),
-        macro_f1=float(f1.mean()),
-        weighted_precision=float((precision * weights).sum()),
-        weighted_recall=float((recall * weights).sum()),
-        weighted_f1=float((f1 * weights).sum()),
-        undefined_precision=[class_names[i] for i in range(c) if predicted[i] == 0],
-        undefined_recall=[class_names[i] for i in range(c) if actual[i] == 0],
+    return {
+        "accuracy": float(tp.sum() / total),
+        "confusion": confusion.tolist(),
+        "classes": list(class_names),
+        "per_class": {
+            name: {**{key: float(value[i]) for key, value in scores.items()},
+                   "support": int(actual[i])}
+            for i, name in enumerate(class_names)
+        },
+        "macro": {key: float(value.mean()) for key, value in scores.items()},
+        "weighted": {key: float((value * weights).sum()) for key, value in scores.items()},
+        "undefined_precision_classes": [class_names[i] for i in range(c) if predicted[i] == 0],
+        "undefined_recall_classes": [class_names[i] for i in range(c) if actual[i] == 0],
+    }
+
+
+def metrics_text(report: dict) -> str:
+    """The table of a :func:`metrics_from_confusion` document that ``evaluate``
+    prints and writes to metrics.txt."""
+    width = max([len(str(name)) for name in report["classes"]] + [8])
+    samples = sum(map(sum, report["confusion"]))
+    rows = [(name, report["per_class"][name]) for name in report["classes"]]
+    rows += [(key, {**report[key], "support": samples}) for key in ("macro", "weighted")]
+    return "\n".join(
+        [f"accuracy: {report['accuracy']:.4f}   samples: {samples}",
+         f"{'class'.ljust(width)}  precision  recall  f1      support"]
+        + [f"{str(name).ljust(width)}  {scores['precision']:.4f}     "
+           f"{scores['recall']:.4f}  {scores['f1']:.4f}  {scores['support']}"
+           for name, scores in rows]
     )
 
 
 def evaluate(model: Model, X_test: np.ndarray, y_test: np.ndarray,
-             class_names) -> MetricsReport:
-    """Confusion matrix plus accuracy / P / R / F1 on held-out rows."""
+             class_names) -> dict:
+    """The metrics.json document (see :func:`metrics_from_confusion`) of
+    the model's predictions over held-out rows."""
     X_test = np.asarray(X_test, dtype=np.float32)
     y_test = np.asarray(y_test, dtype=np.int64)
     if X_test.shape[0] == 0:

@@ -280,7 +280,7 @@ def _end_to_end(arch: str, mode: ClassificationMode, batch_size: int) -> float:
     model = build(ModelSpec(arch, mode), seed=0)
     train(model, X_train, y[split.train], epochs=20, batch_size=batch_size,
           learning_rate=DEFAULT_LEARNING_RATES[arch])
-    return evaluate(model, X_test, y[split.test], vocab.classes).accuracy
+    return evaluate(model, X_test, y[split.test], vocab.classes)["accuracy"]
 
 
 @pytest.mark.parametrize(
@@ -346,8 +346,8 @@ def test_real_corpus_reproduction(arch, mode):
     target = PUBLISHED_ACCURACY[(arch, mode)]
     announce(
         f"real corpus ({arch}/{mode}): accuracy within 1.0 point of {target}",
-        abs(report.accuracy * 100.0 - target) <= 1.0,
-        f"accuracy {report.accuracy * 100.0:.2f}%",
+        abs(report["accuracy"] * 100.0 - target) <= 1.0,
+        f"accuracy {report['accuracy'] * 100.0:.2f}%",
     )
 
 
@@ -437,27 +437,29 @@ def test_feature_importance_sanity():
 
 def test_metrics_oracle():
     report = metrics_from_confusion(np.array([[40, 10], [5, 45]]), ["a", "b"])
+    b = report["per_class"]["b"]
     hand_ok = (
-        abs(report.accuracy - 0.85) < 1e-12
-        and abs(report.precision[1] - 45 / 55) < 1e-12
-        and abs(report.recall[1] - 0.9) < 1e-12
-        and abs(report.f1[1] - 0.8571) < 1e-4
-        and abs(report.precision[1] - 0.8182) < 1e-4
+        abs(report["accuracy"] - 0.85) < 1e-12
+        and abs(b["precision"] - 45 / 55) < 1e-12
+        and abs(b["recall"] - 0.9) < 1e-12
+        and abs(b["f1"] - 0.8571) < 1e-4
+        and abs(b["precision"] - 0.8182) < 1e-4
     )
     perfect = metrics_from_confusion(np.array([[50, 0], [0, 50]]), ["a", "b"])
-    perfect_ok = perfect.accuracy == 1.0 and np.all(perfect.f1 == 1.0)
+    perfect_ok = perfect["accuracy"] == 1.0 and all(
+        row["f1"] == 1.0 for row in perfect["per_class"].values())
     degenerate = metrics_from_confusion(np.array([[30, 0], [0, 0]]), ["only", "ghost"])
     degenerate_ok = (
-        degenerate.accuracy == 1.0
-        and np.all(np.isfinite(degenerate.f1))
-        and "ghost" in degenerate.undefined_precision
-        and "ghost" in degenerate.undefined_recall
+        degenerate["accuracy"] == 1.0
+        and all(np.isfinite(row["f1"]) for row in degenerate["per_class"].values())
+        and "ghost" in degenerate["undefined_precision_classes"]
+        and "ghost" in degenerate["undefined_recall_classes"]
     )
     announce(
         "metrics: confusion [[40,10],[5,45]] and edge cases",
         hand_ok and perfect_ok and degenerate_ok,
-        f"acc {report.accuracy}, P1 {report.precision[1]:.4f}, "
-        f"R1 {report.recall[1]:.1f}, F1 {report.f1[1]:.4f}",
+        f"acc {report['accuracy']}, P1 {b['precision']:.4f}, "
+        f"R1 {b['recall']:.1f}, F1 {b['f1']:.4f}",
     )
 
 

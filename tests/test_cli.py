@@ -28,6 +28,7 @@ from flowsentinel.data import (
     iter_flows,
     read_cache,
     schema,
+    write_cache,
     write_fixture_csv,
 )
 from flowsentinel.errors import MissingInputError
@@ -885,6 +886,49 @@ class TestNoTraceback:
         for artefact in ("model.fsnn", "history.csv", "manifest.json", "features.txt",
                          "importance.csv", "metrics.json"):
             assert not (workdir / artefact).exists()
+
+    @pytest.mark.parametrize("fault", ["class-index", "nan", "inf"])
+    def test_cache_contents_ingest_never_writes_exit_3(self, workdir, binary_model, capsys,
+                                                        fault):
+        # a cache rewritten by write_cache, so its layout and sidecar are sound
+        path = workdir / "dataset.fsds"
+        X, y, names, _, meta = read_cache(path)
+        X, y = X.copy(), y.copy()
+        if fault == "class-index":
+            y[5] = 7  # a binary cache has classes 0 and 1
+        else:
+            X[5, names.index(canonical_top20()[0])] = float(fault)
+        write_cache(path, X, y, names, meta=meta)
+        before = sorted(workdir.iterdir())
+        for command in self.READERS:
+            argv = [arg.format(model=binary_model) for arg in command]
+            assert run(*argv, "--out", str(workdir)) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == len(self.READERS)
+        assert all(ln.startswith(f"error: {path}: ") for ln in lines)
+        assert sorted(workdir.iterdir()) == before
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_model_parameter_exit_3(self, binary_model, tmp_path, fixture_csv,
+                                               capsys, value):
+        model = load(binary_model)
+        model.layers[-1].weight.value[0, 0] = value
+        path = tmp_path / "edited.fsnn"
+        save(model, path)  # under a valid CRC, as train never writes it
+        out = tmp_path / "out"  # a cache that evaluate would score the model on
+        assert run("ingest", "--data", str(fixture_csv), "--mode", "binary",
+                   "--out", str(out)) == 0
+        capsys.readouterr()
+        before = sorted(out.iterdir())
+        assert run("predict", "--model", str(path), "--input", str(fixture_csv),
+                   "--out", str(out)) == 3
+        assert run("evaluate", "--model", str(path), "--out", str(out)) == 3
+        assert run("inspect", "--model", str(path)) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 3
+        assert all(ln == f"error: {path}: parameter 'head/W' holds a NaN or infinite value"
+                   for ln in lines)
+        assert sorted(out.iterdir()) == before
 
     def test_not_utf8_in_a_process(self, binary_model, tmp_path, fixture_csv):
         data = self.not_utf8(tmp_path, fixture_csv)

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import io
+import re
 import tracemalloc
 
 import numpy as np
@@ -501,6 +502,22 @@ class TestCache:
         path = tmp_path / "d.fsds"
         path.write_bytes(b"NOPE" + bytes(40))
         with pytest.raises(SchemaError):
+            read_cache(path)
+
+    @pytest.mark.parametrize("fault,message", [
+        ("class-index", "class index 34 is not an index into the 34 classes"),
+        ("nan", "NaN or infinite"), ("inf", "NaN or infinite"), ("-inf", "NaN or infinite"),
+    ], ids=["class-index", "nan", "inf", "-inf"])
+    def test_contents_ingest_never_writes_rejected(self, tmp_path, fault, message):
+        X = np.ones((4, 3), dtype=np.float32)
+        y = np.array([0, 33, 1, 2])
+        if fault == "class-index":
+            y[1] = 34
+        else:
+            X[2, 1] = float(fault)
+        path = tmp_path / "d.fsds"
+        write_cache(path, X, y, ["a", "b", "c"], MULTI_META)
+        with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}: .*{message}"):
             read_cache(path)
 
     def test_deterministic_bytes(self, tmp_path):

@@ -1,6 +1,8 @@
 """Model construction, shape chain, parameter counts, prediction, FSNN files."""
 
+import struct
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -285,6 +287,23 @@ class TestSerialization:
         blob[100] ^= 0xFF
         path.write_bytes(bytes(blob))
         with pytest.raises(SchemaError):
+            load(path)
+
+    @pytest.mark.parametrize("edit", ["name", "rank", "dim"])
+    def test_parameter_record_unlike_the_header_model_rejected(self, tmp_path, edit):
+        model = build(spec_of("cnn", "binary"), seed=0)
+        path = tmp_path / "model.fsnn"
+        save(with_header(model), path)
+        payload = bytearray(path.read_bytes()[4:-4])
+        at = payload.index(b"head/W") + len(b"head/W")  # the record's rank byte
+        if edit == "name":
+            payload[at - 1] = ord("X")
+        elif edit == "rank":
+            payload[at] += 1
+        else:
+            payload[at + 1] += 1  # the first dim's low byte
+        path.write_bytes(b"FSNN" + payload + struct.pack("<I", zlib.crc32(payload)))
+        with pytest.raises(SchemaError, match="parameter record 'head/W' does not match"):
             load(path)
 
     def test_bad_magic_rejected(self, tmp_path):

@@ -13,6 +13,7 @@ from flowsentinel.training import (
     evaluate,
     export_history,
     metrics_from_confusion,
+    metrics_text,
     train,
 )
 
@@ -92,36 +93,43 @@ class TestTrain:
         assert history.final().train_acc > 0.9
 
 
+def per_class(report: dict, key: str) -> np.ndarray:
+    """One score of every class of a metrics document, in class index order."""
+    return np.array([report["per_class"][name][key] for name in report["classes"]])
+
+
 class TestMetrics:
     def test_perfect_predictor(self):
         report = metrics_from_confusion(np.array([[50, 0], [0, 50]]), ["neg", "pos"])
-        assert report.accuracy == 1.0
-        assert np.all(report.precision == 1.0)
-        assert np.all(report.recall == 1.0)
-        assert np.all(report.f1 == 1.0)
+        assert report["accuracy"] == 1.0
+        assert np.all(per_class(report, "precision") == 1.0)
+        assert np.all(per_class(report, "recall") == 1.0)
+        assert np.all(per_class(report, "f1") == 1.0)
 
     def test_hand_computed_confusion(self):
         report = metrics_from_confusion(np.array([[40, 10], [5, 45]]), ["a", "b"])
-        assert report.accuracy == pytest.approx(0.85)
-        assert report.precision[1] == pytest.approx(45 / 55, abs=1e-4)
-        assert report.recall[1] == pytest.approx(0.9)
-        assert report.f1[1] == pytest.approx(2 * (45 / 55) * 0.9 / ((45 / 55) + 0.9), abs=1e-4)
-        assert report.f1[1] == pytest.approx(0.8571, abs=1e-4)
-        assert report.support.tolist() == [50, 50]
+        b = report["per_class"]["b"]
+        assert report["accuracy"] == pytest.approx(0.85)
+        assert b["precision"] == pytest.approx(45 / 55, abs=1e-4)
+        assert b["recall"] == pytest.approx(0.9)
+        assert b["f1"] == pytest.approx(2 * (45 / 55) * 0.9 / ((45 / 55) + 0.9), abs=1e-4)
+        assert b["f1"] == pytest.approx(0.8571, abs=1e-4)
+        assert per_class(report, "support").tolist() == [50, 50]
 
     def test_degenerate_class_flagged_not_nan(self):
         # class 1 never appears and is never predicted
         report = metrics_from_confusion(np.array([[30, 0], [0, 0]]), ["only", "ghost"])
-        assert report.accuracy == 1.0
-        assert report.precision[1] == 0.0 and report.recall[1] == 0.0
-        assert "ghost" in report.undefined_precision
-        assert "ghost" in report.undefined_recall
-        assert np.all(np.isfinite(report.f1))
+        ghost = report["per_class"]["ghost"]
+        assert report["accuracy"] == 1.0
+        assert ghost["precision"] == 0.0 and ghost["recall"] == 0.0
+        assert "ghost" in report["undefined_precision_classes"]
+        assert "ghost" in report["undefined_recall_classes"]
+        assert np.all(np.isfinite(per_class(report, "f1")))
 
     def test_macro_equals_per_class_when_identical(self):
         report = metrics_from_confusion(np.array([[40, 10], [10, 40]]), ["a", "b"])
-        assert report.macro_f1 == pytest.approx(report.f1[0])
-        assert report.macro_f1 <= 1.0
+        assert report["macro"]["f1"] == pytest.approx(report["per_class"]["a"]["f1"])
+        assert report["macro"]["f1"] <= 1.0
 
     def test_confusion_total_equals_samples_all_regimes(self, np_rng):
         for mode, arch in ((ClassificationMode.BINARY, "cnn"),
@@ -132,8 +140,8 @@ class TestMetrics:
             X = np_rng.uniform(size=(50, 20)).astype(np.float32)
             y = np_rng.integers(0, n_classes, size=50)
             report = evaluate(model, X, y, build_vocabulary(mode).classes)
-            assert report.confusion.sum() == 50
-            assert report.confusion.shape == (n_classes, n_classes)
+            assert np.sum(report["confusion"]) == 50
+            assert np.shape(report["confusion"]) == (n_classes, n_classes)
 
     def test_confusion_accuracy_matches_direct_comparison(self, np_rng):
         model = build(ModelSpec("cnn", ClassificationMode.GROUPED), seed=1)
@@ -141,7 +149,7 @@ class TestMetrics:
         y = np_rng.integers(0, 8, size=64)
         report = evaluate(model, X, y, build_vocabulary(ClassificationMode.GROUPED).classes)
         direct = float((model.predict(X) == y).mean())
-        assert report.accuracy == pytest.approx(direct)
+        assert report["accuracy"] == pytest.approx(direct)
 
     def test_empty_test_set_rejected(self):
         model = build(ModelSpec("cnn", ClassificationMode.BINARY), seed=0)
@@ -150,10 +158,9 @@ class TestMetrics:
 
     def test_report_serializes(self):
         report = metrics_from_confusion(np.array([[40, 10], [5, 45]]), ["a", "b"])
-        as_dict = report.to_dict()
-        assert as_dict["accuracy"] == pytest.approx(0.85)
-        assert as_dict["per_class"]["b"]["recall"] == pytest.approx(0.9)
-        text = report.to_text()
+        assert report["accuracy"] == pytest.approx(0.85)
+        assert report["per_class"]["b"]["recall"] == pytest.approx(0.9)
+        text = metrics_text(report)
         assert "accuracy: 0.8500" in text
         assert "macro" in text and "weighted" in text
 
@@ -170,7 +177,7 @@ def test_batch_boundaries_do_not_change_results(arch, mode, monkeypatch):
     pred = model.predict(X)
     assert len(np.unique(pred)) > 1
     classes = build_vocabulary(model.spec.mode).classes
-    confusion = evaluate(model, X, y, classes).confusion
+    confusion = evaluate(model, X, y, classes)["confusion"]
     loss, acc = _batched_eval(model, X, y)
 
     rows = []
@@ -184,7 +191,7 @@ def test_batch_boundaries_do_not_change_results(arch, mode, monkeypatch):
     monkeypatch.setattr(models, "INFERENCE_BATCH_ROWS", 7)
     assert np.array_equal(model.predict(X), pred)
     assert rows == [7, 7, 6]
-    assert np.array_equal(evaluate(model, X, y, classes).confusion, confusion)
+    assert np.array_equal(evaluate(model, X, y, classes)["confusion"], confusion)
     split_loss, split_acc = _batched_eval(model, X, y)
     assert split_acc == acc
     assert split_loss == pytest.approx(loss, abs=1e-6)

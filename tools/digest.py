@@ -11,11 +11,11 @@ exit code and stderr of every step. The matrix:
 * ``select --recompute-importance`` on the subsampled cache, then the same
   command again with the child pinned to one CPU (step ``select-1cpu``, whose
   ``importance.csv`` must hash the same as ``select``'s);
-* ``train`` (2 epochs), ``evaluate`` and ``predict`` for cnn and lstm in all
-  three modes, predicting over 4,097 rows (more than one inference batch),
-  over 513 rows (which end in a one-row chunk at 512 rows per chunk, and
-  not at 4,096, so a chunk-size change can show; see ``FIXTURES``) and over
-  one row;
+* ``train`` (2 epochs), ``evaluate`` (its metrics.json and its metrics.txt
+  table) and ``predict`` for cnn and lstm in all three modes, predicting
+  over 4,097 rows (more than one inference batch), over 513 rows (which end
+  in a one-row chunk at 512 rows per chunk, and not at 4,096, so a
+  chunk-size change can show; see ``FIXTURES``) and over one row;
 * ``probs`` for each trained model: the float32 bytes of the probabilities
   that the tree's ``Model.batches`` returns over the scaled ``new``, ``mid``
   and ``one`` inputs, one file each, so that a change of any bit of inference
@@ -193,7 +193,7 @@ def matrix():
                                           "--seed", SEED, "--out", out],
                  [model, f"{out}/history.csv", f"{out}/manifest.json"]),
                 (f"evaluate-{arch}-{mode}", ["evaluate", "--model", model, "--out", out],
-                 [f"{out}/metrics.json"]),
+                 [f"{out}/metrics.json", f"{out}/metrics.txt"]),
             ]
             for name in PREDICTED:
                 pred = f"{out}/predict-{arch}-{name}"
@@ -213,7 +213,7 @@ def matrix():
                          "binary", "--subsample", 0.5, "--seed", SEED, "--out", "runs/half"],
          [f"runs/half/{name}" for name in CACHE]),
         ("evaluate-half", ["evaluate", "--model", "runs/binary/model.fsnn", "--out", "runs/half"],
-         ["runs/half/metrics.json"]),
+         ["runs/half/metrics.json", "runs/half/metrics.txt"]),
     ]
     return steps
 
