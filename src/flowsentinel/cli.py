@@ -5,7 +5,8 @@ over config values. Every command is deterministic given identical inputs
 and seeds, and ``train`` writes a manifest sufficient to replay the run.
 ``train`` takes its feature list from ``features.txt`` in the run directory,
 or the canonical top 20 without one; ``evaluate`` and ``predict`` take the
-seed, feature list and class names from the model file alone.
+architecture, mode, seed, feature list, class names and normalizer from the
+model file alone, and ``inspect`` prints that header.
 
 Exit codes are a stable contract:
 
@@ -20,9 +21,10 @@ Exit codes are a stable contract:
     3  schema error (missing column, an input CSV that is not UTF-8, a corrupt
        cache or model file, a cache sidecar or cache contents that ingest
        would not write (a class index outside the sidecar's classes, a NaN or
-       infinite feature), a model header that train would not write, a model
-       parameter that holds a NaN or infinity, or a predict input row with a
-       non-numeric, NaN or infinite feature)
+       infinite feature), a model header that train would not write (among
+       them one whose class names repeat), a model parameter that holds a
+       NaN or infinity, or a predict input row with a non-numeric, NaN or
+       infinite feature)
     4  numeric failure (non-finite loss or gradient)
     5  artifact mismatch: a classification mode that differs between
        artifacts, or an ``evaluate`` cache other than the one the model records
@@ -72,7 +74,7 @@ from .features import (
     export_importance_csv,
     fit_forest,
 )
-from .models import ModelSpec, build, load, save
+from .models import build, load, model_header, save
 from .training import DEFAULT_LEARNING_RATES, evaluate, export_history, metrics_text, train
 
 # glibc's mallopt parameters, and its 64-bit ceiling for the mmap threshold
@@ -309,9 +311,8 @@ def cmd_train(config: RunConfig) -> int:
     stats = fit_normalizer(X_train)
     X_train = apply_normalizer(X_train, stats)
     X_test = apply_normalizer(X_test, stats)
-    spec = ModelSpec(architecture=config.arch, mode=mode, input_features=len(feature_names))
-    model = build(spec, seed=config.seed)  # the split seed, which evaluate reads back
-    model.feature_names = list(feature_names)
+    # the split seed, which evaluate reads back
+    model = build(config.arch, mode, feature_names, seed=config.seed)
     model.class_names = meta["classes"]
     model.normalizer = stats
     model.cache_sha256 = cache_sha256
@@ -363,8 +364,8 @@ def cmd_evaluate(config: RunConfig, model_path: str) -> int:
             f"{model_path}; evaluate scores the rows that training held out"
         )
     X, y, cache_columns, sha256, meta = read_cache(cache_path)
-    if meta["mode"] != model.spec.mode.value:
-        raise MismatchError(f"model mode {model.spec.mode.value!r} != cache mode {meta['mode']!r}")
+    if meta["mode"] != model.mode.value:
+        raise MismatchError(f"model mode {model.mode.value!r} != cache mode {meta['mode']!r}")
     if sha256 != model.cache_sha256:
         raise MismatchError(
             f"{cache_path} (sha256 {sha256[:12]}) is not the cache the model was trained on "
@@ -412,13 +413,7 @@ def cmd_predict(config: RunConfig, model_path: str, input_path: str) -> int:
 
 def cmd_inspect(model_path: str) -> int:
     model = load(model_path)
-    info = {
-        "spec": model.spec.to_dict(),
-        "seed": model.rng_seed,
-        "parameter_count": model.parameter_count(),
-        "features": model.feature_names,
-        "classes": model.class_names,
-    }
+    info = {**model_header(model), "parameter_count": model.parameter_count()}
     _emit(json.dumps(info, indent=2, sort_keys=True))
     return 0
 

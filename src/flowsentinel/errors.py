@@ -14,7 +14,8 @@ class FlowSentinelError(Exception):
 
 
 class ConfigError(FlowSentinelError):
-    """A run configuration value or a model specification violates its constraints."""
+    """A run configuration value, or an architecture or feature list given to
+    ``models.build``, violates its constraints."""
 
     exit_code = 1
 
@@ -45,9 +46,9 @@ class MismatchError(FlowSentinelError):
 
 class ShapeMismatchError(FlowSentinelError):
     """Arrays that do not fit: a batch given to a model that is not
-    [rows, input_features] (``Model._frame``), or an X and y of different row
-    counts given to ``train`` or the forest (``check_inputs``), whose X must
-    also be 2-D."""
+    [rows, len(feature_names)] (``Model._frame``), or an X and y of different
+    row counts given to ``train`` or the forest (``check_inputs``), whose X
+    must also be 2-D."""
 
 
 class MissingCacheError(FlowSentinelError):

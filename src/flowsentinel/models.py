@@ -1,22 +1,25 @@
 """The two classifier architectures, built declaratively over 20 flow features.
 
 CNN:  conv(32, k=3) -> relu -> pool(2) -> conv(64, k=3) -> relu -> pool(2)
-      -> flatten -> dense(output_units)
+      -> flatten -> dense(units)
       consuming the feature vector as a 1-channel, length-20 signal
       (lengths 20 -> 18 -> 9 -> 7 -> 3, flatten 192).
 
-LSTM: lstm(64, sequences) -> dropout -> lstm(64, last) -> dropout
-      -> dense(output_units)
+LSTM: lstm(64, sequences) -> dropout(0.2) -> lstm(64, last) -> dropout(0.2)
+      -> dense(units)
       consuming the feature vector as a 20-step univariate sequence.
 
-Binary mode uses a single sigmoid unit; grouped/multi use a softmax head.
+Binary mode uses a single sigmoid unit; grouped/multi use a softmax head of
+one unit per class. A model is built from three facts: its architecture, its
+classification mode and its feature list, whose length is its input width.
 ``forward`` returns probabilities; the training loop turns them into the
 fused loss gradient w.r.t. the logits and feeds it straight to the head.
 
 Model files (FSNN) are self-contained for deployment: besides the layer
-parameters they carry the feature list, class names, the train-fitted
-min-max normalizer and the sha256 of the dataset cache the model was trained
-on, guarded by a CRC-32 of everything after the magic.
+parameters, their JSON header (:func:`model_header`) carries the
+architecture, mode, seed, feature list, class names, the train-fitted min-max
+normalizer and the sha256 of the dataset cache the model was trained on, each
+once; a CRC-32 guards everything after the magic.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .nn import LSTM, Conv1D, Dense, Dropout, Flatten, MaxPool1D, ReLU, sigmoid,
 from .rng import Rng
 
 MAGIC = b"FSNN"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 ARCHITECTURES = ("cnn", "lstm")
 
@@ -52,62 +55,20 @@ CNN_CONV_FILTERS = (32, 64)
 CNN_KERNEL_SIZE = 3
 CNN_POOL_SIZE = 2
 LSTM_UNITS = 64
-DEFAULT_DROPOUT = 0.2
+DROPOUT_RATE = 0.2
 
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-@dataclass(frozen=True)
-class ModelSpec:
-    architecture: str  # "cnn" | "lstm"
-    mode: ClassificationMode
-    input_features: int = CNN_INPUT_LENGTH
-    dropout_rate: float = DEFAULT_DROPOUT
-
-    def __post_init__(self):
-        if self.architecture not in ARCHITECTURES:
-            raise ConfigError(f"unknown architecture {self.architecture!r}")
-        if not _is_int(self.input_features) or self.input_features < 1:
-            raise ConfigError(f"input_features {self.input_features!r} is not a positive int")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ConfigError("dropout_rate must be in [0, 1)")
-
-    @property
-    def output_units(self) -> int:
-        return 1 if self.mode is ClassificationMode.BINARY else self.mode.class_count
-
-    @property
-    def output_activation(self) -> str:
-        return "sigmoid" if self.mode is ClassificationMode.BINARY else "softmax"
-
-    def to_dict(self) -> dict:
-        return {
-            "architecture": self.architecture,
-            "mode": self.mode.value,
-            "input_features": self.input_features,
-            "dropout_rate": self.dropout_rate,
-            "output_units": self.output_units,
-            "output_activation": self.output_activation,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelSpec":
-        return cls(
-            architecture=d["architecture"],
-            mode=ClassificationMode(d["mode"]),
-            input_features=d["input_features"],
-            dropout_rate=d["dropout_rate"],
-        )
-
-
 @dataclass
 class Model:
-    spec: ModelSpec
+    architecture: str  # "cnn" | "lstm"
+    mode: ClassificationMode
     layers: list
     rng_seed: int
-    feature_names: list = field(default_factory=list)
+    feature_names: list  # the model's input columns, in order; its width
     class_names: list = field(default_factory=list)
     normalizer: FeatureStats | None = None
     cache_sha256: str | None = None  # the dataset cache trained on
@@ -123,11 +84,10 @@ class Model:
 
     def _frame(self, batch: np.ndarray) -> np.ndarray:
         batch = np.asarray(batch)
-        if batch.ndim != 2 or batch.shape[1] != self.spec.input_features:
-            raise ShapeMismatchError(
-                f"expected [batch, {self.spec.input_features}] input, got {batch.shape}"
-            )
-        if self.spec.architecture == "cnn":
+        width = len(self.feature_names)
+        if batch.ndim != 2 or batch.shape[1] != width:
+            raise ShapeMismatchError(f"expected [batch, {width}] input, got {batch.shape}")
+        if self.architecture == "cnn":
             return batch[:, None, :]  # one channel, length-20 signal
         return batch[:, :, None]  # 20 steps, one input dimension
 
@@ -137,7 +97,7 @@ class Model:
         h = self._frame(batch).astype(self.layers[-1].weight.value.dtype, copy=False)
         for layer in self.layers:
             h = layer.forward(h, training=training)
-        if self.spec.output_activation == "sigmoid":
+        if self.mode is ClassificationMode.BINARY:
             return sigmoid(h)
         return softmax(h, axis=-1)
 
@@ -153,7 +113,7 @@ class Model:
         (ties resolve to the lowest index); the confidence is the probability
         of the chosen class.
         """
-        if self.spec.mode is ClassificationMode.BINARY:
+        if self.mode is ClassificationMode.BINARY:
             p = probs[:, 0]
             attack = p >= 0.5
             return attack.astype(np.int64), np.where(attack, p, 1.0 - p)
@@ -173,12 +133,18 @@ class Model:
         return classes
 
 
-def build(spec: ModelSpec, seed: int = 0) -> Model:
-    """Instantiate a model with Glorot-uniform weights, deterministic in seed;
-    the LSTM's dropout layers share one mask stream, ``Rng(seed).spawn("dropout")``."""
+def build(architecture: str, mode: ClassificationMode, feature_names, seed: int = 0) -> Model:
+    """Instantiate a model over ``feature_names``, whose count is its input
+    width, with Glorot-uniform weights, deterministic in seed; the LSTM's
+    dropout layers share one mask stream, ``Rng(seed).spawn("dropout")``."""
+    if architecture not in ARCHITECTURES:
+        raise ConfigError(f"unknown architecture {architecture!r}")
+    if not feature_names:
+        raise ConfigError("a model needs a non-empty list of features")
+    units = 1 if mode is ClassificationMode.BINARY else mode.class_count
     rng = Rng(seed).spawn("init")
-    if spec.architecture == "cnn":
-        length = spec.input_features
+    if architecture == "cnn":
+        length = len(feature_names)
         layers = []
         in_channels = 1
         for i, filters in enumerate(CNN_CONV_FILTERS):
@@ -192,20 +158,33 @@ def build(spec: ModelSpec, seed: int = 0) -> Model:
                 raise ConfigError(f"pool{i} output collapsed to {length}")
             in_channels = filters
         flatten_len = in_channels * length
-        if spec.input_features == CNN_INPUT_LENGTH:
+        if len(feature_names) == CNN_INPUT_LENGTH:
             assert flatten_len == 192, f"shape chain broken: flatten {flatten_len}"
         layers.append(Flatten())
-        layers.append(Dense(flatten_len, spec.output_units, rng.spawn("head"), name="head"))
+        layers.append(Dense(flatten_len, units, rng.spawn("head"), name="head"))
     else:
         masks = Rng(seed).spawn("dropout")
         layers = [
             LSTM(1, LSTM_UNITS, rng.spawn("lstm0"), return_sequences=True, name="lstm0"),
-            Dropout(spec.dropout_rate, masks),
+            Dropout(DROPOUT_RATE, masks),
             LSTM(LSTM_UNITS, LSTM_UNITS, rng.spawn("lstm1"), return_sequences=False, name="lstm1"),
-            Dropout(spec.dropout_rate, masks),
-            Dense(LSTM_UNITS, spec.output_units, rng.spawn("head"), name="head"),
+            Dropout(DROPOUT_RATE, masks),
+            Dense(LSTM_UNITS, units, rng.spawn("head"), name="head"),
         ]
-    return Model(spec=spec, layers=layers, rng_seed=seed)
+    return Model(architecture, mode, layers, seed, list(feature_names))
+
+
+def model_header(model: Model) -> dict:
+    """The FSNN header: every fact of the model but its parameters."""
+    return {
+        "architecture": model.architecture,
+        "mode": model.mode.value,
+        "seed": model.rng_seed,
+        "features": list(model.feature_names),
+        "classes": list(model.class_names),
+        "normalizer": model.normalizer.to_dict() if model.normalizer else None,
+        "cache_sha256": model.cache_sha256,
+    }
 
 
 def _record(p) -> bytes:
@@ -219,15 +198,7 @@ def _record(p) -> bytes:
 
 def save(model: Model, path) -> None:
     """Write an FSNN model file (see module docstring for the layout)."""
-    header = {
-        "spec": model.spec.to_dict(),
-        "seed": model.rng_seed,
-        "features": list(model.feature_names),
-        "classes": list(model.class_names),
-        "normalizer": model.normalizer.to_dict() if model.normalizer else None,
-        "cache_sha256": model.cache_sha256,
-    }
-    header_raw = json.dumps(header, sort_keys=True).encode("utf-8")
+    header_raw = json.dumps(model_header(model), sort_keys=True).encode("utf-8")
     payload = bytearray(struct.pack("<BI", FORMAT_VERSION, len(header_raw)) + header_raw)
     params = model.parameters()
     payload += struct.pack("<I", len(params))
@@ -256,21 +227,25 @@ def load(path) -> Model:
             raise SchemaError(f"{path}: unsupported version {version}")
         offset = 5 + header_len  # past the version byte, the length and the header
         header = json.loads(payload[5:offset].decode("utf-8"))
-        spec = ModelSpec.from_dict(header["spec"])
         if not _is_int(header["seed"]):
             raise SchemaError(f"{path}: seed {header['seed']!r} is not an integer")
-        model = build(spec, seed=header["seed"])
-        for key, count in (("features", spec.input_features), ("classes", spec.mode.class_count)):
+        for key in ("features", "classes"):
             names = header.get(key)
-            if not (isinstance(names, list) and len(names) == count
-                    and all(isinstance(name, str) for name in names)):
-                raise SchemaError(f"{path}: '{key}' is not a list of {count} names")
-        model.feature_names, model.class_names = header["features"], header["classes"]
+            if not (isinstance(names, list) and all(isinstance(name, str) for name in names)):
+                raise SchemaError(f"{path}: '{key}' is not a list of names")
+        mode = ClassificationMode(header["mode"])
+        classes = header["classes"]
+        if len(classes) != mode.class_count or len(set(classes)) != len(classes):
+            raise SchemaError(f"{path}: 'classes' is not a list of {mode.class_count} "
+                              f"distinct names")
+        model = build(header["architecture"], mode, header["features"], seed=header["seed"])
+        model.class_names = classes
         if header.get("normalizer") is None:
             raise SchemaError(f"{path}: model carries no normalizer")
         model.normalizer = FeatureStats.from_dict(header["normalizer"])
-        if model.normalizer.minimum.shape != (spec.input_features,):
-            raise SchemaError(f"{path}: normalizer does not have {spec.input_features} features")
+        width = len(model.feature_names)
+        if model.normalizer.minimum.shape != (width,):
+            raise SchemaError(f"{path}: normalizer does not have {width} features")
         model.cache_sha256 = header.get("cache_sha256")
         if not isinstance(model.cache_sha256, str):
             raise SchemaError(f"{path}: cache_sha256 {model.cache_sha256!r} is not a string")
@@ -283,7 +258,7 @@ def load(path) -> Model:
             record = _record(p)
             if payload[offset:offset + len(record)] != record:
                 raise SchemaError(f"{path}: parameter record {p.name!r} does not match "
-                                  f"the {spec.architecture} model of its header")
+                                  f"the {model.architecture} model of its header")
             offset += len(record)
             values = np.frombuffer(payload, dtype="<f4", count=p.value.size, offset=offset)
             offset += 4 * p.value.size
@@ -292,8 +267,8 @@ def load(path) -> Model:
             p.value[...] = values.reshape(p.value.shape)
         if offset != len(payload):
             raise SchemaError(f"{path}: {len(payload) - offset} trailing bytes")
-    # ValueError covers json.JSONDecodeError and UnicodeDecodeError; a header spec
-    # that ModelSpec or build refuses (ConfigError) is a corrupt file too
+    # ValueError covers json.JSONDecodeError, UnicodeDecodeError and an unknown
+    # mode; a header that build refuses (ConfigError) is a corrupt file too
     except (struct.error, KeyError, TypeError, ValueError, ConfigError) as exc:
         raise SchemaError(f"{path}: malformed payload ({exc})") from exc
     return model

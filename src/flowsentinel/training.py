@@ -54,22 +54,22 @@ class TrainHistory:
 
 
 def _check_mode(model: Model, y: np.ndarray) -> None:
-    n_classes = model.spec.mode.class_count
+    n_classes = model.mode.class_count
     if y.size and (y.min() < 0 or y.max() >= n_classes):
         raise MismatchError(
             f"labels span [{y.min()}, {y.max()}] but model mode "
-            f"{model.spec.mode.value!r} expects [0, {n_classes})"
+            f"{model.mode.value!r} expects [0, {n_classes})"
         )
 
 
 def _batch_loss(model: Model, probs: np.ndarray, y: np.ndarray) -> float:
-    if model.spec.mode is ClassificationMode.BINARY:
+    if model.mode is ClassificationMode.BINARY:
         return binary_cross_entropy(probs[:, 0], y)
     return sparse_categorical_cross_entropy(probs, y)
 
 
 def _logit_grad(model: Model, probs: np.ndarray, y: np.ndarray) -> np.ndarray:
-    if model.spec.mode is ClassificationMode.BINARY:
+    if model.mode is ClassificationMode.BINARY:
         return binary_logit_grad(probs, y)
     return sparse_categorical_logit_grad(probs, y)
 
@@ -214,7 +214,7 @@ def evaluate(model: Model, X_test: np.ndarray, y_test: np.ndarray,
     if X_test.shape[0] == 0:
         raise MissingInputError("empty test set")
     _check_mode(model, y_test)
-    n_classes = model.spec.mode.class_count
+    n_classes = model.mode.class_count
     confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
     np.add.at(confusion, (y_test, model.predict(X_test)), 1)
     return metrics_from_confusion(confusion, class_names)

@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+# twenty feature names: the input width of every model a test builds
+FEATURES = [f"f{i}" for i in range(20)]
+
 
 def central_difference(loss_fn, array, h=1e-5):
     """Forward-only finite-difference gradient; never touches backward()."""

@@ -43,7 +43,7 @@ from flowsentinel.features import (
     fit_forest,
     fit_tree,
 )
-from flowsentinel.models import ModelSpec, build, load, save
+from flowsentinel.models import build, load, save
 from flowsentinel.nn import (
     LSTM,
     Adam,
@@ -156,7 +156,7 @@ def test_gradient_correctness_losses():
 
 
 def test_gradient_correctness_full_cnn_composite():
-    model = as_float64(build(ModelSpec("cnn", ClassificationMode.BINARY), seed=5))
+    model = as_float64(build("cnn", ClassificationMode.BINARY, canonical_top20(), seed=5))
     x = np.random.default_rng(3).uniform(0.05, 0.95, size=(1, 20))
     y = np.array([1])
 
@@ -181,7 +181,7 @@ def test_gradient_correctness_full_cnn_composite():
 
 
 def test_shape_pipeline_and_parameter_counts():
-    model = build(ModelSpec("cnn", ClassificationMode.BINARY), seed=0)
+    model = build("cnn", ClassificationMode.BINARY, canonical_top20(), seed=0)
     lengths = [20]
     for layer in model.layers:
         if isinstance(layer, Conv1D):
@@ -191,7 +191,8 @@ def test_shape_pipeline_and_parameter_counts():
     chain_ok = lengths == [20, 18, 9, 7, 3]
     flatten_ok = model.layers[-1].in_features == 192
     cnn_count = model.parameter_count()
-    lstm_count = build(ModelSpec("lstm", ClassificationMode.BINARY), seed=0).parameter_count()
+    lstm = build("lstm", ClassificationMode.BINARY, canonical_top20(), seed=0)
+    lstm_count = lstm.parameter_count()
     counts_ok = cnn_count == 6529 and lstm_count == 49985
     announce(
         "shape pipeline 20->18->9->7->3->192 and parameter formulas",
@@ -244,7 +245,7 @@ def _separable64():
 def test_overfit_smoke(arch):
     started = time.perf_counter()
     X, y = _separable64()
-    model = build(ModelSpec(arch, ClassificationMode.BINARY), seed=0)
+    model = build(arch, ClassificationMode.BINARY, canonical_top20(), seed=0)
     history = train(model, X, y, epochs=200, batch_size=8, learning_rate=0.01)
     accs = [r.train_acc for r in history.epochs]
     hit = next((i + 1 for i, a in enumerate(accs) if a == 1.0), None)
@@ -277,7 +278,7 @@ def _end_to_end(arch: str, mode: ClassificationMode, batch_size: int) -> float:
     stats = fit_normalizer(Xc[split.train])
     X_train = apply_normalizer(Xc[split.train], stats)
     X_test = apply_normalizer(Xc[split.test], stats)
-    model = build(ModelSpec(arch, mode), seed=0)
+    model = build(arch, mode, canonical_top20(), seed=0)
     train(model, X_train, y[split.train], epochs=20, batch_size=batch_size,
           learning_rate=DEFAULT_LEARNING_RATES[arch])
     return evaluate(model, X_test, y[split.test], vocab.classes)["accuracy"]
@@ -338,7 +339,7 @@ def test_real_corpus_reproduction(arch, mode):
     X, y = X[keep], y[keep]
     split = stratified_split(y, 0.8, seed=0)
     stats = fit_normalizer(X[split.train])
-    model = build(ModelSpec(arch, ClassificationMode(mode)), seed=0)
+    model = build(arch, ClassificationMode(mode), canonical_top20(), seed=0)
     train(model, apply_normalizer(X[split.train], stats), y[split.train],
           epochs=20, batch_size=256, learning_rate=DEFAULT_LEARNING_RATES[arch])
     report = evaluate(model, apply_normalizer(X[split.test], stats), y[split.test],
@@ -469,8 +470,7 @@ def test_metrics_oracle():
 
 
 def test_serialization_round_trips_and_rejection(tmp_path):
-    model = build(ModelSpec("lstm", ClassificationMode.GROUPED), seed=21)
-    model.feature_names = canonical_top20()
+    model = build("lstm", ClassificationMode.GROUPED, canonical_top20(), seed=21)
     model.class_names = [f"c{i}" for i in range(8)]
     model.normalizer = fit_normalizer(np.random.default_rng(1).normal(size=(5, 20)))
     model.cache_sha256 = "0f" * 32
@@ -479,7 +479,7 @@ def test_serialization_round_trips_and_rejection(tmp_path):
     loaded = load(model_path)
     model_ok = all(
         np.array_equal(a.value, b.value) for a, b in zip(model.parameters(), loaded.parameters())
-    ) and loaded.spec == model.spec
+    ) and (loaded.architecture, loaded.mode) == (model.architecture, model.mode)
 
     rng = np.random.default_rng(2)
     X = rng.normal(size=(31, 7)).astype(np.float32)

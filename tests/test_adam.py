@@ -7,8 +7,10 @@ import pytest
 
 from flowsentinel.data import ClassificationMode
 from flowsentinel.errors import NumericError
-from flowsentinel.models import ModelSpec, build
+from flowsentinel.models import build
 from flowsentinel.nn import Adam, Parameter
+
+from conftest import FEATURES
 
 
 def scalar_adam_oracle(w0, grad_fn, lr, steps, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -119,7 +121,7 @@ MODEL_CASES = [(arch, mode) for arch in ("cnn", "lstm") for mode in ("binary", "
 
 
 def built(arch, mode):
-    return build(ModelSpec(architecture=arch, mode=ClassificationMode(mode)), seed=3)
+    return build(arch, ClassificationMode(mode), FEATURES, seed=3)
 
 
 @pytest.mark.parametrize("arch,mode", MODEL_CASES)

@@ -33,7 +33,7 @@ from flowsentinel.data import (
 )
 from flowsentinel.errors import MissingInputError
 from flowsentinel.features import canonical_top20, forest
-from flowsentinel.models import ModelSpec, build, load, save
+from flowsentinel.models import build, load, save
 
 ROWS = 600  # small but every class keeps >= 2 rows
 DROP = object()  # an edit_header value that deletes the field
@@ -377,7 +377,6 @@ class TestTrain:
                        "--out", str(out)) == 0
             assert run("train", "--arch", "lstm", "--mode", "binary", "--epochs", "2",
                        "--batch-size", "32", "--seed", "5", "--out", str(out)) == 0
-            assert load(out / "model.fsnn").spec.dropout_rate > 0
             assert run("evaluate", "--model", str(out / "model.fsnn"), "--out", str(out)) == 0
             digests.append([hashlib.sha256((out / artefact).read_bytes()).hexdigest()
                             for artefact in ("model.fsnn", "metrics.json")])
@@ -501,8 +500,7 @@ class TestEvaluateAndPredict:
 
     def test_predict_quotes_class_names_as_csv_writer_does(self, tmp_path, fixture_csv):
         mode = ClassificationMode.GROUPED
-        model = build(ModelSpec("cnn", mode), seed=0)
-        model.feature_names = canonical_top20()
+        model = build("cnn", mode, canonical_top20(), seed=0)
         X = np.concatenate([X for X, _, _ in iter_flows(fixture_csv, model.feature_names)])
         model.normalizer = fit_normalizer(X)
         # the untrained model predicts classes 2, 3 and 4 for this input
@@ -795,11 +793,14 @@ class TestNoTraceback:
     def edit_header(source, target, field, value):
         """``source`` saved as ``target`` with one header field (a dotted path,
         or None for the whole header) set to ``value``, or deleted when
-        ``value`` is ``DROP``, under a valid CRC."""
+        ``value`` is ``DROP``, or with ``value`` as its version byte when
+        ``field`` is "version", under a valid CRC."""
         payload = source.read_bytes()[4:-4]
         (length,) = struct.unpack_from("<I", payload, 1)
         header = json.loads(payload[5:5 + length])
-        if field is None:
+        if field == "version":
+            payload = bytes([value]) + payload[1:]
+        elif field is None:
             header = value
         else:
             *parents, key = field.split(".")
@@ -819,10 +820,10 @@ class TestNoTraceback:
         ("normalizer.min", [float("nan")] * 20),
         ("normalizer.max", [-1.0] * 20),  # below the minima
         ("normalizer", "x"),
-        ("spec.mode", "weird"),
-        ("spec.architecture", "rnn"),
-        ("spec.input_features", 0),
-        ("spec.dropout_rate", "0.2"),
+        ("mode", "weird"),
+        ("architecture", "rnn"),
+        ("features", []),
+        ("classes", ["Benign", "Benign"]),  # predict would label every row with one name
         ("features", 5),
         ("seed", "abc"),
         ("cache_sha256", 5),
@@ -833,12 +834,13 @@ class TestNoTraceback:
         ("seed", True),
         ("seed", DROP),
         # a header that train would not write: each field dropped or null, and
-        # lists that do not fit the spec
+        # lists that do not fit the mode or the normalizer
         *[(field, value) for field in ("normalizer", "features", "classes", "cache_sha256")
           for value in (DROP, None)],
         ("features", canonical_top20()[:19]),
         ("classes", ["Benign"]),
         ("classes", ["Benign", "Attack", "Other"]),
+        ("version", 2),  # the format before the header wrote each fact once
     ])
     def test_malformed_model_header_exit_3(self, binary_model, tmp_path, fixture_csv, capsys,
                                            field, value):
@@ -853,6 +855,27 @@ class TestNoTraceback:
         assert len(lines) == 3 and all(ln.startswith(f"error: {model}: ") for ln in lines)
         if value is DROP or value is None or field in ("features", "classes"):
             assert all(field in ln for ln in lines)
+        if field == "version":
+            assert all(ln.endswith(": unsupported version 2") for ln in lines)
+        assert not (out / "predictions.csv").exists() and not (out / "metrics.json").exists()
+
+    def test_lstm_header_narrower_than_its_normalizer_exit_3(self, tmp_path, fixture_csv,
+                                                              capsys):
+        # an LSTM's parameters do not depend on its input width, so only the
+        # normalizer's width refuses a header of 19 features; built, not trained
+        model = build("lstm", ClassificationMode.BINARY, canonical_top20(), seed=0)
+        model.class_names = ["Benign", "Attack"]
+        model.normalizer = fit_normalizer(np.eye(20))
+        model.cache_sha256 = "0f" * 32
+        source, edited, out = tmp_path / "lstm.fsnn", tmp_path / "edited.fsnn", tmp_path / "out"
+        save(model, source)
+        self.edit_header(source, edited, "features", canonical_top20()[:19])
+        assert run("predict", "--model", str(edited), "--input", str(fixture_csv),
+                   "--out", str(out)) == 3
+        assert run("evaluate", "--model", str(edited), "--out", str(out)) == 3
+        assert run("inspect", "--model", str(edited)) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [f"error: {edited}: normalizer does not have 19 features"] * 3
         assert not (out / "predictions.csv").exists() and not (out / "metrics.json").exists()
 
     TRAIN, SELECT = ("train", "--epochs", "1"), ("select", "--recompute-importance")
@@ -1008,9 +1031,12 @@ class TestInspectAndConfig:
         capsys.readouterr()  # drain the train output
         assert run("inspect", "--model", str(workdir / "model.fsnn")) == 0
         info = json.loads(capsys.readouterr().out)
-        assert info["spec"]["architecture"] == "lstm"
+        assert sorted(info) == ["architecture", "cache_sha256", "classes", "features", "mode",
+                                "normalizer", "parameter_count", "seed"]
+        assert (info["architecture"], info["mode"]) == ("lstm", "binary")
         assert info["parameter_count"] == 49985
-        assert len(info["features"]) == 20
+        assert info["features"] == canonical_top20()
+        assert info["classes"] == ["Benign", "Attack"]
 
     def test_config_file_with_flag_override(self, tmp_path, fixture_csv):
         out = tmp_path / "out"
@@ -1047,15 +1073,15 @@ TRAIN_STEP_FAULTS = """if True:
     import numpy as np
     from flowsentinel.cli import pin_malloc_thresholds
     from flowsentinel.data import ClassificationMode
-    from flowsentinel.models import ModelSpec, build
+    from flowsentinel.models import build
     from flowsentinel.nn.adam import Adam
     from flowsentinel.nn.losses import sparse_categorical_logit_grad
     pin_malloc_thresholds()
-    model = build(ModelSpec("lstm", ClassificationMode.MULTI), seed=0)
+    model = build("lstm", ClassificationMode.MULTI, [f"f{i}" for i in range(20)], seed=0)
     optimizer = Adam(model.parameters(), lr=1e-3)
     rng = np.random.default_rng(0)
     X = rng.random((32, 20), dtype=np.float32)
-    y = rng.integers(0, model.spec.output_units, 32)
+    y = rng.integers(0, ClassificationMode.MULTI.class_count, 32)
     def step():
         optimizer.zero_grad()
         probs = model.forward(X, training=True)

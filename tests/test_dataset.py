@@ -28,8 +28,10 @@ from flowsentinel.data import (
 )
 from flowsentinel.errors import MissingInputError, SchemaError
 from flowsentinel.data import ingest
-from flowsentinel.models import ModelSpec, build
+from flowsentinel.models import build
 from flowsentinel.rng import Rng
+
+from conftest import FEATURES
 
 HEADER = ",".join(list(schema.FEATURE_COLUMNS) + [schema.LABEL_COLUMN])
 # the sidecar of a multi-mode cache, as ingest writes it
@@ -335,7 +337,7 @@ class TestVocabulary:
         assert vocab.raw_to_class["NewAttack"] == vocab.classes.index("NewFamily")
         assert ClassificationMode.MULTI.class_count == 35
         assert ClassificationMode.BINARY.class_count == 2
-        head = build(ModelSpec("cnn", ClassificationMode.GROUPED)).layers[-1]
+        head = build("cnn", ClassificationMode.GROUPED, FEATURES).layers[-1]
         assert head.bias.value.shape == (9,)
 
     def test_vocabulary_stable_across_calls(self):

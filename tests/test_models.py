@@ -1,5 +1,6 @@
 """Model construction, shape chain, parameter counts, prediction, FSNN files."""
 
+import json
 import struct
 import tracemalloc
 import zlib
@@ -10,15 +11,15 @@ import pytest
 from flowsentinel import models
 from flowsentinel.data import ClassificationMode, FeatureStats
 from flowsentinel.errors import ConfigError, SchemaError, ShapeMismatchError
-from flowsentinel.models import Model, ModelSpec, build, load, save
+from flowsentinel.models import build, load, save
 from flowsentinel.nn import Conv1D, Dense, Dropout, MaxPool1D
 from flowsentinel.rng import Rng
 
-from conftest import as_float64
+from conftest import FEATURES, as_float64
 
 
-def spec_of(arch, mode):
-    return ModelSpec(architecture=arch, mode=ClassificationMode(mode))
+def build_of(arch, mode, seed=0):
+    return build(arch, ClassificationMode(mode), FEATURES, seed=seed)
 
 
 def cnn_param_formula(output_units):
@@ -39,13 +40,13 @@ class TestBuild:
     def test_cnn_binary_parameter_count(self):
         # formula oracle, computed before the build: 128 + 6208 + 193
         assert cnn_param_formula(1) == 6529
-        model = build(spec_of("cnn", "binary"), seed=0)
+        model = build_of("cnn", "binary", seed=0)
         assert model.parameter_count() == 6529
 
     def test_lstm_binary_parameter_count(self):
         # 4*64*(1+64+1) + 4*64*(64+64+1) + 65 = 16896 + 33024 + 65
         assert lstm_param_formula(1) == 49985
-        model = build(spec_of("lstm", "binary"), seed=0)
+        model = build_of("lstm", "binary", seed=0)
         assert model.parameter_count() == 49985
 
     @pytest.mark.parametrize(
@@ -53,24 +54,24 @@ class TestBuild:
         [("cnn", "grouped", 8), ("cnn", "multi", 34), ("lstm", "grouped", 8), ("lstm", "multi", 34)],
     )
     def test_head_sizes_follow_mode(self, arch, mode, units):
-        model = build(spec_of(arch, mode), seed=1)
+        model = build_of(arch, mode, seed=1)
         formula = cnn_param_formula(units) if arch == "cnn" else lstm_param_formula(units)
         assert model.parameter_count() == formula
         head = model.layers[-1]
         assert head.out_features == units
 
     def test_same_seed_bit_identical_parameters(self):
-        a = build(spec_of("cnn", "multi"), seed=7)
-        b = build(spec_of("cnn", "multi"), seed=7)
+        a = build_of("cnn", "multi", seed=7)
+        b = build_of("cnn", "multi", seed=7)
         for pa, pb in zip(a.parameters(), b.parameters()):
             assert np.array_equal(pa.value, pb.value)
-        c = build(spec_of("cnn", "multi"), seed=8)
+        c = build_of("cnn", "multi", seed=8)
         assert any(
             not np.array_equal(pa.value, pc.value) for pa, pc in zip(a.parameters(), c.parameters())
         )
 
     def test_shape_chain_20_to_192(self):
-        model = build(spec_of("cnn", "binary"), seed=0)
+        model = build_of("cnn", "binary", seed=0)
         length = 20
         for layer in model.layers:
             if isinstance(layer, Conv1D):
@@ -82,25 +83,20 @@ class TestBuild:
         assert isinstance(dense, Dense) and dense.in_features == 192
 
     def test_lstm_forget_gate_bias_is_one(self):
-        model = build(spec_of("lstm", "binary"), seed=0)
+        model = build_of("lstm", "binary", seed=0)
         lstm0 = model.layers[0]
         h = lstm0.hidden
         assert np.all(lstm0.bias.value[h:2 * h] == 1.0)
         assert np.all(lstm0.bias.value[:h] == 0.0)
 
     def test_invalid_spec_rejected(self):
-        with pytest.raises(ConfigError):
-            ModelSpec(architecture="mlp", mode=ClassificationMode.BINARY)
-        with pytest.raises(ConfigError):
-            ModelSpec(architecture="cnn", mode=ClassificationMode.BINARY, dropout_rate=1.0)
-        with pytest.raises(ConfigError):
-            build(ModelSpec(architecture="cnn", mode=ClassificationMode.BINARY, input_features=4))
-        for width in (20.0, True):  # the width must be an int, not a float or a bool
+        # an unknown architecture, no features, and too few for the CNN's convolutions
+        for arch, features in (("mlp", FEATURES), ("lstm", []), ("cnn", FEATURES[:4])):
             with pytest.raises(ConfigError):
-                ModelSpec(architecture="lstm", mode=ClassificationMode.BINARY, input_features=width)
+                build(arch, ClassificationMode.BINARY, features)
 
     def test_lstm_dropout_layers_share_one_unused_stream(self):
-        model = build(spec_of("lstm", "binary"), seed=9)
+        model = build_of("lstm", "binary", seed=9)
         first, second = (layer for layer in model.layers if isinstance(layer, Dropout))
         assert first.rng is second.rng
         assert first.rng.seed == Rng(9).spawn("dropout").seed
@@ -115,30 +111,30 @@ class TestForward:
          ("lstm", "binary", 1), ("lstm", "grouped", 8), ("lstm", "multi", 34)],
     )
     def test_output_shapes(self, arch, mode, units, np_rng):
-        model = build(spec_of(arch, mode), seed=0)
+        model = build_of(arch, mode, seed=0)
         out = model.forward(np_rng.uniform(size=(1, 20)).astype(np.float32))
         assert out.shape == (1, units)
 
     def test_binary_probabilities_in_unit_interval(self, np_rng):
-        model = build(spec_of("cnn", "binary"), seed=2)
+        model = build_of("cnn", "binary", seed=2)
         out = model.forward(np_rng.uniform(size=(16, 20)).astype(np.float32))
         assert np.all(out > 0) and np.all(out < 1)
 
     def test_softmax_rows_sum_to_one(self, np_rng):
         for arch in ("cnn", "lstm"):
-            model = build(spec_of(arch, "multi"), seed=3)
+            model = build_of(arch, "multi", seed=3)
             out = model.forward(np_rng.uniform(size=(8, 20)).astype(np.float32))
             assert np.allclose(out.sum(axis=1), 1.0, atol=1e-6)
 
     def test_inference_deterministic_with_dropout_layers(self, np_rng):
-        model = build(spec_of("lstm", "grouped"), seed=4)
+        model = build_of("lstm", "grouped", seed=4)
         x = np_rng.uniform(size=(5, 20)).astype(np.float32)
         a = model.forward(x, training=False)
         b = model.forward(x, training=False)
         assert np.array_equal(a, b)
 
     def test_wrong_feature_count_rejected(self, np_rng):
-        model = build(spec_of("cnn", "binary"), seed=0)
+        model = build_of("cnn", "binary", seed=0)
         with pytest.raises(ShapeMismatchError):
             model.forward(np_rng.uniform(size=(2, 19)))
         with pytest.raises(ShapeMismatchError):
@@ -146,7 +142,7 @@ class TestForward:
 
     def test_lstm_inference_forward_holds_one_step(self, np_rng):
         # lstm1 keeps one step of gates and state, not [T, B, 4H] and [T+1, B, H]
-        model = build(spec_of("lstm", "binary"), seed=5)
+        model = build_of("lstm", "binary", seed=5)
         x = np_rng.uniform(size=(4096, 20)).astype(np.float32)
         model.forward(x[:8], training=True)  # training caches for inference to drop
         tracemalloc.start()
@@ -162,7 +158,10 @@ class TestForward:
     def test_lstm_training_flag_leaves_output_bitwise_equal(self, rows, np_rng):
         # no dropout, so both forwards compute the same numbers; lstm1 reads
         # lstm0's time-major sequence through its 64-wide input GEMM
-        model = build(ModelSpec("lstm", ClassificationMode.MULTI, dropout_rate=0.0), seed=6)
+        model = build_of("lstm", "multi", seed=6)
+        for layer in model.layers:
+            if isinstance(layer, Dropout):
+                layer.rate = 0.0
         x = np_rng.uniform(size=(rows, 20)).astype(np.float32)
         trained = model.forward(x, training=True)
         assert trained.tobytes() == model.forward(x, training=False).tobytes()
@@ -170,7 +169,7 @@ class TestForward:
 
 class TestPredict:
     def test_binary_threshold_at_half(self):
-        model = build(spec_of("cnn", "binary"), seed=0)
+        model = build_of("cnn", "binary", seed=0)
         # drive the head so the sigmoid output is exactly 0.5
         head = model.layers[-1]
         head.weight.value[...] = 0.0
@@ -179,7 +178,7 @@ class TestPredict:
         assert np.all(pred == 1)  # p = 0.5 -> attack by the >= rule
 
     def test_argmax_of_peaked_output(self, np_rng):
-        model = build(spec_of("cnn", "grouped"), seed=1)
+        model = build_of("cnn", "grouped", seed=1)
         head = model.layers[-1]
         head.weight.value[...] = 0.0
         head.bias.value[...] = 0.0
@@ -188,7 +187,7 @@ class TestPredict:
         assert np.all(pred == 5)
 
     def test_uniform_tie_goes_to_class_zero(self):
-        model = build(spec_of("lstm", "grouped"), seed=1)
+        model = build_of("lstm", "grouped", seed=1)
         head = model.layers[-1]
         head.weight.value[...] = 0.0
         head.bias.value[...] = 0.0
@@ -196,7 +195,7 @@ class TestPredict:
         assert np.all(pred == 0)
 
     def test_argmax_invariant_under_monotone_logit_rescale(self, np_rng):
-        model = build(spec_of("cnn", "multi"), seed=5)
+        model = build_of("cnn", "multi", seed=5)
         x = np_rng.uniform(size=(6, 20)).astype(np.float32)
         base = model.predict(x)
         logits = model._frame(x)
@@ -218,7 +217,7 @@ class TestInferenceChunks:
 
     @pytest.mark.parametrize("arch", ["cnn", "lstm"])
     def test_probabilities_do_not_depend_on_the_chunk(self, arch, np_rng, monkeypatch):
-        model = build(spec_of(arch, "multi"), seed=8)
+        model = build_of(arch, "multi", seed=8)
         X = np_rng.uniform(size=(4000, 20)).astype(np.float32)
 
         def probs(rows):
@@ -229,7 +228,7 @@ class TestInferenceChunks:
 
     @pytest.mark.parametrize("arch,mode", [("cnn", "multi"), ("lstm", "binary")])
     def test_predict_peak_memory_is_bounded(self, arch, mode, np_rng):
-        model = build(spec_of(arch, mode), seed=9)
+        model = build_of(arch, mode, seed=9)
         peaks = []
         for rows in (4_000, 40_000):
             X = np_rng.uniform(size=(rows, 20)).astype(np.float32)
@@ -245,8 +244,7 @@ class TestInferenceChunks:
 
 def with_header(model):
     """``model`` with the header fields that ``train`` fills in and ``load`` requires."""
-    model.feature_names = [f"f{i}" for i in range(20)]
-    model.class_names = [f"c{i}" for i in range(model.spec.mode.class_count)]
+    model.class_names = [f"c{i}" for i in range(model.mode.class_count)]
     model.normalizer = FeatureStats(minimum=np.zeros(20), maximum=np.ones(20))
     model.cache_sha256 = "0f" * 32
     return model
@@ -260,9 +258,9 @@ class TestSerialization:
 
     @pytest.mark.parametrize("arch,mode", [("cnn", "binary"), ("lstm", "multi"), ("cnn", "grouped")])
     def test_bit_exact_round_trip(self, arch, mode, tmp_path):
-        model = build(spec_of(arch, mode), seed=11)
+        model = build_of(arch, mode, seed=11)
         loaded, _ = self.roundtrip(model, tmp_path)
-        assert loaded.spec == model.spec
+        assert (loaded.architecture, loaded.mode) == (model.architecture, model.mode)
         assert loaded.cache_sha256 == model.cache_sha256
         assert loaded.feature_names == model.feature_names
         assert loaded.class_names == model.class_names
@@ -271,8 +269,16 @@ class TestSerialization:
             assert pa.name == pb.name
             assert np.array_equal(pa.value, pb.value), pa.name
 
+    def test_header_writes_each_fact_once(self, tmp_path):
+        _, path = self.roundtrip(build_of("lstm", "grouped", seed=4), tmp_path)
+        payload = path.read_bytes()[4:-4]
+        version, length = struct.unpack_from("<BI", payload)
+        assert version == 3
+        assert sorted(json.loads(payload[5:5 + length])) == [
+            "architecture", "cache_sha256", "classes", "features", "mode", "normalizer", "seed"]
+
     def test_truncated_file_rejected(self, tmp_path):
-        model = build(spec_of("cnn", "binary"), seed=0)
+        model = build_of("cnn", "binary", seed=0)
         path = tmp_path / "model.fsnn"
         save(with_header(model), path)
         path.write_bytes(path.read_bytes()[:-9])
@@ -280,7 +286,7 @@ class TestSerialization:
             load(path)
 
     def test_flipped_byte_rejected(self, tmp_path):
-        model = build(spec_of("cnn", "binary"), seed=0)
+        model = build_of("cnn", "binary", seed=0)
         path = tmp_path / "model.fsnn"
         save(with_header(model), path)
         blob = bytearray(path.read_bytes())
@@ -291,7 +297,7 @@ class TestSerialization:
 
     @pytest.mark.parametrize("edit", ["name", "rank", "dim"])
     def test_parameter_record_unlike_the_header_model_rejected(self, tmp_path, edit):
-        model = build(spec_of("cnn", "binary"), seed=0)
+        model = build_of("cnn", "binary", seed=0)
         path = tmp_path / "model.fsnn"
         save(with_header(model), path)
         payload = bytearray(path.read_bytes()[4:-4])
@@ -314,15 +320,15 @@ class TestSerialization:
 
     def test_spec_fields_survive_across_architectures(self, tmp_path):
         for arch, mode in (("cnn", "multi"), ("lstm", "binary")):
-            model = build(spec_of(arch, mode), seed=3)
+            model = build_of(arch, mode, seed=3)
             loaded, _ = self.roundtrip(model, tmp_path)
-            assert loaded.spec.architecture == arch
-            assert loaded.spec.mode.value == mode
+            assert loaded.architecture == arch
+            assert loaded.mode.value == mode
             assert loaded.rng_seed == 3
 
     @pytest.mark.parametrize("arch", ["cnn", "lstm"])
     def test_parameters_and_probabilities_are_float32(self, arch, tmp_path, np_rng):
-        model = build(spec_of(arch, "multi"), seed=2)
+        model = build_of(arch, "multi", seed=2)
         loaded, _ = self.roundtrip(model, tmp_path)
         x = np_rng.uniform(size=(5, 20))  # float64 rows
         for m in (model, loaded):
@@ -332,7 +338,7 @@ class TestSerialization:
         assert as_float64(loaded).forward(x).dtype == np.float64
 
     def test_predictions_survive_round_trip(self, tmp_path, np_rng):
-        model = build(spec_of("lstm", "grouped"), seed=9)
+        model = build_of("lstm", "grouped", seed=9)
         x = np_rng.uniform(size=(10, 20)).astype(np.float32)
         before = model.forward(x)
         loaded, _ = self.roundtrip(model, tmp_path)

@@ -6,7 +6,7 @@ import pytest
 from flowsentinel import models
 from flowsentinel.data import ClassificationMode, build_vocabulary
 from flowsentinel.errors import MismatchError, MissingInputError, ShapeMismatchError
-from flowsentinel.models import Model, ModelSpec, build
+from flowsentinel.models import Model, build
 from flowsentinel.training import (
     DEFAULT_LEARNING_RATES,
     _batched_eval,
@@ -16,6 +16,8 @@ from flowsentinel.training import (
     metrics_text,
     train,
 )
+
+from conftest import FEATURES
 
 
 def separable_binary(n=64, seed=0):
@@ -30,7 +32,7 @@ def separable_binary(n=64, seed=0):
 class TestTrain:
     def test_cnn_overfits_separable_binary(self):
         X, y = separable_binary()
-        model = build(ModelSpec("cnn", ClassificationMode.BINARY), seed=0)
+        model = build("cnn", ClassificationMode.BINARY, FEATURES, seed=0)
         history = train(model, X, y, epochs=30, batch_size=16,
                         learning_rate=DEFAULT_LEARNING_RATES["cnn"])
         assert history.final().train_acc == 1.0
@@ -38,7 +40,7 @@ class TestTrain:
 
     def test_history_row_count_and_ranges(self):
         X, y = separable_binary()
-        model = build(ModelSpec("cnn", ClassificationMode.BINARY), seed=1)
+        model = build("cnn", ClassificationMode.BINARY, FEATURES, seed=1)
         history = train(model, X, y, epochs=5, batch_size=16,
                         learning_rate=DEFAULT_LEARNING_RATES["cnn"])
         assert len(history.epochs) == 5
@@ -51,7 +53,7 @@ class TestTrain:
         X, y = separable_binary(n=80, seed=3)
         runs = []
         for _ in range(2):
-            model = build(ModelSpec("cnn", ClassificationMode.BINARY), seed=9)
+            model = build("cnn", ClassificationMode.BINARY, FEATURES, seed=9)
             history = train(model, X, y, epochs=4, batch_size=16,
                             learning_rate=DEFAULT_LEARNING_RATES["cnn"])
             runs.append((history, [p.value.copy() for p in model.parameters()]))
@@ -66,27 +68,27 @@ class TestTrain:
     def test_mode_mismatch_rejected(self):
         X, _ = separable_binary()
         y_multi = np.arange(64) % 9  # labels outside binary range
-        model = build(ModelSpec("cnn", ClassificationMode.BINARY), seed=0)
+        model = build("cnn", ClassificationMode.BINARY, FEATURES, seed=0)
         with pytest.raises(MismatchError):
             train(model, X, y_multi, epochs=1, batch_size=256,
                   learning_rate=DEFAULT_LEARNING_RATES["cnn"])
 
     def test_row_count_mismatch_is_a_shape_error(self):
         X, y = separable_binary()
-        model = build(ModelSpec("cnn", ClassificationMode.BINARY), seed=0)
+        model = build("cnn", ClassificationMode.BINARY, FEATURES, seed=0)
         with pytest.raises(ShapeMismatchError):
             train(model, X, y[:-1], epochs=1, batch_size=256,
                   learning_rate=DEFAULT_LEARNING_RATES["cnn"])
 
     def test_empty_training_set_rejected(self):
-        model = build(ModelSpec("cnn", ClassificationMode.BINARY), seed=0)
+        model = build("cnn", ClassificationMode.BINARY, FEATURES, seed=0)
         with pytest.raises(MissingInputError):
             train(model, np.zeros((0, 20)), np.zeros(0, dtype=int), epochs=1, batch_size=256,
                   learning_rate=DEFAULT_LEARNING_RATES["cnn"])
 
     def test_lstm_trains_and_improves(self):
         X, y = separable_binary(n=96, seed=4)
-        model = build(ModelSpec("lstm", ClassificationMode.BINARY), seed=2)
+        model = build("lstm", ClassificationMode.BINARY, FEATURES, seed=2)
         # generous lr so the smoke test stays fast
         history = train(model, X, y, epochs=15, batch_size=16, learning_rate=0.01)
         assert history.final().train_loss < history.epochs[0].train_loss
@@ -135,7 +137,7 @@ class TestMetrics:
         for mode, arch in ((ClassificationMode.BINARY, "cnn"),
                            (ClassificationMode.GROUPED, "cnn"),
                            (ClassificationMode.MULTI, "lstm")):
-            model = build(ModelSpec(arch, mode), seed=0)
+            model = build(arch, mode, FEATURES, seed=0)
             n_classes = mode.class_count
             X = np_rng.uniform(size=(50, 20)).astype(np.float32)
             y = np_rng.integers(0, n_classes, size=50)
@@ -144,7 +146,7 @@ class TestMetrics:
             assert np.shape(report["confusion"]) == (n_classes, n_classes)
 
     def test_confusion_accuracy_matches_direct_comparison(self, np_rng):
-        model = build(ModelSpec("cnn", ClassificationMode.GROUPED), seed=1)
+        model = build("cnn", ClassificationMode.GROUPED, FEATURES, seed=1)
         X = np_rng.uniform(size=(64, 20)).astype(np.float32)
         y = np_rng.integers(0, 8, size=64)
         report = evaluate(model, X, y, build_vocabulary(ClassificationMode.GROUPED).classes)
@@ -152,7 +154,7 @@ class TestMetrics:
         assert report["accuracy"] == pytest.approx(direct)
 
     def test_empty_test_set_rejected(self):
-        model = build(ModelSpec("cnn", ClassificationMode.BINARY), seed=0)
+        model = build("cnn", ClassificationMode.BINARY, FEATURES, seed=0)
         with pytest.raises(MissingInputError):
             evaluate(model, np.zeros((0, 20)), np.zeros(0, dtype=int), ["Benign", "Attack"])
 
@@ -167,16 +169,16 @@ class TestMetrics:
 
 @pytest.mark.parametrize("arch,mode", [("cnn", "multi"), ("lstm", "binary")])
 def test_batch_boundaries_do_not_change_results(arch, mode, monkeypatch):
-    model = build(ModelSpec(arch, ClassificationMode(mode)), seed=3)
+    model = build(arch, ClassificationMode(mode), FEATURES, seed=3)
     rng = np.random.default_rng(8)
     X = rng.uniform(size=(20, 20)).astype(np.float32)
-    y = rng.integers(0, model.spec.mode.class_count, size=20)
+    y = rng.integers(0, model.mode.class_count, size=20)
     if mode == "binary":  # centre the head's logit so that both classes occur
         p = np.median(model.forward(X)[:, 0])
         model.layers[-1].bias.value -= np.log(p / (1.0 - p))
     pred = model.predict(X)
     assert len(np.unique(pred)) > 1
-    classes = build_vocabulary(model.spec.mode).classes
+    classes = build_vocabulary(model.mode).classes
     confusion = evaluate(model, X, y, classes)["confusion"]
     loss, acc = _batched_eval(model, X, y)
 
@@ -201,7 +203,7 @@ def test_batch_boundaries_do_not_change_results(arch, mode, monkeypatch):
 class TestExportHistory:
     def test_csv_row_count_and_round_trip(self, tmp_path):
         X, y = separable_binary()
-        model = build(ModelSpec("cnn", ClassificationMode.BINARY), seed=0)
+        model = build("cnn", ClassificationMode.BINARY, FEATURES, seed=0)
         history = train(model, X, y, epochs=20, batch_size=16,
                         learning_rate=DEFAULT_LEARNING_RATES["cnn"])
         path = tmp_path / "history.csv"
@@ -216,7 +218,7 @@ class TestExportHistory:
 
     def test_deterministic_file_given_history(self, tmp_path):
         X, y = separable_binary()
-        model = build(ModelSpec("cnn", ClassificationMode.BINARY), seed=0)
+        model = build("cnn", ClassificationMode.BINARY, FEATURES, seed=0)
         history = train(model, X, y, epochs=3, batch_size=16,
                         learning_rate=DEFAULT_LEARNING_RATES["cnn"])
         export_history(history, tmp_path / "a.csv")

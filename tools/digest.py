@@ -19,7 +19,10 @@ exit code and stderr of every step. The matrix:
 * ``probs`` for each trained model: the float32 bytes of the probabilities
   that the tree's ``Model.batches`` returns over the scaled ``new``, ``mid``
   and ``one`` inputs, one file each, so that a change of any bit of inference
-  shows, not only one that moves ``predictions.csv``'s six decimals;
+  shows, not only one that moves ``predictions.csv``'s six decimals, and the
+  model's parameter values (``Model.parameters()`` in order, float32) as
+  ``params.f32``, so that a change to the model file's header alone shows
+  that the weights did not move;
 * ``predict`` on every bad-cell case, which must exit 3;
 * ``evaluate`` of the binary model against a cache of the same two files
   re-ingested at ``--subsample 0.5``, which must exit 5.
@@ -106,7 +109,8 @@ MAKE_INPUTS = """if True:
 """
 PREDICTED = ("new", "mid", "one")
 # a child's program: write into directory argv[2], as <name>.f32, the float32
-# probabilities of model argv[1] over each input inputs/<name>.csv named after it
+# probabilities of model argv[1] over each input inputs/<name>.csv named after it,
+# and as params.f32 the model's parameter values
 PROBABILITIES = """if True:
     import os, sys
     import numpy as np
@@ -114,6 +118,9 @@ PROBABILITIES = """if True:
     from flowsentinel.models import load
     model = load(sys.argv[1])
     os.makedirs(sys.argv[2], exist_ok=True)
+    with open(os.path.join(sys.argv[2], "params.f32"), "wb") as out:
+        for p in model.parameters():
+            out.write(np.asarray(p.value, dtype="<f4").tobytes())
     for name in sys.argv[3:]:
         path = os.path.join("inputs", name + ".csv")
         X = np.concatenate([apply_normalizer(block, model.normalizer)
@@ -202,7 +209,7 @@ def matrix():
                                "--out", pred], [f"{pred}/predictions.csv"]))
             probs = f"{out}/probs-{arch}"
             steps.append((f"probs-{arch}-{mode}", ["-c", PROBABILITIES, model, probs, *PREDICTED],
-                          [f"{probs}/{name}.f32" for name in PREDICTED]))
+                          [f"{probs}/{name}.f32" for name in (*PREDICTED, "params")]))
     for name in BAD_CELLS:
         pred = f"runs/multi/predict-bad-{name}"
         steps.append((f"predict-bad-{name}", ["predict", "--model", "runs/multi/model.fsnn",
