@@ -14,13 +14,15 @@ Exit codes are a stable contract:
     1  configuration error (a flag or config value of the wrong type or range,
        or a ``select --top-k`` above the cache's column count)
     2  missing input (file, cache, cache sidecar or model not found / empty, a
-       file where a directory is expected or the reverse, a class with < 2
-       rows to split, or a ``select --recompute-importance`` cache whose
-       target is constant, so that no tree splits and no feature has any
-       importance)
-    3  schema error (missing column, an input CSV that is not UTF-8, a corrupt
-       cache or model file, a cache sidecar or cache contents that ingest
-       would not write (a class index outside the sidecar's classes, a NaN or
+       file where a directory is expected or the reverse, any other path the
+       system refuses, such as a name too long, a class with < 2 rows to
+       split, or a ``select --recompute-importance`` cache whose target is
+       constant, so that no tree splits and no feature has any importance)
+    3  schema error (missing column, an input CSV that is not UTF-8 or has a
+       cell over ``csv``'s field size limit, a ``features.txt`` that is not
+       UTF-8, a corrupt cache (column names that are not UTF-8 among them) or
+       model file, a cache sidecar or cache contents that ingest would not
+       write (a class index outside the sidecar's classes, a NaN or
        infinite feature), a model header that train would not write (among
        them one whose class names repeat), a model parameter that holds a
        NaN or infinity, or a predict input row with a non-numeric, NaN or
@@ -41,7 +43,6 @@ import contextlib
 import csv
 import ctypes
 import json
-import math
 import os
 import platform
 import sys
@@ -54,7 +55,6 @@ from . import __version__
 from .data import (
     ClassificationMode,
     apply_normalizer,
-    build_vocabulary,
     csv_cell,
     fit_normalizer,
     iter_flows,
@@ -74,7 +74,7 @@ from .features import (
     export_importance_csv,
     fit_forest,
 )
-from .models import build, load, model_header, save
+from .models import ARCHITECTURES, build, load, model_header, save
 from .training import DEFAULT_LEARNING_RATES, evaluate, export_history, metrics_text, train
 
 # glibc's mallopt parameters, and its 64-bit ceiling for the mmap threshold
@@ -108,7 +108,7 @@ class RunConfig:
         if config_path:
             try:
                 values = json.loads(Path(config_path).read_text(encoding="utf-8"))
-            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            except ValueError as exc:  # json.JSONDecodeError or UnicodeDecodeError
                 raise ConfigError(f"invalid JSON in {config_path}: {exc}") from exc
         if isinstance(values, dict) and "config" in values and "tool_version" in values:
             values = values["config"]  # a run manifest: replay its resolved config
@@ -141,10 +141,11 @@ class RunConfig:
                 raise ConfigError(f"{name} must be of type {kind}, got {value!r}")
         if self.data is not None and not all(isinstance(entry, str) for entry in self.data):
             raise ConfigError(f"data must be a list of paths, got {self.data!r}")
-        if self.mode not in ("binary", "grouped", "multi"):
-            raise ConfigError(f"mode must be binary|grouped|multi, got {self.mode!r}")
-        if self.arch not in ("cnn", "lstm"):
-            raise ConfigError(f"arch must be cnn|lstm, got {self.arch!r}")
+        modes = [mode.value for mode in ClassificationMode]
+        if self.mode not in modes:
+            raise ConfigError(f"mode must be {'|'.join(modes)}, got {self.mode!r}")
+        if self.arch not in ARCHITECTURES:
+            raise ConfigError(f"arch must be {'|'.join(ARCHITECTURES)}, got {self.arch!r}")
         if not 0.0 < self.subsample <= 1.0:
             raise ConfigError(f"subsample must be in (0, 1], got {self.subsample}")
         if self.top_k < 1:
@@ -153,7 +154,8 @@ class RunConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.lr is not None and not (math.isfinite(self.lr) and self.lr > 0):
+        # compared, not converted: an int too large for a float is not finite either
+        if self.lr is not None and not 0 < self.lr <= sys.float_info.max:
             raise ConfigError(f"lr must be finite and positive, got {self.lr}")
 
 
@@ -195,7 +197,11 @@ def _feature_list(out: Path) -> list:
     path = out / "features.txt"
     if not path.exists():
         return canonical_top20()
-    names = [ln.strip() for ln in path.read_text(encoding="utf-8").splitlines() if ln.strip()]
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    names = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not names:
         raise MissingInputError(f"feature list {path} is empty")
     return names
@@ -208,8 +214,7 @@ def cmd_ingest(config: RunConfig) -> int:
     out = _out_dir(config)
     mode = ClassificationMode(config.mode)
     (X, labels), report = load_csv(paths)
-    vocab = build_vocabulary(mode)
-    kept, y, dropped_unknown = map_labels(labels, vocab)
+    kept, y, dropped_unknown = map_labels(labels, mode)
     if dropped_unknown:
         report.drop("unknown_label", dropped_unknown)
     X = X[kept]
@@ -218,21 +223,9 @@ def cmd_ingest(config: RunConfig) -> int:
 
         keep = subsample_indices(y, config.subsample, Rng(config.seed).spawn("subsample"))
         X, y = X[keep], y[keep]
-    class_histogram = {
-        vocab.classes[c]: int(n) for c, n in zip(*np.unique(y, return_counts=True))
-    } if y.size else {}
-    meta = {
-        "mode": mode.value,
-        "classes": list(vocab.classes),
-        "seed": config.seed,
-        "subsample": config.subsample,
-        "rows": int(y.size),
-        "class_histogram": class_histogram,
-        "ingest_report": report.to_dict(),
-        "tool_version": __version__,
-    }
     cache_path = out / "dataset.fsds"
-    write_cache(cache_path, X, y, list(schema.FEATURE_COLUMNS), meta=meta)
+    write_cache(cache_path, X, y, list(schema.FEATURE_COLUMNS), mode, seed=config.seed,
+                subsample=config.subsample, report=report)
     (out / "ingest_report.json").write_text(
         json.dumps(report.to_dict(), indent=2, sort_keys=True), encoding="utf-8"
     )
@@ -245,16 +238,12 @@ def cmd_select(config: RunConfig) -> int:
     features_path = out / "features.txt"
     if config.recompute_importance:
         cache_path = out / "dataset.fsds"
-        X, y, names, _, meta = read_cache(cache_path)
+        X, y, names, _, mode = read_cache(cache_path)
         if config.top_k > len(names):
             raise ConfigError(f"top_k={config.top_k} exceeds the cache's {len(names)} columns")
-        if meta["mode"] != "multi":
-            print(
-                f"note: importance regression target uses the cache's "
-                f"{meta['mode']!r} class indices; a multi-mode cache mirrors "
-                f"the reference pipeline",
-                file=sys.stderr,
-            )
+        if mode is not ClassificationMode.MULTI:
+            print(f"note: importance regression target uses the cache's {mode.value!r} class "
+                  f"indices; a multi-mode cache mirrors the reference pipeline", file=sys.stderr)
         trees = fit_forest(X, y, ForestConfig(seed=config.seed))
         report = compute_importances(trees, names)
         if report.degenerate:
@@ -296,15 +285,12 @@ def _split(X, y, seed: int):
 def cmd_train(config: RunConfig) -> int:
     out = _out_dir(config)
     cache_path = out / "dataset.fsds"
-    X, y, cache_columns, cache_sha256, meta = read_cache(cache_path)
+    X, y, cache_columns, cache_sha256, mode = read_cache(cache_path)
     feature_names = _feature_list(out)
-    if meta["mode"] != config.mode:
-        if "mode" in config.explicit_fields:
-            raise MismatchError(
-                f"cache was ingested in {meta['mode']!r} mode but --mode is {config.mode!r}"
-            )
-        config.mode = meta["mode"]  # inherit the cache's regime when unspecified
-    mode = ClassificationMode(config.mode)
+    if "mode" in config.explicit_fields and ClassificationMode(config.mode) is not mode:
+        raise MismatchError(f"cache was ingested in {mode.value!r} mode but --mode is "
+                            f"{config.mode!r}")
+    config.mode = mode.value  # inherit the cache's regime when unspecified
     X = _columns(X, cache_columns, feature_names, cache_path)  # frees the cache's bytes
     (X_train, y_train), (X_test, y_test) = _split(X, y, config.seed)
     del X, y  # so that training holds the split only
@@ -313,7 +299,6 @@ def cmd_train(config: RunConfig) -> int:
     X_test = apply_normalizer(X_test, stats)
     # the split seed, which evaluate reads back
     model = build(config.arch, mode, feature_names, seed=config.seed)
-    model.class_names = meta["classes"]
     model.normalizer = stats
     model.cache_sha256 = cache_sha256
 
@@ -323,7 +308,7 @@ def cmd_train(config: RunConfig) -> int:
     model_path = out / "model.fsnn"
     save(model, model_path)
     export_history(history, out / "history.csv")
-    report = evaluate(model, X_test, y_test, class_names=model.class_names)
+    report = evaluate(model, X_test, y_test)
     manifest = {
         "config": asdict(config),
         "tool_version": __version__,
@@ -363,9 +348,9 @@ def cmd_evaluate(config: RunConfig, model_path: str) -> int:
             f"seed {config.seed} contradicts the split seed {model.rng_seed} recorded in "
             f"{model_path}; evaluate scores the rows that training held out"
         )
-    X, y, cache_columns, sha256, meta = read_cache(cache_path)
-    if meta["mode"] != model.mode.value:
-        raise MismatchError(f"model mode {model.mode.value!r} != cache mode {meta['mode']!r}")
+    X, y, cache_columns, sha256, mode = read_cache(cache_path)
+    if mode is not model.mode:
+        raise MismatchError(f"model mode {model.mode.value!r} != cache mode {mode.value!r}")
     if sha256 != model.cache_sha256:
         raise MismatchError(
             f"{cache_path} (sha256 {sha256[:12]}) is not the cache the model was trained on "
@@ -375,7 +360,7 @@ def cmd_evaluate(config: RunConfig, model_path: str) -> int:
     _, (X_test, y_test) = _split(X, y, model.rng_seed)
     del X, y
     X_test = apply_normalizer(X_test, model.normalizer)
-    report = evaluate(model, X_test, y_test, class_names=model.class_names)
+    report = evaluate(model, X_test, y_test)
     text = metrics_text(report)
     (out / "metrics.json").write_text(json.dumps(report, indent=2, sort_keys=True),
                                       encoding="utf-8")
@@ -509,7 +494,7 @@ def main(argv=None) -> int:
             raise
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
+    except OSError as exc:  # a file missing, unreadable or misnamed, or of the wrong kind
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

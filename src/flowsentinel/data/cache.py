@@ -12,7 +12,8 @@ Layout, all integers little-endian:
 
 The sidecar ``<cache>.meta.json`` records what the binary layout cannot:
 classification mode, class names, label histogram, and ingest provenance.
-``read_cache`` reads and checks both files, so no other code checks either.
+``write_cache`` builds it and ``read_cache`` reads and checks both files, so
+no other code knows the sidecar's keys.
 """
 
 from __future__ import annotations
@@ -24,22 +25,32 @@ from pathlib import Path
 
 import numpy as np
 
+from .. import __version__
 from ..errors import SchemaError
-from .labels import ClassificationMode, build_vocabulary
+from .labels import ClassificationMode
 
 MAGIC = b"FSDS"
 VERSION = 1
 
 
-def write_cache(path, X, y, feature_names, meta: dict) -> None:
+def write_cache(path, X, y, feature_names, mode: ClassificationMode, *, seed, subsample,
+                report) -> None:
+    """Write the cache of rows ``X`` with ``mode`` class indices ``y``, and its
+    sidecar: the mode, its classes, the row count and class histogram, and
+    the ingest ``seed``, ``subsample`` and ``report`` (an ``IngestReport``)."""
     X = np.ascontiguousarray(X, dtype=np.float32)
     y = np.ascontiguousarray(y)
     if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
         raise ValueError("X must be [rows, cols] and y must match its row count")
     if X.shape[1] != len(feature_names):
         raise ValueError("feature name count must equal column count")
-    if y.size and (y.min() < 0 or y.max() > 0xFFFF):
-        raise ValueError("class indices must fit in uint16")
+    classes = mode.classes
+    if y.size and (y.min() < 0 or y.max() >= len(classes)):
+        raise ValueError(f"class indices must index the {len(classes)} classes")
+    meta = dict(mode=mode.value, classes=list(classes), seed=seed, subsample=subsample,
+                rows=int(y.size), ingest_report=report.to_dict(), tool_version=__version__,
+                class_histogram={classes[c]: int(n)
+                                 for c, n in zip(*np.unique(y, return_counts=True))})
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<B", VERSION))
@@ -55,12 +66,11 @@ def write_cache(path, X, y, feature_names, meta: dict) -> None:
 
 def read_cache(path):
     """Returns (X float32 [rows, cols], y int64 [rows], feature_names, sha256,
-    meta): the file is read once, X is a read-only view of its bytes, and
-    ``meta`` is its sidecar, a JSON object whose ``mode`` is a classification
-    mode and whose ``classes`` are that mode's class names in index order.
-    Every class index indexes ``classes`` and every feature value is finite,
-    as ``ingest`` writes them. A missing sidecar raises FileNotFoundError; any
-    other fault, SchemaError."""
+    mode): the file is read once, X is a read-only view of its bytes, and
+    ``mode`` is the ClassificationMode its sidecar names, whose ``classes``
+    the sidecar lists in index order. Every class index indexes them and
+    every feature value is finite, as ``ingest`` writes them. A missing
+    sidecar raises FileNotFoundError; any other fault, SchemaError."""
     blob = Path(path).read_bytes()
     view = memoryview(blob)
     if len(blob) < 21 or bytes(view[:4]) != MAGIC:
@@ -78,6 +88,8 @@ def read_cache(path):
             offset += length
     except struct.error as exc:
         raise SchemaError(f"{path}: truncated header") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: a column name is not UTF-8 ({exc.reason})") from exc
     expected = offset + rows * cols * 4 + rows * 2
     if len(blob) != expected:
         raise SchemaError(f"{path}: expected {expected} bytes, found {len(blob)}")
@@ -93,13 +105,14 @@ def read_cache(path):
         raise SchemaError(f"{mp}: not a JSON object")
     if meta.get("mode") not in [mode.value for mode in ClassificationMode]:
         raise SchemaError(f"{mp}: unknown mode {meta.get('mode')!r}")
-    classes = list(build_vocabulary(ClassificationMode(meta["mode"])).classes)
+    mode = ClassificationMode(meta["mode"])
+    classes = list(mode.classes)
     if meta.get("classes") != classes:
         raise SchemaError(f"{mp}: 'classes' does not name the "
-                          f"{len(classes)} classes of {meta['mode']!r} mode in order")
+                          f"{len(classes)} classes of {mode.value!r} mode in order")
     if y.size and y.max() >= len(classes):
         raise SchemaError(f"{path}: class index {y.max()} is not an index into the "
-                          f"{len(classes)} classes of {meta['mode']!r} mode")
+                          f"{len(classes)} classes of {mode.value!r} mode")
     if not np.isfinite(X).all():
         raise SchemaError(f"{path}: a feature value is NaN or infinite")
-    return X, y, names, hashlib.sha256(blob).hexdigest(), meta
+    return X, y, names, hashlib.sha256(blob).hexdigest(), mode

@@ -102,13 +102,6 @@ def _tokenized(lines, usecols):
     return block if len(block) == len(lines) else None
 
 
-def _decoded(fh, path):
-    try:
-        yield from fh
-    except UnicodeDecodeError as exc:
-        raise SchemaError(f"{path}: not UTF-8 text ({exc.reason})") from None
-
-
 def iter_flows(path, feature_columns, label_column=None):
     """Yield one flow CSV as ``(X, labels, bad)`` blocks of at most
     ``CHUNK_ROWS`` rows, columns matched by header name.
@@ -120,72 +113,77 @@ def iter_flows(path, feature_columns, label_column=None):
     reason of the first feature, in the given order, that is not a number
     float32 can hold (a cell missing from a short row is ``non_numeric``).
     ``row_id`` counts non-blank data lines of the file from 0. A missing
-    column, or a file that is not UTF-8, raises SchemaError.
+    column, a file that is not UTF-8, or a line that ``csv`` cannot read (a
+    cell over its field size limit), raises SchemaError.
     """
     features = list(feature_columns)
-    with open(path, newline="", encoding="utf-8") as fh:
-        lines = _decoded(fh, path)
-        reader = csv.reader(lines)
-        header = next(reader, [])
-        for column in features + ([label_column] if label_column is not None else []):
-            if column not in header:
-                raise SchemaError(f"missing column {column!r} in {path}")
-        at = [header.index(column) for column in features]
-        pick = operator.itemgetter(*at)
-        label_at = None if label_column is None else header.index(label_column)
+    with open(path, newline="", encoding="utf-8") as lines:
+        try:
+            reader = csv.reader(lines)
+            header = next(reader, [])
+            for column in features + ([label_column] if label_column is not None else []):
+                if column not in header:
+                    raise SchemaError(f"missing column {column!r} in {path}")
+            at = [header.index(column) for column in features]
+            pick = operator.itemgetter(*at)
+            label_at = None if label_column is None else header.index(label_column)
 
-        def cell(row, i):
-            return row[i] if i < len(row) else None
+            def cell(row, i):
+                return row[i] if i < len(row) else None
 
-        def label_of(row):
-            return (cell(row, label_at) or "").strip()
+            def label_of(row):
+                return (cell(row, label_at) or "").strip()
 
-        def fault(row):
-            if label_at is not None and not label_of(row):
-                return label_column, "empty_label"
-            return next((column, reason) for column, i in zip(features, at)
-                        if (reason := parse_value(cell(row, i))[1]))
+            def fault(row):
+                if label_at is not None and not label_of(row):
+                    return label_column, "empty_label"
+                return next((column, reason) for column, i in zip(features, at)
+                            if (reason := parse_value(cell(row, i))[1]))
 
-        def label_in(line):  # label_of for a line without '"', which csv.reader splits at ','
-            if line.count(",") == len(header) - 1:  # as wide as the header: split from the right
-                return line.rsplit(",", len(header) - label_at)[label_at - len(header)].strip()
-            return label_of(line.split(",", label_at + 1))
+            def label_in(line):  # label_of for a line without '"', which csv.reader splits at ','
+                if line.count(",") == len(header) - 1:  # as wide as the header: split from the right
+                    return line.rsplit(",", len(header) - label_at)[label_at - len(header)].strip()
+                return label_of(line.split(",", label_at + 1))
 
-        done = 0
+            done = 0
 
-        def checked(block, block_labels, cells_of):  # cells_of(i): the block's row i as csv cells
-            nonlocal done
-            suspect = ~(np.abs(block) < FLOAT32_OVERFLOW).all(axis=1)  # NaN compares False
-            if label_at is not None:
-                suspect |= np.array([not text for text in block_labels], dtype=bool)
-            bad = [(done + i, *fault(cells_of(i))) for i in np.flatnonzero(suspect).tolist()]
-            done += len(block)
-            return block, block_labels, bad
+            def checked(block, block_labels, cells_of):  # cells_of(i): row i's csv cells
+                nonlocal done
+                suspect = ~(np.abs(block) < FLOAT32_OVERFLOW).all(axis=1)  # NaN compares False
+                if label_at is not None:
+                    suspect |= np.array([not text for text in block_labels], dtype=bool)
+                bad = [(done + i, *fault(cells_of(i))) for i in np.flatnonzero(suspect).tolist()]
+                done += len(block)
+                return block, block_labels, bad
 
-        def per_cell(rows):
-            block = np.empty((len(rows), len(at)))
-            for i, row in enumerate(rows):
-                try:
-                    block[i] = pick(row)  # numpy converts each string with float()
-                except (IndexError, ValueError):
-                    block[i] = np.nan
-            return checked(block, [label_of(row) for row in rows] if label_at is not None
-                           else None, rows.__getitem__)
+            def per_cell(rows):
+                block = np.empty((len(rows), len(at)))
+                for i, row in enumerate(rows):
+                    try:
+                        block[i] = pick(row)  # numpy converts each string with float()
+                    except (IndexError, ValueError):
+                        block[i] = np.nan
+                return checked(block, [label_of(row) for row in rows] if label_at is not None
+                               else None, rows.__getitem__)
 
-        while block_lines := list(itertools.islice(lines, CHUNK_ROWS)):
-            if any('"' in line for line in block_lines):  # a quoted cell may span lines
-                # csv.reader reads the rest of the file, and yields [] for a blank line
-                rows = filter(None, csv.reader(itertools.chain(block_lines, lines)))
-                while chunk := list(itertools.islice(rows, CHUNK_ROWS)):
-                    yield per_cell(chunk)
-                return
-            block_lines = [line for line in block_lines if line.rstrip("\r\n")]
-            if block_lines and (block := _tokenized(block_lines, at)) is not None:
-                yield checked(block, [label_in(line) for line in block_lines]
-                              if label_at is not None else None,
-                              lambda i: next(csv.reader([block_lines[i]])))
-            else:
-                yield per_cell(list(csv.reader(block_lines)))
+            while block_lines := list(itertools.islice(lines, CHUNK_ROWS)):
+                if any('"' in line for line in block_lines):  # a quoted cell may span lines
+                    # csv.reader reads the rest of the file, and yields [] for a blank line
+                    rows = filter(None, csv.reader(itertools.chain(block_lines, lines)))
+                    while chunk := list(itertools.islice(rows, CHUNK_ROWS)):
+                        yield per_cell(chunk)
+                    return
+                block_lines = [line for line in block_lines if line.rstrip("\r\n")]
+                if block_lines and (block := _tokenized(block_lines, at)) is not None:
+                    yield checked(block, [label_in(line) for line in block_lines]
+                                  if label_at is not None else None,
+                                  lambda i: next(csv.reader([block_lines[i]])))
+                else:
+                    yield per_cell(list(csv.reader(block_lines)))
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        except csv.Error as exc:  # a cell over csv's field size limit, say
+            raise SchemaError(f"{path}: unreadable CSV ({exc})") from None
 
 
 def load_csv(paths):

@@ -73,13 +73,3 @@ def family_map() -> dict:
     """raw label -> attack family (Benign maps to the family 'Benign')."""
     text = resources.files(__package__).joinpath("family_map.json").read_text(encoding="utf-8")
     return json.loads(text)
-
-
-def raw_labels() -> list:
-    """All 34 known raw labels, sorted lexicographically."""
-    return sorted(family_map())
-
-
-def attack_families() -> list:
-    """The 8 grouped-mode class names (Benign plus 7 families), sorted."""
-    return sorted(set(family_map().values()))

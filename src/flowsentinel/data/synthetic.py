@@ -23,6 +23,7 @@ from ..features import canonical_top20
 from ..rng import Rng
 from . import schema
 from .ingest import csv_cell
+from .labels import ClassificationMode
 
 # rows write_fixture_csv formats at once: its peak RSS stays below the
 # generator's at 256, and rose above it at 512 and 1,024 (30,000 rows)
@@ -153,7 +154,7 @@ def generate_fixture(rows: int = 5000, seed: int = 0):
     """
     if rows < MIN_ROWS:
         raise ValueError(f"rows={rows} is too small: the fixture needs at least {MIN_ROWS} rows")
-    class_names = schema.raw_labels()
+    class_names = ClassificationMode.MULTI.classes
     assert set(class_names) == set(_CLASS_WEIGHTS)
     signatures = class_signatures(class_names)
     canonical = canonical_top20()

@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -69,7 +69,7 @@ class Model:
     layers: list
     rng_seed: int
     feature_names: list  # the model's input columns, in order; its width
-    class_names: list = field(default_factory=list)
+    class_names: list  # names of the class indices, in order
     normalizer: FeatureStats | None = None
     cache_sha256: str | None = None  # the dataset cache trained on
 
@@ -135,13 +135,14 @@ class Model:
 
 def build(architecture: str, mode: ClassificationMode, feature_names, seed: int = 0) -> Model:
     """Instantiate a model over ``feature_names``, whose count is its input
-    width, with Glorot-uniform weights, deterministic in seed; the LSTM's
-    dropout layers share one mask stream, ``Rng(seed).spawn("dropout")``."""
+    width, named with ``mode``'s classes, with Glorot-uniform weights,
+    deterministic in seed; the LSTM's dropout layers share one mask stream,
+    ``Rng(seed).spawn("dropout")``."""
     if architecture not in ARCHITECTURES:
         raise ConfigError(f"unknown architecture {architecture!r}")
     if not feature_names:
         raise ConfigError("a model needs a non-empty list of features")
-    units = 1 if mode is ClassificationMode.BINARY else mode.class_count
+    units = 1 if mode is ClassificationMode.BINARY else len(mode.classes)
     rng = Rng(seed).spawn("init")
     if architecture == "cnn":
         length = len(feature_names)
@@ -171,7 +172,7 @@ def build(architecture: str, mode: ClassificationMode, feature_names, seed: int 
             Dropout(DROPOUT_RATE, masks),
             Dense(LSTM_UNITS, units, rng.spawn("head"), name="head"),
         ]
-    return Model(architecture, mode, layers, seed, list(feature_names))
+    return Model(architecture, mode, layers, seed, list(feature_names), list(mode.classes))
 
 
 def model_header(model: Model) -> dict:
@@ -235,8 +236,8 @@ def load(path) -> Model:
                 raise SchemaError(f"{path}: '{key}' is not a list of names")
         mode = ClassificationMode(header["mode"])
         classes = header["classes"]
-        if len(classes) != mode.class_count or len(set(classes)) != len(classes):
-            raise SchemaError(f"{path}: 'classes' is not a list of {mode.class_count} "
+        if len(classes) != len(mode.classes) or len(set(classes)) != len(classes):
+            raise SchemaError(f"{path}: 'classes' is not a list of {len(mode.classes)} "
                               f"distinct names")
         model = build(header["architecture"], mode, header["features"], seed=header["seed"])
         model.class_names = classes

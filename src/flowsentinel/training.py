@@ -54,7 +54,7 @@ class TrainHistory:
 
 
 def _check_mode(model: Model, y: np.ndarray) -> None:
-    n_classes = model.mode.class_count
+    n_classes = len(model.mode.classes)
     if y.size and (y.min() < 0 or y.max() >= n_classes):
         raise MismatchError(
             f"labels span [{y.min()}, {y.max()}] but model mode "
@@ -205,19 +205,18 @@ def metrics_text(report: dict) -> str:
     )
 
 
-def evaluate(model: Model, X_test: np.ndarray, y_test: np.ndarray,
-             class_names) -> dict:
+def evaluate(model: Model, X_test: np.ndarray, y_test: np.ndarray) -> dict:
     """The metrics.json document (see :func:`metrics_from_confusion`) of
-    the model's predictions over held-out rows."""
+    the model's predictions over held-out rows, under its class names."""
     X_test = np.asarray(X_test, dtype=np.float32)
     y_test = np.asarray(y_test, dtype=np.int64)
     if X_test.shape[0] == 0:
         raise MissingInputError("empty test set")
     _check_mode(model, y_test)
-    n_classes = model.mode.class_count
+    n_classes = len(model.class_names)
     confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
     np.add.at(confusion, (y_test, model.predict(X_test)), 1)
-    return metrics_from_confusion(confusion, class_names)
+    return metrics_from_confusion(confusion, model.class_names)
 
 
 def export_history(history: TrainHistory, path) -> None:

@@ -25,10 +25,11 @@ import pytest
 
 from flowsentinel.data import (
     ClassificationMode,
+    IngestReport,
     apply_normalizer,
-    build_vocabulary,
     fit_normalizer,
     generate_fixture,
+    map_labels,
     read_cache,
     schema,
     stratified_split,
@@ -272,8 +273,8 @@ def _fixture_matrix():
 
 def _end_to_end(arch: str, mode: ClassificationMode, batch_size: int) -> float:
     Xc, labels = _fixture_matrix()
-    vocab = build_vocabulary(mode)
-    y = np.array([vocab.raw_to_class[lab] for lab in labels])
+    kept, y, _ = map_labels(labels, mode)
+    assert len(kept) == len(labels)
     split = stratified_split(y, 0.8, seed=0)
     stats = fit_normalizer(Xc[split.train])
     X_train = apply_normalizer(Xc[split.train], stats)
@@ -281,7 +282,7 @@ def _end_to_end(arch: str, mode: ClassificationMode, batch_size: int) -> float:
     model = build(arch, mode, canonical_top20(), seed=0)
     train(model, X_train, y[split.train], epochs=20, batch_size=batch_size,
           learning_rate=DEFAULT_LEARNING_RATES[arch])
-    return evaluate(model, X_test, y[split.test], vocab.classes)["accuracy"]
+    return evaluate(model, X_test, y[split.test])["accuracy"]
 
 
 @pytest.mark.parametrize(
@@ -326,13 +327,12 @@ HETIOT_BASELINE_ACCURACY = {"binary": 99.2, "grouped": 99.0, "multi": 98.55}  # 
 @pytest.mark.parametrize("arch", ["cnn", "lstm"])
 @pytest.mark.parametrize("mode", ["binary", "grouped", "multi"])
 def test_real_corpus_reproduction(arch, mode):
-    from flowsentinel.data import load_csv, map_labels
+    from flowsentinel.data import load_csv
     from pathlib import Path
 
     data_dir = Path(os.environ["FLOWSENTINEL_CICIOT_DIR"])
     (X, labels), _ = load_csv(sorted(data_dir.glob("*.csv")))
-    vocab = build_vocabulary(ClassificationMode(mode))
-    kept, y, _ = map_labels(labels, vocab)
+    kept, y, _ = map_labels(labels, ClassificationMode(mode))
     cols = [schema.FEATURE_COLUMNS.index(f) for f in canonical_top20()]
     X = X[np.ix_(kept, cols)].astype(np.float32)
     keep = subsample_indices(y, 0.10, Rng(0).spawn("subsample"))
@@ -342,8 +342,7 @@ def test_real_corpus_reproduction(arch, mode):
     model = build(arch, ClassificationMode(mode), canonical_top20(), seed=0)
     train(model, apply_normalizer(X[split.train], stats), y[split.train],
           epochs=20, batch_size=256, learning_rate=DEFAULT_LEARNING_RATES[arch])
-    report = evaluate(model, apply_normalizer(X[split.test], stats), y[split.test],
-                      vocab.classes)
+    report = evaluate(model, apply_normalizer(X[split.test], stats), y[split.test])
     target = PUBLISHED_ACCURACY[(arch, mode)]
     announce(
         f"real corpus ({arch}/{mode}): accuracy within 1.0 point of {target}",
@@ -485,10 +484,11 @@ def test_serialization_round_trips_and_rejection(tmp_path):
     X = rng.normal(size=(31, 7)).astype(np.float32)
     y = rng.integers(0, 34, size=31)
     cache_path = tmp_path / "d.fsds"
-    meta = {"mode": "multi", "classes": list(build_vocabulary(ClassificationMode.MULTI).classes)}
-    write_cache(cache_path, X, y, [f"f{i}" for i in range(7)], meta)
-    X2, y2, names, _, meta2 = read_cache(cache_path)
-    cache_ok = np.array_equal(X, X2) and np.array_equal(y, y2) and meta2 == meta
+    write_cache(cache_path, X, y, [f"f{i}" for i in range(7)], ClassificationMode.MULTI, seed=0,
+                subsample=1.0, report=IngestReport())
+    X2, y2, names, _, mode = read_cache(cache_path)
+    cache_ok = (np.array_equal(X, X2) and np.array_equal(y, y2)
+                and mode is ClassificationMode.MULTI)
 
     model_path.write_bytes(model_path.read_bytes()[:-3])
     try:

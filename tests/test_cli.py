@@ -28,7 +28,6 @@ from flowsentinel.data import (
     iter_flows,
     read_cache,
     schema,
-    write_cache,
     write_fixture_csv,
 )
 from flowsentinel.errors import MissingInputError
@@ -97,9 +96,9 @@ class TestIngest:
         report = json.loads((out / "ingest_report.json").read_text())
         assert report["rows_dropped"] == 5
         assert report["dropped_by_reason"]["nan"] == 5
-        X, y, _, _, meta = read_cache(out / "dataset.fsds")
+        X, y, _, _, mode = read_cache(out / "dataset.fsds")
         assert X.shape[0] == ROWS - 5
-        assert meta["mode"] == "multi"
+        assert mode is ClassificationMode.MULTI
 
     def test_cell_float32_cannot_hold_dropped_without_warning(self, tmp_path, fixture_csv):
         lines = fixture_csv.read_text().strip().split("\n")
@@ -692,6 +691,15 @@ class TestNoTraceback:
         ("predict a file that is not UTF-8", 3),
         ("ingest a file that is not UTF-8", 3),
         ("ingest --out an existing file", 2),
+        # a name over the file system's 255-byte limit (ENAMETOOLONG)
+        ("ingest --data a 300-byte name", 2),
+        ("ingest --out a 300-byte name", 2),
+        ("predict --model a 300-byte name", 2),
+        # a cell over csv's field size limit (131,072 characters)
+        ("ingest a 200,000-character cell", 3),
+        ("ingest a 200,000-character quoted cell", 3),
+        ("predict a 200,000-character cell", 3),
+        ("predict a 200,000-character quoted cell", 3),
         # config files: the text after --config, written as Latin-1 bytes
         ("ingest --config [1, 2]", 1),
         ('ingest --config {"epochs": "3"}', 1),
@@ -709,6 +717,8 @@ class TestNoTraceback:
         ('ingest --config {"lr": -1.0}', 1),
         ('ingest --config {"lr": NaN}', 1),
         ('ingest --config {"lr": Infinity}', 1),
+        ('ingest --config {"lr": 1' + "0" * 400 + "}", 1),  # an int too large for a float
+        ('ingest --config {"lr": 1' + "0" * 5000 + "}", 1),  # past json's 4,300-digit limit
         # keys of a fixed split and scaling contract, which no config sets
         ('ingest --config {"split_fraction": 0.9}', 1),
         ('ingest --config {"validation_fraction": 0.2}', 1),
@@ -722,6 +732,17 @@ class TestNoTraceback:
         model, data, out, config = binary_model, fixture_csv, tmp_path / "out", None
         if "not UTF-8" in case:
             data = self.not_utf8(tmp_path, fixture_csv)
+        elif "300-byte" in case:
+            long = tmp_path / ("x" * 300)
+            data, out, model = (long if flag in case else value for flag, value in
+                                (("--data", data), ("--out", out), ("--model", model)))
+        elif "200,000" in case:
+            data = tmp_path / "huge.csv"  # the cell in a column that predict reads too
+            header, *rows = fixture_csv.read_text().splitlines()
+            cells = rows[1].split(",")
+            cells[header.split(",").index(canonical_top20()[0])] = (
+                '"' + "1" * 200_000 + '"' if "quoted" in case else "1" * 200_000)
+            data.write_text("\n".join([header, rows[0], ",".join(cells), *rows[2:]]) + "\n")
         elif "--config" in case:
             config = tmp_path / "run.json"
             config.write_bytes(case.split("--config ", 1)[1].encode("latin-1"))
@@ -748,13 +769,20 @@ class TestNoTraceback:
         assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
         if "not UTF-8" in case:
             assert str(data) in err and "UTF-8" in err
+        if "300-byte" in case:
+            assert "File name too long" in err
+        if "200,000" in case:
+            assert err.startswith(f"error: {data}: ") and "field limit" in err
+        if "lr" in case:
+            assert err.startswith(("error: lr must be", "error: invalid JSON"))
         if "fraction" in case or "scheme" in case:
             assert "unknown config keys" in err
         if "version-1" in case:
             assert "unsupported version 1" in err
         if case.startswith("train"):
             assert repr(case.split()[-1]) in err
-        assert not (out / "predictions.csv").exists() and not (out / "dataset.fsds").exists()
+        written = {path.name for path in tmp_path.rglob("*")}
+        assert "predictions.csv" not in written and "dataset.fsds" not in written
 
     SIDECAR = "dataset.fsds.meta.json"
 
@@ -864,7 +892,6 @@ class TestNoTraceback:
         # an LSTM's parameters do not depend on its input width, so only the
         # normalizer's width refuses a header of 19 features; built, not trained
         model = build("lstm", ClassificationMode.BINARY, canonical_top20(), seed=0)
-        model.class_names = ["Benign", "Attack"]
         model.normalizer = fit_normalizer(np.eye(20))
         model.cache_sha256 = "0f" * 32
         source, edited, out = tmp_path / "lstm.fsnn", tmp_path / "edited.fsnn", tmp_path / "out"
@@ -910,18 +937,24 @@ class TestNoTraceback:
                          "importance.csv", "metrics.json"):
             assert not (workdir / artefact).exists()
 
-    @pytest.mark.parametrize("fault", ["class-index", "nan", "inf"])
+    @pytest.mark.parametrize("fault", ["class-index", "nan", "inf", "column-name"])
     def test_cache_contents_ingest_never_writes_exit_3(self, workdir, binary_model, capsys,
                                                         fault):
-        # a cache rewritten by write_cache, so its layout and sidecar are sound
+        # the cache's bytes edited in place, so its layout and sidecar stay sound
         path = workdir / "dataset.fsds"
-        X, y, names, _, meta = read_cache(path)
-        X, y = X.copy(), y.copy()
+        X, _, names, _, _ = read_cache(path)
+        blob = bytearray(path.read_bytes())
+        rows, cols = X.shape
+        x_at = len(blob) - rows * cols * 4 - rows * 2
+        X = np.frombuffer(blob, "<f4", rows * cols, x_at).reshape(rows, cols)
+        y = np.frombuffer(blob, "<u2", rows, x_at + rows * cols * 4)
         if fault == "class-index":
             y[5] = 7  # a binary cache has classes 0 and 1
+        elif fault == "column-name":
+            blob[23] = 0xFF  # the first byte of the first name: not UTF-8
         else:
             X[5, names.index(canonical_top20()[0])] = float(fault)
-        write_cache(path, X, y, names, meta=meta)
+        path.write_bytes(blob)
         before = sorted(workdir.iterdir())
         for command in self.READERS:
             argv = [arg.format(model=binary_model) for arg in command]
@@ -929,7 +962,18 @@ class TestNoTraceback:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == len(self.READERS)
         assert all(ln.startswith(f"error: {path}: ") for ln in lines)
+        if fault == "column-name":
+            assert all(ln.endswith("a column name is not UTF-8 (invalid start byte)")
+                       for ln in lines)
         assert sorted(workdir.iterdir()) == before
+
+    def test_feature_list_not_utf8_exit_3(self, workdir, capsys):
+        features = workdir / "features.txt"
+        features.write_bytes(b"Rate\nSrate\xe9\n")
+        assert run("train", "--epochs", "1", "--out", str(workdir)) == 3
+        assert capsys.readouterr().err == (f"error: {features}: not UTF-8 text "
+                                           f"(invalid continuation byte)\n")
+        assert not (workdir / "model.fsnn").exists()
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_model_parameter_exit_3(self, binary_model, tmp_path, fixture_csv,
@@ -1081,7 +1125,7 @@ TRAIN_STEP_FAULTS = """if True:
     optimizer = Adam(model.parameters(), lr=1e-3)
     rng = np.random.default_rng(0)
     X = rng.random((32, 20), dtype=np.float32)
-    y = rng.integers(0, ClassificationMode.MULTI.class_count, 32)
+    y = rng.integers(0, len(ClassificationMode.MULTI.classes), 32)
     def step():
         optimizer.zero_grad()
         probs = model.forward(X, training=True)

@@ -1,18 +1,20 @@
-"""Ingestion, vocabularies, subsampling, splits, normalization, cache format."""
+"""Ingestion, class lists and label maps, subsampling, splits, normalization, cache format."""
 
 import csv
 import hashlib
 import io
+import json
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import flowsentinel
 from flowsentinel.data import (
     ClassificationMode,
+    IngestReport,
     apply_normalizer,
-    build_vocabulary,
     csv_cell,
     fit_normalizer,
     generate_fixture,
@@ -34,8 +36,12 @@ from flowsentinel.rng import Rng
 from conftest import FEATURES
 
 HEADER = ",".join(list(schema.FEATURE_COLUMNS) + [schema.LABEL_COLUMN])
-# the sidecar of a multi-mode cache, as ingest writes it
-MULTI_META = {"mode": "multi", "classes": list(build_vocabulary(ClassificationMode.MULTI).classes)}
+BINARY, GROUPED, MULTI = ClassificationMode
+
+
+def write_multi(path, X, y, names):
+    """A multi-mode cache of ``X`` and ``y``, as ingest writes one."""
+    write_cache(path, X, y, names, MULTI, seed=0, subsample=1.0, report=IngestReport())
 
 
 def write_rows(path, rows):
@@ -302,57 +308,56 @@ def test_read_flows_matches_the_per_cell_path(tmp_path, monkeypatch, chunk_rows,
         parsed.clear()
 
 
+def mapped(labels, mode):
+    """The class indices ``map_labels`` gives ``labels``, which must all be kept."""
+    kept, classes, dropped = map_labels(labels, mode)
+    assert kept.tolist() == list(range(len(labels))) and dropped == 0
+    return classes.tolist()
+
+
 class TestVocabulary:
     def test_binary_mapping(self):
-        vocab = build_vocabulary(ClassificationMode.BINARY)
-        assert vocab.classes == ("Benign", "Attack")
-        assert vocab.raw_to_class["BenignTraffic"] == 0
-        assert vocab.raw_to_class["DDoS-ICMP_Flood"] == 1
-        assert vocab.raw_to_class["Mirai-udpplain"] == 1
+        assert BINARY.classes == ("Benign", "Attack")
+        assert mapped(["BenignTraffic", "DDoS-ICMP_Flood", "Mirai-udpplain"], BINARY) == [0, 1, 1]
 
     def test_grouped_has_eight_classes(self):
-        vocab = build_vocabulary(ClassificationMode.GROUPED)
-        assert len(vocab.classes) == 8
-        assert set(vocab.classes) == {
+        classes = GROUPED.classes
+        assert len(classes) == 8
+        assert set(classes) == {
             "Benign", "BruteForce", "DDoS", "DoS", "Mirai", "Recon", "Spoofing", "Web-based",
         }
-        assert vocab.classes == tuple(sorted(vocab.classes))
-        assert vocab.raw_to_class["DDoS-SYN_Flood"] == vocab.classes.index("DDoS")
-        assert vocab.raw_to_class["VulnerabilityScan"] == vocab.classes.index("Recon")
-        assert vocab.raw_to_class["DictionaryBruteForce"] == vocab.classes.index("BruteForce")
+        assert classes == tuple(sorted(classes))
+        assert mapped(["DDoS-SYN_Flood", "VulnerabilityScan", "DictionaryBruteForce"],
+                      GROUPED) == [classes.index(name) for name in ("DDoS", "Recon", "BruteForce")]
 
     def test_multi_has_thirty_four_sorted_classes(self):
-        vocab = build_vocabulary(ClassificationMode.MULTI)
-        assert len(vocab.classes) == 34
-        assert vocab.classes == tuple(sorted(vocab.classes))
-        for i, name in enumerate(vocab.classes):
-            assert vocab.raw_to_class[name] == i
+        classes = MULTI.classes
+        assert len(classes) == 34
+        assert classes == tuple(sorted(classes)) == tuple(sorted(schema.family_map()))
+        assert mapped(classes, MULTI) == list(range(34))
 
     def test_class_counts_follow_the_family_table(self, monkeypatch):
         # a family added to family_map.json is one more grouped class and head unit
         table = dict(schema.family_map(), NewAttack="NewFamily")
         monkeypatch.setattr(schema, "family_map", lambda: table)
-        vocab = build_vocabulary(ClassificationMode.GROUPED)
-        assert len(vocab.classes) == ClassificationMode.GROUPED.class_count == 9
-        assert vocab.raw_to_class["NewAttack"] == vocab.classes.index("NewFamily")
-        assert ClassificationMode.MULTI.class_count == 35
-        assert ClassificationMode.BINARY.class_count == 2
-        head = build("cnn", ClassificationMode.GROUPED, FEATURES).layers[-1]
+        assert len(GROUPED.classes) == 9
+        assert mapped(["NewAttack"], GROUPED) == [GROUPED.classes.index("NewFamily")]
+        assert len(MULTI.classes) == 35
+        assert len(BINARY.classes) == 2
+        head = build("cnn", GROUPED, FEATURES).layers[-1]
         assert head.bias.value.shape == (9,)
 
     def test_vocabulary_stable_across_calls(self):
-        a = build_vocabulary(ClassificationMode.MULTI)
-        b = build_vocabulary(ClassificationMode.MULTI)
-        assert a.classes == b.classes
-        assert a.raw_to_class == b.raw_to_class
+        labels = list(schema.family_map())
+        for mode in ClassificationMode:  # each call reads the table afresh
+            assert mode.classes == mode.classes
+            assert mapped(labels, mode) == mapped(labels, mode)
 
     def test_unknown_label_strict_vs_lenient(self):
-        vocab = build_vocabulary(ClassificationMode.MULTI)
-        assert "NotARealAttack" not in vocab.raw_to_class
-        kept, classes, dropped = map_labels(["BenignTraffic", "NotARealAttack", "XSS"], vocab)
+        kept, classes, dropped = map_labels(["BenignTraffic", "NotARealAttack", "XSS"], MULTI)
         assert kept.tolist() == [0, 2]
         assert dropped == 1
-        assert classes[0] == vocab.raw_to_class["BenignTraffic"]
+        assert classes.tolist() == [MULTI.classes.index(name) for name in ("BenignTraffic", "XSS")]
         assert classes.dtype == np.int64
 
 
@@ -475,17 +480,35 @@ class TestCache:
         y = np_rng.integers(0, 34, size=17)
         names = [f"f{i}" for i in range(5)]
         path = tmp_path / "d.fsds"
-        write_cache(path, X, y, names, MULTI_META)
-        X2, y2, names2, _, meta = read_cache(path)
+        write_multi(path, X, y, names)
+        X2, y2, names2, _, mode = read_cache(path)
         assert np.array_equal(X, X2)
         assert np.array_equal(y, y2)
         assert names2 == names
-        assert meta == MULTI_META
+        assert mode is MULTI
+
+    def test_sidecar_derives_classes_rows_and_histogram(self, tmp_path):
+        path = tmp_path / "d.fsds"
+        report = IngestReport(rows_read=5, files=["a.csv"])
+        report.drop("nan")
+        write_cache(path, np.zeros((4, 1), np.float32), np.array([1, 0, 1, 1]), ["a"], GROUPED,
+                    seed=7, subsample=0.5, report=report)
+        meta = json.loads((tmp_path / "d.fsds.meta.json").read_text())
+        assert meta == {
+            "mode": "grouped", "classes": list(GROUPED.classes), "seed": 7, "subsample": 0.5,
+            "rows": 4, "class_histogram": {GROUPED.classes[0]: 1, GROUPED.classes[1]: 3},
+            "ingest_report": report.to_dict(), "tool_version": flowsentinel.__version__,
+        }
+
+    def test_class_index_outside_the_mode_refused(self, tmp_path):
+        with pytest.raises(ValueError, match="index the 2 classes"):
+            write_cache(tmp_path / "d.fsds", np.zeros((2, 1), np.float32), np.array([0, 2]),
+                        ["a"], BINARY, seed=0, subsample=1.0, report=IngestReport())
+        assert not (tmp_path / "d.fsds").exists()
 
     def test_layout_starts_with_magic_and_version(self, tmp_path):
         path = tmp_path / "d.fsds"
-        write_cache(path, np.zeros((2, 1), dtype=np.float32), np.zeros(2, dtype=int), ["a"],
-                    MULTI_META)
+        write_multi(path, np.zeros((2, 1), dtype=np.float32), np.zeros(2, dtype=int), ["a"])
         blob = path.read_bytes()
         assert blob[:4] == b"FSDS"
         assert blob[4] == 1
@@ -494,8 +517,8 @@ class TestCache:
 
     def test_truncated_rejected(self, tmp_path):
         path = tmp_path / "d.fsds"
-        write_cache(path, np.ones((4, 3), dtype=np.float32), np.zeros(4, dtype=int),
-                    ["a", "b", "c"], MULTI_META)
+        write_multi(path, np.ones((4, 3), dtype=np.float32), np.zeros(4, dtype=int),
+                    ["a", "b", "c"])
         path.write_bytes(path.read_bytes()[:-5])
         with pytest.raises(SchemaError):
             read_cache(path)
@@ -513,20 +536,22 @@ class TestCache:
     def test_contents_ingest_never_writes_rejected(self, tmp_path, fault, message):
         X = np.ones((4, 3), dtype=np.float32)
         y = np.array([0, 33, 1, 2])
-        if fault == "class-index":
-            y[1] = 34
-        else:
+        if fault != "class-index":
             X[2, 1] = float(fault)
         path = tmp_path / "d.fsds"
-        write_cache(path, X, y, ["a", "b", "c"], MULTI_META)
+        write_multi(path, X, y, ["a", "b", "c"])
+        if fault == "class-index":  # y[1] rewritten to 34, which write_cache refuses
+            blob = bytearray(path.read_bytes())
+            blob[-6:-4] = (34).to_bytes(2, "little")
+            path.write_bytes(blob)
         with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}: .*{message}"):
             read_cache(path)
 
     def test_deterministic_bytes(self, tmp_path):
         X = np.arange(12, dtype=np.float32).reshape(4, 3)
         y = np.array([0, 1, 2, 3])
-        write_cache(tmp_path / "a.fsds", X, y, ["x", "y", "z"], MULTI_META)
-        write_cache(tmp_path / "b.fsds", X, y, ["x", "y", "z"], MULTI_META)
+        write_multi(tmp_path / "a.fsds", X, y, ["x", "y", "z"])
+        write_multi(tmp_path / "b.fsds", X, y, ["x", "y", "z"])
         assert (tmp_path / "a.fsds").read_bytes() == (tmp_path / "b.fsds").read_bytes()
 
 
@@ -537,7 +562,7 @@ class TestSyntheticFixture:
         counts = {}
         for lab in labels:
             counts[lab] = counts.get(lab, 0) + 1
-        assert set(counts) == set(schema.raw_labels())
+        assert set(counts) == set(MULTI.classes)
         assert min(counts.values()) >= 15
         assert max(counts.values()) > 20 * min(counts.values()) / 10  # skewed
 
@@ -578,7 +603,7 @@ class TestSyntheticFixture:
     def test_minimum_rows_cover_every_class(self):
         X, labels = generate_fixture(rows=200)  # the documented minimum
         assert X.shape == (200, len(schema.FEATURE_COLUMNS))
-        assert set(labels) == set(schema.raw_labels())
+        assert set(labels) == set(MULTI.classes)
 
 
 @pytest.mark.parametrize("text", ["BenignTraffic", "", " ", "a,b", 'say "hi"', '"', "a\nb",

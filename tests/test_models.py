@@ -243,8 +243,9 @@ class TestInferenceChunks:
 
 
 def with_header(model):
-    """``model`` with the header fields that ``train`` fills in and ``load`` requires."""
-    model.class_names = [f"c{i}" for i in range(model.mode.class_count)]
+    """``model`` with the header fields that ``train`` fills in and ``load`` requires,
+    and class names other than its mode's, which ``load`` must read from the header."""
+    model.class_names = [f"c{i}" for i in range(len(model.mode.classes))]
     model.normalizer = FeatureStats(minimum=np.zeros(20), maximum=np.ones(20))
     model.cache_sha256 = "0f" * 32
     return model

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from flowsentinel import models
-from flowsentinel.data import ClassificationMode, build_vocabulary
+from flowsentinel.data import ClassificationMode
 from flowsentinel.errors import MismatchError, MissingInputError, ShapeMismatchError
 from flowsentinel.models import Model, build
 from flowsentinel.training import (
@@ -138,25 +138,26 @@ class TestMetrics:
                            (ClassificationMode.GROUPED, "cnn"),
                            (ClassificationMode.MULTI, "lstm")):
             model = build(arch, mode, FEATURES, seed=0)
-            n_classes = mode.class_count
+            n_classes = len(mode.classes)
             X = np_rng.uniform(size=(50, 20)).astype(np.float32)
             y = np_rng.integers(0, n_classes, size=50)
-            report = evaluate(model, X, y, build_vocabulary(mode).classes)
+            report = evaluate(model, X, y)
             assert np.sum(report["confusion"]) == 50
             assert np.shape(report["confusion"]) == (n_classes, n_classes)
+            assert report["classes"] == list(mode.classes)
 
     def test_confusion_accuracy_matches_direct_comparison(self, np_rng):
         model = build("cnn", ClassificationMode.GROUPED, FEATURES, seed=1)
         X = np_rng.uniform(size=(64, 20)).astype(np.float32)
         y = np_rng.integers(0, 8, size=64)
-        report = evaluate(model, X, y, build_vocabulary(ClassificationMode.GROUPED).classes)
+        report = evaluate(model, X, y)
         direct = float((model.predict(X) == y).mean())
         assert report["accuracy"] == pytest.approx(direct)
 
     def test_empty_test_set_rejected(self):
         model = build("cnn", ClassificationMode.BINARY, FEATURES, seed=0)
         with pytest.raises(MissingInputError):
-            evaluate(model, np.zeros((0, 20)), np.zeros(0, dtype=int), ["Benign", "Attack"])
+            evaluate(model, np.zeros((0, 20)), np.zeros(0, dtype=int))
 
     def test_report_serializes(self):
         report = metrics_from_confusion(np.array([[40, 10], [5, 45]]), ["a", "b"])
@@ -172,14 +173,13 @@ def test_batch_boundaries_do_not_change_results(arch, mode, monkeypatch):
     model = build(arch, ClassificationMode(mode), FEATURES, seed=3)
     rng = np.random.default_rng(8)
     X = rng.uniform(size=(20, 20)).astype(np.float32)
-    y = rng.integers(0, model.mode.class_count, size=20)
+    y = rng.integers(0, len(model.mode.classes), size=20)
     if mode == "binary":  # centre the head's logit so that both classes occur
         p = np.median(model.forward(X)[:, 0])
         model.layers[-1].bias.value -= np.log(p / (1.0 - p))
     pred = model.predict(X)
     assert len(np.unique(pred)) > 1
-    classes = build_vocabulary(model.mode).classes
-    confusion = evaluate(model, X, y, classes)["confusion"]
+    confusion = evaluate(model, X, y)["confusion"]
     loss, acc = _batched_eval(model, X, y)
 
     rows = []
@@ -193,7 +193,7 @@ def test_batch_boundaries_do_not_change_results(arch, mode, monkeypatch):
     monkeypatch.setattr(models, "INFERENCE_BATCH_ROWS", 7)
     assert np.array_equal(model.predict(X), pred)
     assert rows == [7, 7, 6]
-    assert np.array_equal(evaluate(model, X, y, classes)["confusion"], confusion)
+    assert np.array_equal(evaluate(model, X, y)["confusion"], confusion)
     split_loss, split_acc = _batched_eval(model, X, y)
     assert split_acc == acc
     assert split_loss == pytest.approx(loss, abs=1e-6)

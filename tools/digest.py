@@ -23,7 +23,8 @@ exit code and stderr of every step. The matrix:
   model's parameter values (``Model.parameters()`` in order, float32) as
   ``params.f32``, so that a change to the model file's header alone shows
   that the weights did not move;
-* ``predict`` on every bad-cell case, which must exit 3;
+* ``predict`` on every bad-cell case, which must exit 3, among them a
+  200,000-character cell (``huge``), over ``csv``'s field size limit;
 * ``evaluate`` of the binary model against a cache of the same two files
   re-ingested at ``--subsample 0.5``, which must exit 5.
 
@@ -79,7 +80,7 @@ MODES = ("binary", "grouped", "multi")
 CACHE = ("dataset.fsds", "dataset.fsds.meta.json", "ingest_report.json")
 # predict input cells that must stop predict (None: a row cut short before the cell)
 BAD_CELLS = {"nan": "nan", "inf": "inf", "n-a": "n/a", "empty": "", "hash": "2.0#x",
-             "overflow": "1e400", "short": None}
+             "overflow": "1e400", "short": None, "huge": "1" * 200_000}
 EDGE_CELLS = ["1_000", "١٢", "\xa01.5", "2.0#x", "0x10", "1d5", "nan(1)", "-Infinity",
               "1e400", "", "   ", "1.5 2", "\x1c1", "nan", "-nan", " 2.5 ", '"1.5"']
 # the inputs the fixture generator writes: name -> (rows, seed). mid.csv's last
